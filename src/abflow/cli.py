@@ -96,27 +96,54 @@ def _parse_json(text: str, path: str) -> np.ndarray:
         rows, cols, data = doc["rows"], doc["cols"], doc["data"]
     except KeyError as exc:
         raise ParseError(f"missing key {exc.args[0]!r}", path=path) from exc
-    if not (isinstance(rows, int) and isinstance(cols, int)
-            and rows > 0 and cols > 0):
+    if not (_is_count(rows) and _is_count(cols)):
         raise ShapeError(f"bad shape {rows!r} x {cols!r}", path=path)
     if not isinstance(data, list) or len(data) != rows * cols:
         raise ShapeError(
             f"data has {len(data) if isinstance(data, list) else '?'} "
             f"entries, expected {rows * cols}", path=path)
-    out = np.empty(rows * cols, dtype=np.complex128)
+    try:
+        pairs = np.array(data)
+    except (ValueError, OverflowError):  # ragged, nested, or out of range
+        pairs = None
+    if (pairs is None or pairs.shape != (rows * cols, 2)
+            or pairs.dtype.kind not in "biuf"):
+        pairs = _scan_pairs(data, path)
+    # row-major [re, im] float64 pairs are exactly the complex128 layout
+    return (np.ascontiguousarray(pairs, dtype=np.float64)
+            .view(np.complex128).reshape(rows, cols))
+
+
+def _is_count(v) -> bool:
+    return isinstance(v, int) and not isinstance(v, bool) and v > 0
+
+
+def _scan_pairs(data: list, path: str) -> np.ndarray:
+    """Per-entry validation for documents the one-shot conversion rejects:
+    raises for the first bad entry, or returns the (n, 2) float pairs (e.g.
+    integers too large for a machine integer but within double range)."""
+    out = np.empty((len(data), 2), dtype=np.float64)
     for i, pair in enumerate(data):
-        if (not isinstance(pair, (list, tuple)) or len(pair) != 2
+        if (not isinstance(pair, list) or len(pair) != 2
                 or not all(isinstance(v, (int, float)) for v in pair)):
             raise ParseError(f"entry {i} is not a [re, im] pair", path=path)
-        out[i] = complex(pair[0], pair[1])
-    return out.reshape(rows, cols)
+        try:
+            out[i] = pair
+        except OverflowError as exc:
+            raise ParseError(f"entry {i} is outside double range",
+                             path=path) from exc
+    return out
+
+
+def _matrix_doc(M) -> dict:
+    A = as_matrix(M)
+    data = np.stack((A.real.ravel(), A.imag.ravel()), 1).tolist()
+    return {"rows": A.shape[0], "cols": A.shape[1], "data": data}
 
 
 def matrix_to_json(M) -> str:
     """Serialize a matrix to the json wire format (round-trips bit-exactly)."""
-    A = as_matrix(M)
-    data = [[float(v.real), float(v.imag)] for v in A.ravel()]
-    return json.dumps({"rows": A.shape[0], "cols": A.shape[1], "data": data})
+    return json.dumps(_matrix_doc(M))
 
 
 def write_matrix_json(M, path) -> None:
@@ -199,10 +226,10 @@ def _cmd_pencil(ns) -> int:
         "status": result.status.value,
         "iterations": result.iterations,
         "residual": result.residual if math.isfinite(result.residual) else None,
-        "U": json.loads(matrix_to_json(result.U.basis)),
-        "Lambda": json.loads(matrix_to_json(result.Lambda)),
+        "U": _matrix_doc(result.U.basis),
+        "Lambda": _matrix_doc(result.Lambda),
     }
-    atomic_write_text(out, json.dumps(doc, indent=2) + "\n")
+    atomic_write_text(out, json.dumps(doc) + "\n")
     print(f"status={result.status.value} dim={result.U.dim} "
           f"residual={result.residual:.3e} wrote {out}")
     return _EXIT_BY_STATUS[result.status]

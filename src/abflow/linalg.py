@@ -9,6 +9,7 @@ bit-identical output within one build.
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass
 
@@ -57,18 +58,26 @@ def _as_square(a, name: str = "matrix") -> np.ndarray:
 class LUFactorization:
     """Row-pivoted LU factors of a square matrix.
 
-    ``lu`` holds the unit-lower and upper triangles combined; ``perm`` is
-    the row permutation with ``A[perm] = L @ U``; ``growth`` is the
-    elimination growth indicator ``max|U| / max|A|``.
+    ``lu`` holds the unit-lower and upper triangles combined and ``piv``
+    the LAPACK pivot indices (row ``i`` was swapped with row ``piv[i]``);
+    ``growth`` is the elimination growth indicator ``max|U| / max|A|``.
     """
 
     lu: np.ndarray
-    perm: np.ndarray
+    piv: np.ndarray
     growth: float
 
     @property
     def n(self) -> int:
         return self.lu.shape[0]
+
+    @property
+    def perm(self) -> np.ndarray:
+        """Row permutation with ``A[perm] = L @ U``."""
+        perm = np.arange(self.n, dtype=np.intp)
+        for i, p in enumerate(self.piv):
+            perm[i], perm[p] = perm[p], perm[i]
+        return perm
 
     def solve(self, rhs: np.ndarray, trans: bool = False) -> np.ndarray:
         """Solve ``A @ X = rhs`` (or ``A.T @ X = rhs`` when ``trans``)."""
@@ -78,17 +87,8 @@ class LUFactorization:
                 f"rhs has {b.shape[0]} rows, expected {self.n}")
         if self.n == 0 or b.shape[1] == 0:
             return np.zeros_like(b)
-        if not trans:
-            y = sla.solve_triangular(self.lu, b[self.perm], lower=True,
-                                     unit_diagonal=True)
-            return sla.solve_triangular(self.lu, y, lower=False)
-        # A.T = U.T L.T P with P A = L U
-        z = sla.solve_triangular(self.lu, b, lower=False, trans="T")
-        w = sla.solve_triangular(self.lu, z, lower=True, unit_diagonal=True,
-                                 trans="T")
-        x = np.empty_like(w)
-        x[self.perm] = w
-        return x
+        return sla.lu_solve((self.lu, self.piv), b, trans=int(trans),
+                            check_finite=False)
 
 
 def lu_factor(A) -> LUFactorization:
@@ -104,24 +104,21 @@ def lu_factor(A) -> LUFactorization:
     M = _as_square(A)
     n = M.shape[0]
     if n == 0:
-        return LUFactorization(M.copy(), np.empty(0, dtype=np.intp), 0.0)
+        return LUFactorization(M.copy(), np.empty(0, dtype=np.int32), 0.0)
     scale = float(np.abs(M).max())
     if scale == 0.0:
         raise SingularMatrixError("matrix is identically zero")
     with warnings.catch_warnings():
         # exact zero pivots are flagged below through the cutoff check
         warnings.simplefilter("ignore", sla.LinAlgWarning)
-        lu, ipiv = sla.lu_factor(M, check_finite=False)
+        lu, piv = sla.lu_factor(M, check_finite=False)
     pivots = np.abs(np.diag(lu))
     cutoff = PIVOT_SAFETY * n * EPS * scale
     if pivots.min() < cutoff:
         raise SingularMatrixError(
             f"pivot {pivots.min():.3e} below cutoff {cutoff:.3e}")
-    perm = np.arange(n, dtype=np.intp)
-    for i, p in enumerate(ipiv):
-        perm[i], perm[p] = perm[p], perm[i]
     growth = float(np.abs(np.triu(lu)).max() / scale)
-    return LUFactorization(lu, perm, growth)
+    return LUFactorization(lu, piv, growth)
 
 
 def lu_solve(A, rhs) -> np.ndarray:
@@ -221,8 +218,10 @@ def subspace_distance(U, V) -> float:
     """Distance ``||P_U - P_V||_2`` between two spanned subspaces.
 
     Equals the sine of the largest principal angle when the dimensions
-    match; returns 1.0 when they differ (maximal by convention).  Inputs
-    are orthonormal bases (``SubspaceBasis`` or arrays).
+    match, computed as ``||V - U (U^H V)||_2`` from n-by-m products, never
+    the n-by-n projectors; returns 1.0 when the dimensions differ
+    (maximal by convention).  Inputs are orthonormal bases
+    (``SubspaceBasis`` or arrays).
 
     Raises
     ------
@@ -237,8 +236,14 @@ def subspace_distance(U, V) -> float:
         return 1.0
     if Bu.shape[1] == 0:
         return 0.0
-    diff = Bu @ Bu.conj().T - Bv @ Bv.conj().T
-    return min(1.0, float(np.linalg.norm(diff, 2)))
+    # both orders, so that swapping the arguments is bit-exact
+    return min(1.0, max(_residual_norm(Bu, Bv), _residual_norm(Bv, Bu)))
+
+
+def _residual_norm(Bu: np.ndarray, Bv: np.ndarray) -> float:
+    """``||Bv - Bu (Bu^H Bv)||_2`` from the m-by-m Gram matrix of the residual."""
+    W = Bv - Bu @ (Bu.conj().T @ Bv)
+    return math.sqrt(max(0.0, float(np.linalg.eigvalsh(W.conj().T @ W)[-1])))
 
 
 def induced_norm2(A) -> float:

@@ -8,8 +8,9 @@ import os
 import numpy as np
 import pytest
 
-from abflow import ParseError, ShapeError
+from abflow import AccelConfig, ParseError, Pencil, ShapeError, modified_ab_run
 from abflow.cli import main, matrix_to_json, parse_matrix_file, write_matrix_json
+from abflow.lab import ProblemSpec, make_pencil_problem
 from abflow.linalg import EPS
 
 
@@ -59,6 +60,55 @@ def test_parse_json_bad_documents(tmp_path):
     with pytest.raises(ParseError):
         parse_matrix_file(write(
             tmp_path / "m.json", '{"rows":1,"cols":1,"data":[[1]]}'))
+    with pytest.raises(ShapeError):
+        parse_matrix_file(write(
+            tmp_path / "m.json", '{"rows":true,"cols":true,"data":[[1,0]]}'))
+
+
+def _doc(rows, cols, data):
+    return json.dumps({"rows": rows, "cols": cols, "data": data})
+
+
+@pytest.mark.parametrize("data, exc, index", [
+    ([[1, 0], [2, 0], ["3", 0], ["4", 0]], ParseError, 2),        # string entry
+    ([[1, 0], [2, 0], [None, 0], [None, 0]], ParseError, 2),      # null
+    ([[1, 0], [2, 0], [3], [4]], ParseError, 2),                  # 1-element pair
+    ([[1, 0], [2, 0], [3, 0, 0], [4, 0, 0]], ParseError, 2),      # 3-element pair
+    ([[1, 0], [2, 0], [3, [0]], [4, [0]]], ParseError, 2),        # nested pair
+    ([[1, 0], [2, 0], [3, 0], [4]], ParseError, 3),               # ragged rows
+    ([[1, 0], [2, 0], {"re": 3}, {"re": 4}], ParseError, 2),      # object entry
+    ([[1, 0], [2, 0], 3, 4], ParseError, 2),                      # bare number
+    ([[1, 0], [2, 0], [3, 0]], ShapeError, None),                 # wrong count
+    ([[1, 0], [2, 0], [3, 10 ** 400], [4, 0]], ParseError, 2),    # beyond double
+], ids=["string", "null", "short-pair", "long-pair", "nested-pair", "ragged",
+        "object", "bare-number", "wrong-count", "beyond-double"])
+def test_parse_json_malformed_data_names_first_bad_entry(tmp_path, data, exc, index):
+    with pytest.raises(exc) as info:
+        parse_matrix_file(write(tmp_path / "m.json", _doc(2, 2, data)))
+    assert type(info.value) is exc
+    if index is not None:
+        assert f"entry {index} " in str(info.value)
+
+
+def _per_entry_reference(data, rows, cols):
+    return np.array([complex(re, im) for re, im in data]).reshape(rows, cols)
+
+
+@pytest.mark.parametrize("text", [
+    _doc(2, 2, [[1, 2], [-3, 4], [0, 0], [7, -8]]),
+    _doc(2, 1, [[1, 2.5], [9007199254740993, -0.25]]),
+    _doc(1, 3, [[-0.0, 0.0], [0.0, -0.0], [-0.0, -0.0]]),
+    _doc(1, 2, [[True, 0], [1e308, -1e-308]]),
+    '{"rows": 2, "cols": 2, "data": [[NaN, 1], [Infinity, -Infinity], '
+    '[2, NaN], [-0.0, Infinity]]}',
+    _doc(1, 2, [[10 ** 30, 1], [2 ** 64, -1]]),     # beyond int64, within double
+])
+def test_parse_json_matches_per_entry_reference(tmp_path, text):
+    doc = json.loads(text)
+    expected = _per_entry_reference(doc["data"], doc["rows"], doc["cols"])
+    M = parse_matrix_file(write(tmp_path / "m.json", text))
+    assert M.dtype == np.complex128 and M.shape == expected.shape
+    assert M.tobytes() == expected.tobytes()
 
 
 def test_parse_missing_file(tmp_path):
@@ -83,6 +133,17 @@ def test_matrix_to_json_shape_fields():
     doc = json.loads(matrix_to_json(np.eye(2, dtype=complex)))
     assert doc["rows"] == 2 and doc["cols"] == 2
     assert doc["data"] == [[1.0, 0.0], [0.0, 0.0], [0.0, 0.0], [1.0, 0.0]]
+
+
+def test_matrix_to_json_matches_per_element_formatting():
+    rng = np.random.default_rng(11)
+    M = rng.standard_normal((7, 5)) + 1j * rng.standard_normal((7, 5))
+    M[0, 0] = complex(-0.0, -0.0)
+    M[1, 2] = complex(1e-310, 1e300)
+    for A in (M, M.T):       # the transpose is not C-contiguous
+        data = [[float(v.real), float(v.imag)] for v in A.ravel()]
+        golden = json.dumps({"rows": A.shape[0], "cols": A.shape[1], "data": data})
+        assert matrix_to_json(A) == golden
 
 
 # ----------------------------- sqrt command -----------------------------
@@ -151,6 +212,26 @@ def test_cli_pencil_accelerated(tmp_path):
     assert doc["Lambda"]["data"][0][0] == pytest.approx(0.5, abs=1e-10)
 
 
+def test_cli_pencil_result_parses_back_bit_exactly(tmp_path):
+    prob = make_pencil_problem(ProblemSpec(spectrum=(0.3, -0.5j, 2.0, 1.5 + 1j),
+                                           cond=10.0, seed=4), random_b=True)
+    a, b = str(tmp_path / "a.json"), str(tmp_path / "b.json")
+    write_matrix_json(prob.pencil.A, a)
+    write_matrix_json(prob.pencil.B, b)
+    out = tmp_path / "U.json"
+    assert main(["pencil", "--a", a, "--b", b, "--order", "2", "--dim", "2",
+                 "--out", str(out)]) == 0
+    text = out.read_text()
+    assert text.count("\n") == 1          # compact: one line
+    doc = json.loads(text)
+    ref = modified_ab_run(Pencil(parse_matrix_file(a), parse_matrix_file(b)),
+                          AccelConfig(order=2, tol=1e-12, kmax=100, expected_dim=2))
+    for key, M in (("U", ref.U.basis), ("Lambda", ref.Lambda)):
+        back = parse_matrix_file(write(tmp_path / f"{key}.json", json.dumps(doc[key])))
+        assert back.tobytes() == M.astype(np.complex128).tobytes()
+    assert doc["iterations"] == ref.iterations
+
+
 # ----------------------------- bench command -----------------------------
 
 def test_cli_bench_emits_traces_with_settled_order(tmp_path):
@@ -201,6 +282,19 @@ def test_cli_parse_error_exits_one(tmp_path, capsys):
     assert main(["sqrt", "--input", bad]) == 1
     err = capsys.readouterr().err
     assert "error" in err
+
+
+@pytest.mark.parametrize("text, message", [
+    ('{"rows": true, "cols": true, "data": [[1, 0]]}', "bad shape"),
+    ('{"rows": 1, "cols": 1, "data": [[1' + "0" * 400 + ', 0]]}',
+     "entry 0 is outside double range"),
+], ids=["bool-shape", "huge-integer"])
+def test_cli_bad_json_document_exits_one(tmp_path, capsys, text, message):
+    bad = write(tmp_path / "bad.json", text)
+    assert main(["sqrt", "--input", bad, "--out", str(tmp_path / "X.json")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and message in err
+    assert not (tmp_path / "X.json").exists()
 
 
 def test_cli_out_dir_env_rebases_default_names(tmp_path, monkeypatch):

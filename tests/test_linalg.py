@@ -141,6 +141,49 @@ def test_subspace_distance_properties():
             assert subspace_distance(U, W) <= 1e-12
 
 
+def _projector_distance(U, V):
+    """Oracle: the 2-norm of the projector difference, formed explicitly."""
+    return float(np.linalg.norm(U @ U.conj().T - V @ V.conj().T, 2))
+
+
+@pytest.mark.parametrize("n", [6, 16])
+@pytest.mark.parametrize("angle", [1e-14, 1e-10, 1e-6, 1e-3, 0.3, 1.0, np.pi / 2])
+def test_subspace_distance_matches_projector_oracle(n, angle):
+    rng = np.random.default_rng(int(n * 1000 + angle * 1e3))
+    for m in (0, 1, n // 2, n):
+        Q = random_unitary(n, rng)
+        U = Q[:, :m]
+        if 2 * m <= n:
+            # principal angles in [0, angle], the largest equal to angle
+            theta = angle * np.concatenate([[1.0], rng.random(max(m - 1, 0))])[:m]
+            V = U * np.cos(theta) + Q[:, m:2 * m] * np.sin(theta)
+            expected = np.sin(angle) if m else 0.0
+        else:
+            V = random_unitary(n, rng)       # both span all of C^n
+            expected = 0.0
+        V = V @ random_unitary(m, rng) if m else V
+        d = subspace_distance(U, V)
+        assert abs(d - _projector_distance(U, V)) <= 1e-14
+        assert abs(d - expected) <= 1e-14
+        assert d == subspace_distance(V, U)
+
+
+@pytest.mark.parametrize("n", [0, 1, 5, 64])
+@pytest.mark.parametrize("trans", [False, True])
+def test_lu_factorization_solve_matches_numpy(n, trans):
+    rng = np.random.default_rng(100 + n)
+    A = (conditioned_similarity(n, 30.0, rng) if n
+         else np.zeros((0, 0), dtype=complex))
+    f = lu_factor(A)
+    for nrhs in sorted({0, 1, n}):
+        B = rng.standard_normal((n, nrhs)) + 1j * rng.standard_normal((n, nrhs))
+        X = f.solve(B, trans=trans)
+        expected = np.linalg.solve(A.T if trans else A, B) if n else B
+        assert X.shape == (n, nrhs) and X.dtype == np.complex128
+        assert (np.linalg.norm(X - expected, "fro")
+                <= 1e-12 * max(np.linalg.norm(expected, "fro"), 1.0))
+
+
 def test_subspace_distance_ambient_mismatch():
     with pytest.raises(DimensionMismatchError):
         subspace_distance(np.zeros((2, 0), dtype=complex),
