@@ -1,9 +1,9 @@
 """Order-r accelerated pencil iteration.
 
 One outer step advances the chain from plain index m to index r*m, so
-outer iterate k carries plain-chain element r**(k-1).  The inner chain
-reuses the flow property with a fixed second operand and keeps only its
-final element (O(n^2) extra memory).
+outer iterate k carries plain-chain element r**(k-1).  The step is r-1
+flow merges with element m and keeps only the latest element (O(n^2)
+extra memory).
 """
 
 from __future__ import annotations
@@ -12,17 +12,17 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import BreakdownError, SingularMatrixError
-from .linalg import DEFAULT_RANK_TOL, lu_factor
-from .pencil import (
+# lu_factor and subspace_distance are unused here but stay bound:
+# perfbench/tracer.py patches every module's binding of them, and
+# perfbench/test_counts.py checks these ones.
+from .linalg import DEFAULT_RANK_TOL, lu_factor  # noqa: F401
+from .pencil import (  # noqa: F401
     ABIterate,
     Pencil,
-    SolveStatus,
     SubspaceResult,
-    _breakdown_result,
-    _extract_basis,
-    _finish,
-    first_iterate,
+    _check_run_settings,
+    _run_chain,
+    combine,
     subspace_distance,
 )
 
@@ -33,7 +33,7 @@ class AccelConfig:
 
     ``order`` is the per-step chain multiplier r, kept in 2..16 since one
     outer step costs r-1 solve-multiply rounds.  ``order=2`` degenerates
-    to a doubling iteration with an empty inner loop.
+    to a doubling iteration with a single merge per step.
     """
 
     order: int
@@ -45,56 +45,28 @@ class AccelConfig:
     def __post_init__(self):
         if not 2 <= self.order <= 16:
             raise ValueError("order must be between 2 and 16")
-        if self.tol <= 0:
-            raise ValueError("tol must be positive")
-        if self.kmax < 2:
-            raise ValueError("kmax must be at least 2")
-        if self.expected_dim is not None and self.expected_dim < 0:
-            raise ValueError("expected_dim must be nonnegative")
-        if self.rank_tol <= 0:
-            raise ValueError("rank_tol must be positive")
+        _check_run_settings(self.tol, self.kmax, self.expected_dim,
+                            self.rank_tol)
 
 
 def inner_chain(hatA: np.ndarray, hatB: np.ndarray, order: int):
-    """Run the inner multiplier chain and return its final pair.
-
-    Starting from ``(A1, B1) = (hatA, hatB)``, applies
-    ``A_next = A_cur (A_cur + hatB)^{-1} hatA`` and
-    ``B_next = hatB (A_cur + hatB)^{-1} B_cur`` for ell = 1..order-2.
-    For ``order=2`` the loop is empty and the inputs come back unchanged.
-
-    Raises
-    ------
-    BreakdownError
-        With ``inner_index`` set to the failing position ell.
-    """
+    """Chain element ``order - 1`` grown from element 1 ``(hatA, hatB)``:
+    an outer step of ``order`` before its last merge.  For ``order=2`` the
+    inputs come back unchanged."""
     if order < 2:
         raise ValueError("order must be at least 2")
-    A_cur, B_cur = hatA, hatB
-    for ell in range(1, order - 1):
-        try:
-            f = lu_factor(A_cur + hatB)
-        except SingularMatrixError as exc:
-            raise BreakdownError(
-                f"singular inner sum at position {ell}",
-                inner_index=ell) from exc
-        A_cur = A_cur @ f.solve(hatA)
-        B_cur = hatB @ f.solve(B_cur)
-    return A_cur, B_cur
+    it = accel_step(ABIterate(hatA, hatB, 1), order - 1)
+    return it.A_k, it.B_k
 
 
 def accel_step(it: ABIterate, order: int) -> ABIterate:
-    """One outer step: chain element m to element order*m."""
-    A_r, B_r = inner_chain(it.A_k, it.B_k, order)
-    try:
-        f = lu_factor(A_r + it.B_k)
-    except SingularMatrixError as exc:
-        raise BreakdownError(
-            f"singular outer sum producing chain element {order * it.k}",
-            index=order * it.k) from exc
-    return ABIterate(A_r @ f.solve(it.A_k),
-                     it.B_k @ f.solve(B_r),
-                     order * it.k)
+    """One outer step: chain element m to element order*m, as order-1 flow
+    merges ``cur = combine(cur, it)``.  A ``BreakdownError`` carries the
+    index of the element whose merge failed."""
+    cur = it
+    for _ in range(order - 1):
+        cur = combine(cur, it)
+    return cur
 
 
 def modified_ab_run(initial: Pencil, cfg: AccelConfig,
@@ -112,26 +84,6 @@ def modified_ab_run(initial: Pencil, cfg: AccelConfig,
         On breakdown, ``iterations`` holds the plain-chain index of the
         element that could not be produced.
     """
-    it = first_iterate(initial)
-    basis_prev = _extract_basis(it.A_k, cfg.rank_tol, cfg.expected_dim)
-    if observer is not None:
-        observer(it, basis_prev)
-    for outer in range(2, cfg.kmax + 1):
-        try:
-            target = cfg.order * it.k
-            it = accel_step(it, cfg.order)
-        except BreakdownError as exc:
-            if exc.index is None:
-                exc.index = target
-            return _breakdown_result(initial.n, exc)
-        basis = _extract_basis(it.A_k, cfg.rank_tol, cfg.expected_dim)
-        if observer is not None:
-            observer(it, basis)
-        if basis.dim == 0 or basis.dim != basis_prev.dim:
-            dist = 1.0
-        else:
-            dist = subspace_distance(basis_prev, basis)
-        if dist < cfg.tol:
-            return _finish(initial, basis, outer, SolveStatus.CONVERGED)
-        basis_prev = basis
-    return _finish(initial, basis_prev, cfg.kmax, SolveStatus.MAX_ITERATIONS)
+    return _run_chain(initial, lambda it: accel_step(it, cfg.order),
+                      cfg.tol, cfg.kmax, cfg.expected_dim, cfg.rank_tol,
+                      observer)

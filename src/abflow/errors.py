@@ -25,18 +25,13 @@ class BreakdownError(ABFlowError):
     Attributes
     ----------
     index : int or None
-        Iterate index that could not be produced (outer index for
-        accelerated runs).
-    inner_index : int or None
-        Position ``ell`` inside an inner chain, when the failing solve
-        happened there.
+        Plain-chain index of the pencil element that could not be
+        produced; None for square-root steps.
     """
 
-    def __init__(self, message: str, index: int | None = None,
-                 inner_index: int | None = None):
+    def __init__(self, message: str, index: int | None = None):
         super().__init__(message)
         self.index = index
-        self.inner_index = inner_index
 
 
 class PoleEncounteredError(ABFlowError, ArithmeticError):

@@ -93,8 +93,8 @@ class SubspaceResult:
     ``U`` spans the computed stable deflating subspace, ``Lambda`` is the
     coupling block recovered from the original pencil via least squares,
     and ``residual`` is ||A U - B U Lambda||_F / ||U||_F.  On breakdown,
-    ``iterations`` is the chain index that could not be produced and the
-    basis is empty.
+    ``iterations`` is the plain-chain index of the element that could not
+    be produced (for accelerated runs too) and the basis is empty.
     """
 
     U: SubspaceBasis
@@ -109,14 +109,13 @@ def first_iterate(pencil: Pencil) -> ABIterate:
     return ABIterate(pencil.A, pencil.B, 1)
 
 
-def ab_step(initial: Pencil, prev: ABIterate, direct_b: bool = False) -> ABIterate:
+def ab_step(initial: Pencil, prev: ABIterate) -> ABIterate:
     """Advance the chain one step: element ``prev.k`` to ``prev.k + 1``.
 
     Computes ``A_new = A_1 (A_1 + B_prev)^{-1} A_prev`` and obtains
-    ``B_new`` from the constant-difference shortcut ``A_new + B_1 - A_1``.
-    With ``direct_b=True`` the rational form
-    ``B_new = B_prev (A_1 + B_prev)^{-1} B_1`` is used instead (one more
-    solve; retained for cross-checking).
+    ``B_new`` from the constant-difference shortcut ``A_new + B_1 - A_1``
+    (one solve fewer than the rational form
+    ``combine(first_iterate(initial), prev).B_k``).
 
     Raises
     ------
@@ -135,11 +134,7 @@ def ab_step(initial: Pencil, prev: ABIterate, direct_b: bool = False) -> ABItera
             f"singular sum producing chain element {target}",
             index=target) from exc
     A_new = initial.A @ f.solve(prev.A_k)
-    if direct_b:
-        B_new = prev.B_k @ f.solve(initial.B)
-    else:
-        B_new = A_new + initial.B - initial.A
-    return ABIterate(A_new, B_new, target)
+    return ABIterate(A_new, A_new + initial.B - initial.A, target)
 
 
 def combine(it_i: ABIterate, it_j: ABIterate) -> ABIterate:
@@ -254,16 +249,54 @@ def _recover_block(pencil: Pencil, U: SubspaceBasis):
     return Lam, residual
 
 
-def _breakdown_result(n: int, exc: BreakdownError) -> SubspaceResult:
-    empty = SubspaceBasis(np.zeros((n, 0), dtype=np.complex128), np.zeros(0))
-    return SubspaceResult(empty, np.zeros((0, 0), dtype=np.complex128),
-                          math.nan, exc.index or 0, SolveStatus.BREAKDOWN)
-
-
 def _finish(pencil: Pencil, basis: SubspaceBasis, iterations: int,
             status: SolveStatus) -> SubspaceResult:
     Lam, residual = _recover_block(pencil, basis)
     return SubspaceResult(basis, Lam, residual, iterations, status)
+
+
+def _check_run_settings(tol: float, kmax: int, expected_dim: int | None,
+                        rank_tol: float) -> None:
+    """Settings check shared by ``ab_run`` and ``AccelConfig``; NaN fails it."""
+    if not tol > 0:
+        raise ValueError(f"tol must be positive, got {tol!r}")
+    if kmax < 2:
+        raise ValueError("kmax must be at least 2")
+    if expected_dim is not None and expected_dim < 0:
+        raise ValueError("expected_dim must be nonnegative")
+    if not rank_tol > 0:
+        raise ValueError(f"rank_tol must be positive, got {rank_tol!r}")
+
+
+def _run_chain(initial: Pencil, advance, tol: float, kmax: int,
+               expected_dim: int | None, rank_tol: float,
+               observer) -> SubspaceResult:
+    """The loop of ``ab_run`` and ``modified_ab_run``; ``advance`` maps the
+    current chain element to the next one the run keeps."""
+    it = first_iterate(initial)
+    basis_prev = _extract_basis(it.A_k, rank_tol, expected_dim)
+    if observer is not None:
+        observer(it, basis_prev)
+    for k in range(2, kmax + 1):
+        try:
+            it = advance(it)
+        except BreakdownError as exc:
+            empty = SubspaceBasis(np.zeros((initial.n, 0), np.complex128),
+                                  np.zeros(0))
+            return SubspaceResult(empty, np.zeros((0, 0), np.complex128),
+                                  math.nan, exc.index, SolveStatus.BREAKDOWN)
+        basis = _extract_basis(it.A_k, rank_tol, expected_dim)
+        if observer is not None:
+            observer(it, basis)
+        # an empty threshold basis means nothing has emerged yet
+        if basis.dim == 0 and expected_dim is None:
+            dist = 1.0
+        else:
+            dist = subspace_distance(basis_prev, basis)
+        if dist < tol:
+            return _finish(initial, basis, k, SolveStatus.CONVERGED)
+        basis_prev = basis
+    return _finish(initial, basis_prev, kmax, SolveStatus.MAX_ITERATIONS)
 
 
 def ab_run(initial: Pencil, tol: float, kmax: int,
@@ -273,15 +306,15 @@ def ab_run(initial: Pencil, tol: float, kmax: int,
     """Run the plain chain until successive near-null spaces stabilize.
 
     Iterates ``ab_step`` until the distance between the near-null bases
-    of consecutive A_k drops below ``tol`` (a step with an empty basis
-    counts as distance 1), then recovers the coupling block from the
-    original pencil.  When ``expected_dim`` is given, the basis is the
-    span of that many smallest singular directions instead of a
-    threshold decision.  With widely spread stable eigenvalue magnitudes
-    the threshold rule can settle on the fastest-decaying directions
-    before slower ones cross the cutoff; the result is then a genuine
-    deflating pair of smaller dimension, so supply ``expected_dim`` when
-    the stable dimension is known.
+    of consecutive A_k drops below ``tol`` (in threshold mode a step with
+    an empty basis counts as distance 1), then recovers the coupling
+    block from the original pencil.  When ``expected_dim`` is given, the
+    basis is the span of that many smallest singular directions instead
+    of a threshold decision.  With widely spread stable eigenvalue
+    magnitudes the threshold rule can settle on the fastest-decaying
+    directions before slower ones cross the cutoff; the result is then a
+    genuine deflating pair of smaller dimension, so supply
+    ``expected_dim`` when the stable dimension is known.
 
     Parameters
     ----------
@@ -304,27 +337,6 @@ def ab_run(initial: Pencil, tol: float, kmax: int,
         Status CONVERGED, MAX_ITERATIONS, or BREAKDOWN (breakdown is
         reported, never regularized away).
     """
-    if tol <= 0:
-        raise ValueError("tol must be positive")
-    if kmax < 2:
-        raise ValueError("kmax must be at least 2")
-    it = first_iterate(initial)
-    basis_prev = _extract_basis(it.A_k, rank_tol, expected_dim)
-    if observer is not None:
-        observer(it, basis_prev)
-    for _ in range(2, kmax + 1):
-        try:
-            it = ab_step(initial, it)
-        except BreakdownError as exc:
-            return _breakdown_result(initial.n, exc)
-        basis = _extract_basis(it.A_k, rank_tol, expected_dim)
-        if observer is not None:
-            observer(it, basis)
-        if basis.dim == 0 or basis.dim != basis_prev.dim:
-            dist = 1.0
-        else:
-            dist = subspace_distance(basis_prev, basis)
-        if dist < tol:
-            return _finish(initial, basis, it.k, SolveStatus.CONVERGED)
-        basis_prev = basis
-    return _finish(initial, basis_prev, kmax, SolveStatus.MAX_ITERATIONS)
+    _check_run_settings(tol, kmax, expected_dim, rank_tol)
+    return _run_chain(initial, lambda it: ab_step(initial, it), tol, kmax,
+                      expected_dim, rank_tol, observer)

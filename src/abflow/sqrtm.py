@@ -50,12 +50,13 @@ class SqrtProblem:
 
     def __post_init__(self):
         object.__setattr__(self, "S", _as_square(self.S, "S"))
-        if self.gamma <= 0:
-            raise ValueError("gamma must be positive")
+        if not (math.isfinite(self.gamma) and self.gamma > 0):
+            raise ValueError(
+                f"gamma must be finite and positive, got {self.gamma!r}")
         if not 2 <= self.order <= 16:
             raise ValueError("order must be between 2 and 16")
-        if self.tol <= 0:
-            raise ValueError("tol must be positive")
+        if not self.tol > 0:
+            raise ValueError(f"tol must be positive, got {self.tol!r}")
         if self.kmax < 1:
             raise ValueError("kmax must be at least 1")
 
@@ -121,21 +122,17 @@ def q_step(Q, S, partner) -> np.ndarray:
 def accelerated_step(Q, S, order: int) -> np.ndarray:
     """Advance the Q-chain from element m to element order*m.
 
-    Runs the inner chain for ell = 1..order-2 with the fixed partner Q,
-    then the outer update; used by :func:`sqrtm_ab` once per outer step
-    and directly checkable against :func:`binomial_step`.
+    Applies ``order - 1`` chain steps with the fixed partner Q; used by
+    :func:`sqrtm_ab` once per outer step and directly checkable against
+    :func:`binomial_step`.
     """
     if order < 2:
         raise ValueError("order must be at least 2")
     Qm = _as_square(Q, "Q")
-    inner = Qm
-    for ell in range(1, order - 1):
-        try:
-            inner = q_step(inner, S, Qm)
-        except BreakdownError as exc:
-            exc.inner_index = ell
-            raise
-    return q_step(inner, S, Qm)
+    cur = Qm
+    for _ in range(order - 1):
+        cur = q_step(cur, S, Qm)
+    return cur
 
 
 def sqrtm_ab(prob: SqrtProblem, observer=None) -> SqrtResult:

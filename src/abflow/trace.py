@@ -47,6 +47,18 @@ class ConvergenceTrace:
             raise ValueError("errors must be nonnegative")
 
 
+def _log_ratios(errors):
+    """Yield ``(k, log(e[k+1]/e[k]) / log(e[k]/e[k-1]))`` for each interior
+    index k whose triple is positive with a non-vanishing reference ratio."""
+    for k in range(1, len(errors) - 1):
+        if min(errors[k - 1:k + 2]) <= 0:
+            continue
+        den = math.log(errors[k] / errors[k - 1])
+        if abs(den) < _FLAT_RATIO_TOL:
+            continue
+        yield k, math.log(errors[k + 1] / errors[k]) / den
+
+
 def estimate_order(errors) -> list:
     """Log-ratio convergence-order estimates of a positive error sequence.
 
@@ -63,29 +75,14 @@ def estimate_order(errors) -> list:
     if sum(1 for e in vals if e > 0) < 3:
         raise InsufficientDataError(
             "order estimation needs at least three positive errors")
-    out = []
-    for k in range(1, len(vals) - 1):
-        window = vals[k - 1:k + 2]
-        if min(window) <= 0:
-            continue
-        den = math.log(vals[k] / vals[k - 1])
-        if abs(den) < _FLAT_RATIO_TOL:
-            continue
-        out.append(math.log(vals[k + 1] / vals[k]) / den)
-    return out
+    return [est for _, est in _log_ratios(vals)]
 
 
 def _orders_by_row(errors) -> list:
     """Per-row order estimates aligned with the newest error; NaN if absent."""
     out = [math.nan] * len(errors)
-    for k in range(1, len(errors) - 1):
-        window = errors[k - 1:k + 2]
-        if min(window) <= 0:
-            continue
-        den = math.log(errors[k] / errors[k - 1])
-        if abs(den) < _FLAT_RATIO_TOL:
-            continue
-        out[k + 1] = math.log(errors[k + 1] / errors[k]) / den
+    for k, est in _log_ratios(errors):
+        out[k + 1] = est
     return out
 
 

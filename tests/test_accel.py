@@ -29,6 +29,11 @@ def test_config_validation():
         AccelConfig(order=2, tol=0.0, kmax=10)
     with pytest.raises(ValueError):
         AccelConfig(order=2, tol=1e-10, kmax=1)
+    for bad in (float("nan"), -float("inf")):
+        with pytest.raises(ValueError, match="tol"):
+            AccelConfig(order=2, tol=bad, kmax=10)
+        with pytest.raises(ValueError, match="rank_tol"):
+            AccelConfig(order=2, tol=1e-10, kmax=10, rank_tol=bad)
 
 
 def test_inner_chain_order_two_is_identity():
@@ -136,15 +141,36 @@ def test_residual_decay_bound():
             assert induced_norm2(it.A_k @ U) <= bound * (1 + 1e-9) + 1e-14
 
 
-def test_breakdown_reports_plain_index():
+@pytest.mark.parametrize("order, p, expected", [
+    (2, 2, 2), (3, 2, 2), (4, 2, 2), (5, 2, 2),
+    (4, 3, 3), (5, 3, 3), (3, 6, 6),
+], ids=["r2-p2", "r3-p2", "r4-p2", "r5-p2", "r4-p3", "r5-p3", "r3-p6"])
+def test_breakdown_reports_plain_index(order, p, expected):
+    # eigenvalue exp(2 pi i / p): the element that fails is the first
+    # multiple of p the run produces
     rng = np.random.default_rng(8)
     Q = random_unitary(3, rng)
-    A = Q @ np.diag([-1.0 + 0j, 0.3, 0.4]) @ Q.conj().T
-    p = Pencil(A, np.eye(3, dtype=complex))
-    cfg = AccelConfig(order=2, tol=1e-10, kmax=10)
-    result = modified_ab_run(p, cfg)
+    A = Q @ np.diag([np.exp(2j * np.pi / p), 0.3, 0.4]) @ Q.conj().T
+    pencil = Pencil(A, np.eye(3, dtype=complex))
+    assert ab_run(pencil, 1e-10, 50).iterations == expected
+    cfg = AccelConfig(order=order, tol=1e-10, kmax=10)
+    result = modified_ab_run(pencil, cfg)
     assert result.status is SolveStatus.BREAKDOWN
+    assert result.iterations == expected
+
+
+@pytest.mark.parametrize("order", [None, 2])
+def test_empty_expected_subspace_converges_at_once(order):
+    p = Pencil(np.diag([2.0 + 0j, 3.0]), np.eye(2, dtype=complex))
+    if order is None:
+        result = ab_run(p, 1e-12, 100, expected_dim=0)
+    else:
+        cfg = AccelConfig(order=order, tol=1e-12, kmax=100, expected_dim=0)
+        result = modified_ab_run(p, cfg)
+    assert result.status is SolveStatus.CONVERGED
     assert result.iterations == 2
+    assert result.U.dim == 0 and result.U.basis.shape == (2, 0)
+    assert result.residual == 0.0
 
 
 def test_accelerated_recovery_quality():

@@ -212,6 +212,17 @@ def test_cli_pencil_accelerated(tmp_path):
     assert doc["Lambda"]["data"][0][0] == pytest.approx(0.5, abs=1e-10)
 
 
+def test_cli_pencil_empty_expected_subspace_exits_zero(tmp_path):
+    a = write(tmp_path / "a.txt", "2 0\n0 3\n")
+    b = write(tmp_path / "b.txt", "1 0\n0 1\n")
+    out = str(tmp_path / "U.json")
+    assert main(["pencil", "--a", a, "--b", b, "--dim", "0", "--out", out]) == 0
+    doc = json.loads(open(out).read())
+    assert doc["status"] == "converged"
+    assert (doc["iterations"], doc["residual"]) == (2, 0.0)
+    assert (doc["U"]["rows"], doc["U"]["cols"]) == (2, 0)
+
+
 def test_cli_pencil_result_parses_back_bit_exactly(tmp_path):
     prob = make_pencil_problem(ProblemSpec(spectrum=(0.3, -0.5j, 2.0, 1.5 + 1j),
                                            cond=10.0, seed=4), random_b=True)
@@ -295,6 +306,22 @@ def test_cli_bad_json_document_exits_one(tmp_path, capsys, text, message):
     err = capsys.readouterr().err
     assert err.startswith("error:") and message in err
     assert not (tmp_path / "X.json").exists()
+
+
+@pytest.mark.parametrize("args, name", [
+    (["pencil", "--tol", "nan"], "tol"),
+    (["sqrt", "--tol", "nan"], "tol"),
+    (["sqrt", "--gamma", "nan"], "gamma"),
+    (["sqrt", "--gamma", "inf"], "gamma"),
+], ids=["pencil-tol-nan", "sqrt-tol-nan", "sqrt-gamma-nan", "sqrt-gamma-inf"])
+def test_cli_non_finite_parameter_exits_one(tmp_path, capsys, args, name):
+    m = write(tmp_path / "m.txt", "2 0\n0 3\n")
+    inputs = ["--a", m, "--b", m] if args[0] == "pencil" else ["--input", m]
+    out = tmp_path / "out.json"
+    assert main([args[0], *inputs, *args[1:], "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {name} must be")
+    assert not out.exists()
 
 
 def test_cli_out_dir_env_rebases_default_names(tmp_path, monkeypatch):

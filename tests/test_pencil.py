@@ -51,11 +51,13 @@ def test_ab_step_zero_initial_is_fixed_point():
 
 
 def test_ab_step_direct_b_matches_shortcut():
+    # the rational form B_k (A_1 + B_k)^{-1} B_1 is the merge with element 1
     p = stable_pencil(11)
-    direct = chain(p, 8, direct_b=True)
-    short = chain(p, 8, direct_b=False)
-    for a, b in zip(direct, short):
-        assert rel_err(a.B_k, b.B_k) <= 1e-11
+    it = first_iterate(p)
+    for _ in range(7):
+        direct = combine(first_iterate(p), it)
+        it = ab_step(p, it)
+        assert rel_err(direct.B_k, it.B_k) <= 1e-11
 
 
 def test_ab_step_breakdown_on_minus_one():
@@ -291,3 +293,8 @@ def test_ab_run_rejects_bad_parameters():
         ab_run(p, 0.0, 10)
     with pytest.raises(ValueError):
         ab_run(p, 1e-8, 1)
+    for bad in (float("nan"), -float("inf")):
+        with pytest.raises(ValueError, match="tol"):
+            ab_run(p, bad, 10)
+        with pytest.raises(ValueError, match="rank_tol"):
+            ab_run(p, 1e-8, 10, rank_tol=bad)

@@ -174,6 +174,12 @@ def test_sqrtm_rejects_bad_problem():
         SqrtProblem(np.eye(2, dtype=complex), order=1)
     with pytest.raises(ValueError):
         SqrtProblem(np.eye(2, dtype=complex), tol=0.0)
+    for bad in (float("nan"), float("inf"), -float("inf")):
+        with pytest.raises(ValueError, match="gamma"):
+            SqrtProblem(np.eye(2, dtype=complex), gamma=bad)
+    for bad in (float("nan"), -float("inf")):
+        with pytest.raises(ValueError, match="tol"):
+            SqrtProblem(np.eye(2, dtype=complex), tol=bad)
 
 
 def test_sqrtm_breakdown_on_negative_axis():

@@ -24,11 +24,11 @@ def stable_pencil(seed, n=None, random_b=True, rho=0.85, cond=10.0):
     return Pencil(M, np.eye(n, dtype=complex))
 
 
-def chain(pencil, kmax, direct_b=False):
+def chain(pencil, kmax):
     """Plain chain elements 1..kmax."""
     its = [first_iterate(pencil)]
     for _ in range(kmax - 1):
-        its.append(ab_step(pencil, its[-1], direct_b=direct_b))
+        its.append(ab_step(pencil, its[-1]))
     return its
 
 
