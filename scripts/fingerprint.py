@@ -16,8 +16,8 @@ The runs: 18 F_pencil problems (n = 6..20) through ``ab_run`` with and
 without ``expected_dim`` and ``modified_ab_run`` at r = 2, 3, 4, 7;
 8 F_sqrt problems (n = 24) at r = 2, 3, 5; ``run_experiment`` at orders
 1-4; then breakdown runs (an eigenvalue at a primitive 2nd, 3rd or 6th
-root of unity) and ``expected_dim=0`` runs, which report status and
-iteration count only.
+root of unity, plus two pencils whose sums cancel to rounding error) and
+``expected_dim=0`` runs, which report status and iteration count only.
 """
 
 import hashlib
@@ -98,10 +98,17 @@ for s_i, (kind, spec) in enumerate(specs):
                    f"files={h(file_bytes(csv_p), file_bytes(json_p))}")
 
 Qm = lab.random_unitary(4, np.random.default_rng(1))
+breakdowns = []
 for name, lam in [("minus1", -1.0), ("cube", np.exp(2j * np.pi / 3)),
                   ("sixth", np.exp(2j * np.pi / 6))]:
     A = Qm @ np.diag([lam, 0.3, 0.5 + 0.1j, 2.0]) @ Qm.conj().T
-    P = pencil.Pencil(A, np.eye(4, dtype=complex))
+    breakdowns.append((name, pencil.Pencil(A, np.eye(4, dtype=complex))))
+# sums that cancel to rounding error: the scalar lambda = -1 and a 3x3
+# pencil whose eigenvalues are all the same cube root of unity
+Bm = lab.conditioned_similarity(3, 5.0, np.random.default_rng(2))
+breakdowns += [("scalar-minus1", pencil.Pencil([[2 * np.exp(1j * np.pi)]], [[2.0]])),
+               ("cube-x3", pencil.Pencil(np.exp(2j * np.pi / 3) * Bm, Bm))]
+for name, P in breakdowns:
     res = pencil.ab_run(P, 1e-10, 50)
     out.append(f"brk {name} plain status={res.status.value} it={res.iterations}")
     for r in (2, 3, 4, 5):

@@ -26,7 +26,7 @@ from .pencil import (
     ab_run,
     breakdown_check,
 )
-from .sqrtm import SqrtProblem, q_step, sqrtm_ab
+from .sqrtm import SqrtProblem, _check_sqrt_settings, q_step, sqrtm_ab
 from .trace import ConvergenceTrace, estimate_order, write_trace_csv, write_trace_json
 
 __all__ = [
@@ -265,6 +265,7 @@ def run_experiment(kind: str, spec: ProblemSpec, *, order: int = 2,
 
 
 def _sqrt_experiment(spec, order, gamma, tol, kmax):
+    _check_sqrt_settings(gamma, tol)   # order 1 runs without a SqrtProblem
     S, X = make_known_sqrt_problem(spec)
     xnorm = float(np.linalg.norm(X, "fro")) or 1.0
     snorm = float(np.linalg.norm(S, "fro")) or 1.0

@@ -10,11 +10,11 @@ bit-identical output within one build.
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
-import scipy.linalg as sla
+from scipy.linalg.lapack import zgetrf, zgetrs
 
 from .errors import DimensionMismatchError, SingularMatrixError
 
@@ -60,16 +60,24 @@ class LUFactorization:
 
     ``lu`` holds the unit-lower and upper triangles combined and ``piv``
     the LAPACK pivot indices (row ``i`` was swapped with row ``piv[i]``);
-    ``growth`` is the elimination growth indicator ``max|U| / max|A|``.
+    ``a_max`` is ``max|A|`` of the factored matrix, from which ``growth``
+    is computed when first read.
     """
 
     lu: np.ndarray
     piv: np.ndarray
-    growth: float
+    a_max: float
 
     @property
     def n(self) -> int:
         return self.lu.shape[0]
+
+    @cached_property
+    def growth(self) -> float:
+        """Elimination growth indicator ``max|U| / max|A|`` (0 when n = 0)."""
+        if self.n == 0:
+            return 0.0
+        return float(np.abs(np.triu(self.lu)).max() / self.a_max)
 
     @property
     def perm(self) -> np.ndarray:
@@ -87,38 +95,39 @@ class LUFactorization:
                 f"rhs has {b.shape[0]} rows, expected {self.n}")
         if self.n == 0 or b.shape[1] == 0:
             return np.zeros_like(b)
-        return sla.lu_solve((self.lu, self.piv), b, trans=int(trans),
-                            check_finite=False)
+        return zgetrs(self.lu, self.piv, b, trans=int(trans))[0]
 
 
-def lu_factor(A) -> LUFactorization:
+def lu_factor(A, scale: float = 0.0) -> LUFactorization:
     """Factor a square matrix as ``P A = L U`` with partial pivoting.
+
+    ``scale`` is the magnitude of the terms ``A`` was summed from, if it
+    is a sum: the pivot cutoff is relative to the larger of ``scale`` and
+    ``max|A|``, so a sum that cancels to rounding error counts as singular.
 
     Raises
     ------
     SingularMatrixError
         When a pivot magnitude falls below
-        ``PIVOT_SAFETY * n * eps * max|A|`` (numerically singular input;
-        inside the pencil iteration this signals breakdown upstream).
+        ``PIVOT_SAFETY * n * eps * max(scale, max|A|)`` (numerically
+        singular input; inside the pencil iteration this signals breakdown
+        upstream).
     """
     M = _as_square(A)
     n = M.shape[0]
     if n == 0:
         return LUFactorization(M.copy(), np.empty(0, dtype=np.int32), 0.0)
-    scale = float(np.abs(M).max())
-    if scale == 0.0:
+    a_max = float(np.abs(M).max())
+    if a_max == 0.0:
         raise SingularMatrixError("matrix is identically zero")
-    with warnings.catch_warnings():
-        # exact zero pivots are flagged below through the cutoff check
-        warnings.simplefilter("ignore", sla.LinAlgWarning)
-        lu, piv = sla.lu_factor(M, check_finite=False)
-    pivots = np.abs(np.diag(lu))
-    cutoff = PIVOT_SAFETY * n * EPS * scale
-    if pivots.min() < cutoff:
+    # exact zero pivots (info > 0) are flagged below through the cutoff check
+    lu, piv, _ = zgetrf(M)
+    pivot = float(np.abs(lu.diagonal()).min())
+    cutoff = PIVOT_SAFETY * n * EPS * max(scale, a_max)
+    if pivot < cutoff:
         raise SingularMatrixError(
-            f"pivot {pivots.min():.3e} below cutoff {cutoff:.3e}")
-    growth = float(np.abs(np.triu(lu)).max() / scale)
-    return LUFactorization(lu, piv, growth)
+            f"pivot {pivot:.3e} below cutoff {cutoff:.3e}")
+    return LUFactorization(lu, piv, a_max)
 
 
 def lu_solve(A, rhs) -> np.ndarray:
@@ -240,9 +249,14 @@ def subspace_distance(U, V) -> float:
     return min(1.0, max(_residual_norm(Bu, Bv), _residual_norm(Bv, Bu)))
 
 
+def _residual(Bu: np.ndarray, Bv: np.ndarray) -> np.ndarray:
+    """``Bv - Bu (Bu^H Bv)``: the part of span(Bv) outside span(Bu)."""
+    return Bv - Bu @ (Bu.conj().T @ Bv)
+
+
 def _residual_norm(Bu: np.ndarray, Bv: np.ndarray) -> float:
     """``||Bv - Bu (Bu^H Bv)||_2`` from the m-by-m Gram matrix of the residual."""
-    W = Bv - Bu @ (Bu.conj().T @ Bv)
+    W = _residual(Bu, Bv)
     return math.sqrt(max(0.0, float(np.linalg.eigvalsh(W.conj().T @ W)[-1])))
 
 

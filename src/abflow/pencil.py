@@ -23,6 +23,7 @@ from .linalg import (
     DEFAULT_RANK_TOL,
     SubspaceBasis,
     _as_square,
+    _residual,
     lu_factor,
     matrix_power_sum,
     null_space_basis,
@@ -110,12 +111,8 @@ def first_iterate(pencil: Pencil) -> ABIterate:
 
 
 def ab_step(initial: Pencil, prev: ABIterate) -> ABIterate:
-    """Advance the chain one step: element ``prev.k`` to ``prev.k + 1``.
-
-    Computes ``A_new = A_1 (A_1 + B_prev)^{-1} A_prev`` and obtains
-    ``B_new`` from the constant-difference shortcut ``A_new + B_1 - A_1``
-    (one solve fewer than the rational form
-    ``combine(first_iterate(initial), prev).B_k``).
+    """Advance the chain one step: element ``prev.k`` to ``prev.k + 1``,
+    as the merge ``combine(first_iterate(initial), prev)``.
 
     Raises
     ------
@@ -124,38 +121,33 @@ def ab_step(initial: Pencil, prev: ABIterate) -> ABIterate:
         when the initial spectrum meets a root of unity of order
         ``prev.k + 1``.
     """
-    if initial.n != prev.A_k.shape[0]:
-        raise ValueError("iterate shape does not match the initial pencil")
-    target = prev.k + 1
-    try:
-        f = lu_factor(initial.A + prev.B_k)
-    except SingularMatrixError as exc:
-        raise BreakdownError(
-            f"singular sum producing chain element {target}",
-            index=target) from exc
-    A_new = initial.A @ f.solve(prev.A_k)
-    return ABIterate(A_new, A_new + initial.B - initial.A, target)
+    return combine(first_iterate(initial), prev)
 
 
 def combine(it_i: ABIterate, it_j: ABIterate) -> ABIterate:
     """Merge chain elements i and j into element i+j (the flow property).
 
-    ``A_{i+j} = A_i (A_i + B_j)^{-1} A_j`` and
-    ``B_{i+j} = B_j (A_i + B_j)^{-1} B_i``.  Both iterates must come from
-    the same chain.
+    ``A_{i+j} = A_i (A_i + B_j)^{-1} A_j``.  ``B_{i+j}`` equals
+    ``B_j (A_i + B_j)^{-1} B_i`` too, but is taken from the constant
+    difference as ``A_{i+j} + B_i - A_i``, so a merge is one factorization,
+    one solve and one product.  Both iterates must come from the same
+    chain.  The sum counts as singular against the scale of its summands,
+    so a sum that cancels to rounding error is a breakdown.
     """
     if it_i.A_k.shape != it_j.A_k.shape:
         raise ValueError("iterates have different shapes")
     target = it_i.k + it_j.k
+    A_i, B_j = it_i.A_k, it_j.B_k
+    scale = max(float(np.abs(A_i).max(initial=0.0)),
+                float(np.abs(B_j).max(initial=0.0)))
     try:
-        f = lu_factor(it_i.A_k + it_j.B_k)
+        f = lu_factor(A_i + B_j, scale=scale)
     except SingularMatrixError as exc:
         raise BreakdownError(
             f"singular sum producing chain element {target}",
             index=target) from exc
-    return ABIterate(it_i.A_k @ f.solve(it_j.A_k),
-                     it_j.B_k @ f.solve(it_i.B_k),
-                     target)
+    A_new = A_i @ f.solve(it_j.A_k)
+    return ABIterate(A_new, A_new + it_i.B_k - A_i, target)
 
 
 def closed_form_iterate(A1, k: int) -> ABIterate:
@@ -268,6 +260,23 @@ def _check_run_settings(tol: float, kmax: int, expected_dim: int | None,
         raise ValueError(f"rank_tol must be positive, got {rank_tol!r}")
 
 
+def _settled(U: SubspaceBasis, V: SubspaceBasis, tol: float) -> bool:
+    """Whether ``subspace_distance(U, V) < tol``.
+
+    For equal dimensions m the residual ``W = V - U (U^H V)`` gives the
+    lower bound ``||W||_F / sqrt(m)`` on the distance, so a step whose
+    ``||W||_F`` lies clearly above ``sqrt(m) * tol`` (the margin covers
+    rounding) fails without the exact distance.  Since ``||W||_F <=
+    sqrt(m)``, the bound never decides when ``tol >= 1``.
+    """
+    m = V.dim
+    if U.dim == m > 0:
+        bound = math.sqrt(m) * tol * (1 + 1e-6)
+        if np.linalg.norm(_residual(U.basis, V.basis)) > bound:
+            return False
+    return subspace_distance(U, V) < tol
+
+
 def _run_chain(initial: Pencil, advance, tol: float, kmax: int,
                expected_dim: int | None, rank_tol: float,
                observer) -> SubspaceResult:
@@ -289,11 +298,8 @@ def _run_chain(initial: Pencil, advance, tol: float, kmax: int,
         if observer is not None:
             observer(it, basis)
         # an empty threshold basis means nothing has emerged yet
-        if basis.dim == 0 and expected_dim is None:
-            dist = 1.0
-        else:
-            dist = subspace_distance(basis_prev, basis)
-        if dist < tol:
+        if (basis.dim > 0 or expected_dim is not None) and _settled(
+                basis_prev, basis, tol):
             return _finish(initial, basis, k, SolveStatus.CONVERGED)
         basis_prev = basis
     return _finish(initial, basis_prev, kmax, SolveStatus.MAX_ITERATIONS)

@@ -33,6 +33,15 @@ from .trace import ConvergenceTrace, estimate_order
 STAGNATION_DIFF = math.sqrt(EPS)
 
 
+def _check_sqrt_settings(gamma: float, tol: float) -> None:
+    """Settings check shared by ``SqrtProblem`` and the order-1 runs of
+    ``lab.run_experiment``; NaN fails it."""
+    if not (math.isfinite(gamma) and gamma > 0):
+        raise ValueError(f"gamma must be finite and positive, got {gamma!r}")
+    if not tol > 0:
+        raise ValueError(f"tol must be positive, got {tol!r}")
+
+
 @dataclass(frozen=True)
 class SqrtProblem:
     """Inputs for one square-root solve.
@@ -50,13 +59,9 @@ class SqrtProblem:
 
     def __post_init__(self):
         object.__setattr__(self, "S", _as_square(self.S, "S"))
-        if not (math.isfinite(self.gamma) and self.gamma > 0):
-            raise ValueError(
-                f"gamma must be finite and positive, got {self.gamma!r}")
+        _check_sqrt_settings(self.gamma, self.tol)
         if not 2 <= self.order <= 16:
             raise ValueError("order must be between 2 and 16")
-        if not self.tol > 0:
-            raise ValueError(f"tol must be positive, got {self.tol!r}")
         if self.kmax < 1:
             raise ValueError("kmax must be at least 1")
 

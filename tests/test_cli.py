@@ -324,6 +324,19 @@ def test_cli_non_finite_parameter_exits_one(tmp_path, capsys, args, name):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("args, name", [
+    (["--tol", "nan"], "tol"),
+    (["--gamma", "inf"], "gamma"),
+], ids=["tol-nan", "gamma-inf"])
+def test_cli_bench_plain_sqrt_checks_parameters(tmp_path, capsys, args, name):
+    out_dir = tmp_path / "D"
+    assert main(["bench", "--kind", "sqrt", "--spectrum", "2,3", "--orders", "1",
+                 *args, "--out-dir", str(out_dir)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {name} must be")
+    assert not (out_dir / "bench_sqrt_r1.csv").exists()
+
+
 def test_cli_out_dir_env_rebases_default_names(tmp_path, monkeypatch):
     s = write(tmp_path / "s.txt", "4\n")
     monkeypatch.setenv("ABFLOW_OUT_DIR", str(tmp_path))

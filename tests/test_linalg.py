@@ -45,7 +45,7 @@ def test_lu_factor_reconstructs_and_permutes():
         U = np.triu(f.lu)
         assert sorted(f.perm.tolist()) == list(range(n))
         assert np.linalg.norm(A[f.perm] - L @ U, "fro") <= 1e-12 * np.linalg.norm(A, "fro")
-        assert f.growth >= 0.0
+        assert f.growth == np.abs(U).max() / np.abs(A).max()
 
 
 def test_lu_solve_backward_accuracy():
@@ -71,6 +71,11 @@ def test_lu_factor_rejects_singular():
         lu_factor(np.array([[1.0, 1.0], [1.0, 1.0]], dtype=complex))
     with pytest.raises(SingularMatrixError):
         lu_factor(np.zeros((3, 3), dtype=complex))
+    # a sum that cancelled to rounding error of its unit-sized terms
+    tiny = np.array([[1e-15]], dtype=complex)
+    assert lu_factor(tiny).n == 1    # regular against its own scale
+    with pytest.raises(SingularMatrixError):
+        lu_factor(tiny, scale=1.0)
 
 
 def test_lu_rejects_nonfinite_and_shape():

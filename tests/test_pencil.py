@@ -51,13 +51,25 @@ def test_ab_step_zero_initial_is_fixed_point():
 
 
 def test_ab_step_direct_b_matches_shortcut():
-    # the rational form B_k (A_1 + B_k)^{-1} B_1 is the merge with element 1
+    # the rational form B_k (A_1 + B_k)^{-1} B_1 agrees with the B that
+    # the step takes from the constant difference
     p = stable_pencil(11)
     it = first_iterate(p)
     for _ in range(7):
-        direct = combine(first_iterate(p), it)
+        direct = it.B_k @ np.linalg.solve(p.A + it.B_k, p.B)
         it = ab_step(p, it)
-        assert rel_err(direct.B_k, it.B_k) <= 1e-11
+        assert rel_err(direct, it.B_k) <= 1e-11
+
+
+def test_ab_step_is_the_merge_with_the_first_element():
+    p = stable_pencil(12)
+    it = first_iterate(p)
+    for _ in range(5):
+        merged = combine(first_iterate(p), it)
+        it = ab_step(p, it)
+        assert it.k == merged.k
+        assert it.A_k.tobytes() == merged.A_k.tobytes()
+        assert it.B_k.tobytes() == merged.B_k.tobytes()
 
 
 def test_ab_step_breakdown_on_minus_one():
