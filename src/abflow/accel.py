@@ -15,7 +15,7 @@ import numpy as np
 # lu_factor and subspace_distance are unused here but stay bound:
 # perfbench/tracer.py patches every module's binding of them, and
 # perfbench/test_counts.py checks these ones.
-from .linalg import DEFAULT_RANK_TOL, lu_factor  # noqa: F401
+from .linalg import lu_factor  # noqa: F401
 from .pencil import (  # noqa: F401
     ABIterate,
     Pencil,
@@ -40,13 +40,11 @@ class AccelConfig:
     tol: float
     kmax: int
     expected_dim: int | None = None
-    rank_tol: float = DEFAULT_RANK_TOL
 
     def __post_init__(self):
         if not 2 <= self.order <= 16:
             raise ValueError("order must be between 2 and 16")
-        _check_run_settings(self.tol, self.kmax, self.expected_dim,
-                            self.rank_tol)
+        _check_run_settings(self.tol, self.kmax, self.expected_dim)
 
 
 def inner_chain(hatA: np.ndarray, hatB: np.ndarray, order: int):
@@ -85,5 +83,4 @@ def modified_ab_run(initial: Pencil, cfg: AccelConfig,
         element that could not be produced.
     """
     return _run_chain(initial, lambda it: accel_step(it, cfg.order),
-                      cfg.tol, cfg.kmax, cfg.expected_dim, cfg.rank_tol,
-                      observer)
+                      cfg.tol, cfg.kmax, cfg.expected_dim, observer)

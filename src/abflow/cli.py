@@ -36,26 +36,23 @@ OUT_DIR_ENV = "ABFLOW_OUT_DIR"
 
 # ----------------------------- matrix files -----------------------------
 
-def parse_matrix_file(path, fmt: str | None = None) -> np.ndarray:
-    """Load a matrix from a txt or json file.
+def parse_matrix_file(path) -> np.ndarray:
+    """Load a matrix from a txt or json file; the suffix picks the format
+    (".json" means json, anything else txt).
 
     txt: whitespace-separated real entries, one matrix row per line.
     json: object with "rows", "cols", and "data", a row-major array of
-    [re, im] pairs.  When ``fmt`` is None it is inferred from the file
-    suffix (".json" means json, anything else txt).
+    [re, im] pairs.
     """
     path = os.fspath(path)
-    if fmt is None:
-        fmt = "json" if path.endswith(".json") else "txt"
-    if fmt not in ("json", "txt"):
-        raise ParseError(f"unknown format {fmt!r}", path=path)
     try:
-        text = open(path, encoding="utf-8").read()
+        with open(path, encoding="utf-8") as fh:
+            text = fh.read()
     except OSError as exc:
         raise ParseError(str(exc), path=path) from exc
-    if fmt == "txt":
-        return _parse_txt(text, path)
-    return _parse_json(text, path)
+    if path.endswith(".json"):
+        return _parse_json(text, path)
+    return _parse_txt(text, path)
 
 
 def _parse_txt(text: str, path: str) -> np.ndarray:

@@ -17,16 +17,16 @@ from typing import NamedTuple
 import numpy as np
 
 from .accel import AccelConfig, modified_ab_run
-from .errors import BreakdownError, InvalidSpectrumError
+from .errors import InvalidSpectrumError
 from .linalg import EPS, SubspaceBasis, subspace_distance
-from .pencil import (
-    BREAKDOWN_TOL,
-    Pencil,
-    SolveStatus,
-    ab_run,
-    breakdown_check,
+from .pencil import BREAKDOWN_TOL, Pencil, ab_run, breakdown_check
+from .sqrtm import (
+    SqrtProblem,
+    _check_sqrt_settings,
+    _run_q_chain,
+    q_step,
+    sqrtm_ab,
 )
-from .sqrtm import SqrtProblem, _check_sqrt_settings, q_step, sqrtm_ab
 from .trace import ConvergenceTrace, estimate_order, write_trace_csv, write_trace_json
 
 __all__ = [
@@ -65,7 +65,6 @@ class ProblemSpec:
     spectrum: tuple
     cond: float = 10.0
     seed: int = 0
-    dim: int | None = None
 
     def __post_init__(self):
         entries = tuple(
@@ -74,14 +73,13 @@ class ProblemSpec:
         if not entries:
             raise InvalidSpectrumError("spectrum must be nonempty")
         object.__setattr__(self, "spectrum", entries)
-        total = sum(e.multiplicity for e in entries)
-        if self.dim is None:
-            object.__setattr__(self, "dim", total)
-        elif self.dim != total:
-            raise InvalidSpectrumError(
-                f"dim={self.dim} but multiplicities sum to {total}")
         if self.cond < 1:
             raise InvalidSpectrumError("cond must be at least 1")
+
+    @property
+    def dim(self) -> int:
+        """Matrix size: the sum of the multiplicities."""
+        return sum(e.multiplicity for e in self.spectrum)
 
 
 class PencilProblem(NamedTuple):
@@ -232,7 +230,7 @@ def _order_estimates(errors):
 
 def run_experiment(kind: str, spec: ProblemSpec, *, order: int = 2,
                    gamma: float = 1.0, tol: float = 1e-12,
-                   kmax: int = 40, random_b: bool = False) -> ConvergenceTrace:
+                   kmax: int = 40) -> ConvergenceTrace:
     """Generate a problem, run a solver, and record true-error decay.
 
     Parameters
@@ -245,9 +243,7 @@ def run_experiment(kind: str, spec: ProblemSpec, *, order: int = 2,
         Shift for square-root runs.
     tol, kmax :
         Solver stopping parameters (relative successive difference for
-        sqrt, subspace distance for pencil).
-    random_b : bool
-        Pencil runs only; use a random conditioned B.
+        sqrt, subspace distance for pencil).  Pencil runs use B = I.
 
     Returns
     -------
@@ -260,12 +256,12 @@ def run_experiment(kind: str, spec: ProblemSpec, *, order: int = 2,
     if kind == "sqrt":
         return _sqrt_experiment(spec, order, gamma, tol, kmax)
     if kind == "pencil":
-        return _pencil_experiment(spec, order, tol, kmax, random_b)
+        return _pencil_experiment(spec, order, tol, kmax)
     raise ValueError(f"unknown experiment kind {kind!r}")
 
 
 def _sqrt_experiment(spec, order, gamma, tol, kmax):
-    _check_sqrt_settings(gamma, tol)   # order 1 runs without a SqrtProblem
+    _check_sqrt_settings(gamma, tol, kmax)  # order 1 has no SqrtProblem
     S, X = make_known_sqrt_problem(spec)
     xnorm = float(np.linalg.norm(X, "fro")) or 1.0
     snorm = float(np.linalg.norm(S, "fro")) or 1.0
@@ -282,23 +278,8 @@ def _sqrt_experiment(spec, order, gamma, tol, kmax):
         last = now
 
     if order == 1:
-        n = S.shape[0]
-        Q = gamma * np.eye(n, dtype=np.complex128)
-        record(1, Q)
-        status = SolveStatus.MAX_ITERATIONS
-        partner = gamma * np.eye(n, dtype=np.complex128)
-        for k in range(2, kmax + 1):
-            try:
-                Qnew = q_step(Q, S, partner)
-            except BreakdownError:
-                status = SolveStatus.BREAKDOWN
-                break
-            diff = np.linalg.norm(Qnew - Q, "fro") / (np.linalg.norm(Qnew, "fro") or 1.0)
-            Q = Qnew
-            record(k, Q)
-            if diff < tol:
-                status = SolveStatus.CONVERGED
-                break
+        status = _run_q_chain(S, gamma, tol, kmax,
+                              lambda Q: q_step(Q, S, gamma), record).status
     else:
         prob = SqrtProblem(S, gamma=gamma, order=order, tol=tol, kmax=kmax)
         status = sqrtm_ab(prob, observer=record).status
@@ -307,8 +288,8 @@ def _sqrt_experiment(spec, order, gamma, tol, kmax):
                             status.value)
 
 
-def _pencil_experiment(spec, order, tol, kmax, random_b):
-    prob = make_pencil_problem(spec, random_b=random_b)
+def _pencil_experiment(spec, order, tol, kmax):
+    prob = make_pencil_problem(spec)
     target = prob.basis
     A1 = prob.pencil.A
     steps, errors, resids, secs = [], [], [], []

@@ -191,8 +191,8 @@ def null_space_basis(A, rank_tol: float = DEFAULT_RANK_TOL) -> SubspaceBasis:
     rank_tol : float
         Relative rank cutoff, must be positive.
     """
-    if rank_tol <= 0:
-        raise ValueError("rank_tol must be positive")
+    if not rank_tol > 0:
+        raise ValueError(f"rank_tol must be positive, got {rank_tol!r}")
     M = as_matrix(A)
     n_cols = M.shape[1]
     if M.shape[0] == 0 or n_cols == 0:

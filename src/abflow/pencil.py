@@ -20,7 +20,6 @@ import numpy as np
 
 from .errors import BreakdownError, PoleEncounteredError, SingularMatrixError
 from .linalg import (
-    DEFAULT_RANK_TOL,
     SubspaceBasis,
     _as_square,
     _residual,
@@ -222,10 +221,9 @@ def breakdown_check(eigenvalues, kmax: int, tol: float = BREAKDOWN_TOL):
     return None
 
 
-def _extract_basis(A_k: np.ndarray, rank_tol: float,
-                   expected_dim: int | None) -> SubspaceBasis:
+def _extract_basis(A_k: np.ndarray, expected_dim: int | None) -> SubspaceBasis:
     if expected_dim is None:
-        return null_space_basis(A_k, rank_tol)
+        return null_space_basis(A_k)
     return smallest_singular_subspace(A_k, expected_dim)
 
 
@@ -247,8 +245,8 @@ def _finish(pencil: Pencil, basis: SubspaceBasis, iterations: int,
     return SubspaceResult(basis, Lam, residual, iterations, status)
 
 
-def _check_run_settings(tol: float, kmax: int, expected_dim: int | None,
-                        rank_tol: float) -> None:
+def _check_run_settings(tol: float, kmax: int,
+                        expected_dim: int | None) -> None:
     """Settings check shared by ``ab_run`` and ``AccelConfig``; NaN fails it."""
     if not tol > 0:
         raise ValueError(f"tol must be positive, got {tol!r}")
@@ -256,8 +254,6 @@ def _check_run_settings(tol: float, kmax: int, expected_dim: int | None,
         raise ValueError("kmax must be at least 2")
     if expected_dim is not None and expected_dim < 0:
         raise ValueError("expected_dim must be nonnegative")
-    if not rank_tol > 0:
-        raise ValueError(f"rank_tol must be positive, got {rank_tol!r}")
 
 
 def _settled(U: SubspaceBasis, V: SubspaceBasis, tol: float) -> bool:
@@ -278,12 +274,11 @@ def _settled(U: SubspaceBasis, V: SubspaceBasis, tol: float) -> bool:
 
 
 def _run_chain(initial: Pencil, advance, tol: float, kmax: int,
-               expected_dim: int | None, rank_tol: float,
-               observer) -> SubspaceResult:
+               expected_dim: int | None, observer) -> SubspaceResult:
     """The loop of ``ab_run`` and ``modified_ab_run``; ``advance`` maps the
     current chain element to the next one the run keeps."""
     it = first_iterate(initial)
-    basis_prev = _extract_basis(it.A_k, rank_tol, expected_dim)
+    basis_prev = _extract_basis(it.A_k, expected_dim)
     if observer is not None:
         observer(it, basis_prev)
     for k in range(2, kmax + 1):
@@ -294,12 +289,13 @@ def _run_chain(initial: Pencil, advance, tol: float, kmax: int,
                                   np.zeros(0))
             return SubspaceResult(empty, np.zeros((0, 0), np.complex128),
                                   math.nan, exc.index, SolveStatus.BREAKDOWN)
-        basis = _extract_basis(it.A_k, rank_tol, expected_dim)
+        basis = _extract_basis(it.A_k, expected_dim)
         if observer is not None:
             observer(it, basis)
-        # an empty threshold basis means nothing has emerged yet
-        if (basis.dim > 0 or expected_dim is not None) and _settled(
-                basis_prev, basis, tol):
+        # an empty threshold basis means nothing has emerged yet, unless
+        # the space itself is empty
+        emerged = basis.dim > 0 or expected_dim is not None or initial.n == 0
+        if emerged and _settled(basis_prev, basis, tol):
             return _finish(initial, basis, k, SolveStatus.CONVERGED)
         basis_prev = basis
     return _finish(initial, basis_prev, kmax, SolveStatus.MAX_ITERATIONS)
@@ -307,16 +303,16 @@ def _run_chain(initial: Pencil, advance, tol: float, kmax: int,
 
 def ab_run(initial: Pencil, tol: float, kmax: int,
            expected_dim: int | None = None,
-           rank_tol: float = DEFAULT_RANK_TOL,
            observer=None) -> SubspaceResult:
     """Run the plain chain until successive near-null spaces stabilize.
 
     Iterates ``ab_step`` until the distance between the near-null bases
-    of consecutive A_k drops below ``tol`` (in threshold mode a step with
-    an empty basis counts as distance 1), then recovers the coupling
-    block from the original pencil.  When ``expected_dim`` is given, the
-    basis is the span of that many smallest singular directions instead
-    of a threshold decision.  With widely spread stable eigenvalue
+    of consecutive A_k drops below ``tol``, then recovers the coupling
+    block from the original pencil.  Without ``expected_dim`` the basis
+    holds the singular directions below ``DEFAULT_RANK_TOL`` times the
+    largest singular value, and a step with an empty basis counts as
+    distance 1 unless n = 0; with it, the basis is the span of that many
+    smallest singular directions.  With widely spread stable eigenvalue
     magnitudes the threshold rule can settle on the fastest-decaying
     directions before slower ones cross the cutoff; the result is then a
     genuine deflating pair of smaller dimension, so supply
@@ -331,8 +327,6 @@ def ab_run(initial: Pencil, tol: float, kmax: int,
         Largest chain index to produce, at least 2.
     expected_dim : int, optional
         Known dimension of the stable subspace.
-    rank_tol : float
-        Relative near-null cutoff used when ``expected_dim`` is None.
     observer : callable, optional
         Called as ``observer(iterate, basis)`` for every chain element
         including the first.
@@ -343,6 +337,6 @@ def ab_run(initial: Pencil, tol: float, kmax: int,
         Status CONVERGED, MAX_ITERATIONS, or BREAKDOWN (breakdown is
         reported, never regularized away).
     """
-    _check_run_settings(tol, kmax, expected_dim, rank_tol)
+    _check_run_settings(tol, kmax, expected_dim)
     return _run_chain(initial, lambda it: ab_step(initial, it), tol, kmax,
-                      expected_dim, rank_tol, observer)
+                      expected_dim, observer)

@@ -33,13 +33,15 @@ from .trace import ConvergenceTrace, estimate_order
 STAGNATION_DIFF = math.sqrt(EPS)
 
 
-def _check_sqrt_settings(gamma: float, tol: float) -> None:
+def _check_sqrt_settings(gamma: float, tol: float, kmax: int) -> None:
     """Settings check shared by ``SqrtProblem`` and the order-1 runs of
     ``lab.run_experiment``; NaN fails it."""
     if not (math.isfinite(gamma) and gamma > 0):
         raise ValueError(f"gamma must be finite and positive, got {gamma!r}")
     if not tol > 0:
         raise ValueError(f"tol must be positive, got {tol!r}")
+    if kmax < 1:
+        raise ValueError("kmax must be at least 1")
 
 
 @dataclass(frozen=True)
@@ -59,11 +61,9 @@ class SqrtProblem:
 
     def __post_init__(self):
         object.__setattr__(self, "S", _as_square(self.S, "S"))
-        _check_sqrt_settings(self.gamma, self.tol)
+        _check_sqrt_settings(self.gamma, self.tol, self.kmax)
         if not 2 <= self.order <= 16:
             raise ValueError("order must be between 2 and 16")
-        if self.kmax < 1:
-            raise ValueError("kmax must be at least 1")
 
 
 @dataclass(frozen=True)
@@ -169,9 +169,18 @@ def sqrtm_ab(prob: SqrtProblem, observer=None) -> SqrtResult:
         The trace records one row per outer update (step index, relative
         successive difference, residual, wall seconds).
     """
-    S = prob.S
+    return _run_q_chain(
+        prob.S, prob.gamma, prob.tol, prob.kmax,
+        lambda Q: accelerated_step(Q, prob.S, prob.order), observer)
+
+
+def _run_q_chain(S: np.ndarray, gamma: float, tol: float, kmax: int,
+                 advance, observer) -> SqrtResult:
+    """The loop of ``sqrtm_ab`` and of the order-1 experiments of
+    ``lab.run_experiment``; ``advance`` maps the current Q-chain element
+    to the next one the run keeps."""
     n = S.shape[0]
-    Qhat = prob.gamma * np.eye(n, dtype=np.complex128)
+    Qhat = gamma * np.eye(n, dtype=np.complex128)
     s_norm = float(np.linalg.norm(S, "fro")) or 1.0
     if observer is not None:
         observer(1, Qhat)
@@ -181,10 +190,10 @@ def sqrtm_ab(prob: SqrtProblem, observer=None) -> SqrtResult:
     best_diff = math.inf
     best_Q = Qhat
     rising = 0
-    for k in range(2, prob.kmax + 1):
+    for k in range(2, kmax + 1):
         t0 = time.perf_counter()
         try:
-            Qnew = accelerated_step(Qhat, S, prob.order)
+            Qnew = advance(Qhat)
         except BreakdownError:
             status = SolveStatus.BREAKDOWN
             break
@@ -202,7 +211,7 @@ def sqrtm_ab(prob: SqrtProblem, observer=None) -> SqrtResult:
         if diff < best_diff:
             best_diff = diff
             best_Q = Qhat
-        if diff < prob.tol:
+        if diff < tol:
             status = SolveStatus.CONVERGED
             break
         rising = rising + 1 if diff > prev_diff else 0

@@ -32,8 +32,6 @@ def test_config_validation():
     for bad in (float("nan"), -float("inf")):
         with pytest.raises(ValueError, match="tol"):
             AccelConfig(order=2, tol=bad, kmax=10)
-        with pytest.raises(ValueError, match="rank_tol"):
-            AccelConfig(order=2, tol=1e-10, kmax=10, rank_tol=bad)
 
 
 def test_inner_chain_order_two_is_identity():
@@ -161,16 +159,21 @@ def test_breakdown_reports_plain_index(order, p, expected):
 
 @pytest.mark.parametrize("order", [None, 2])
 def test_empty_expected_subspace_converges_at_once(order):
-    p = Pencil(np.diag([2.0 + 0j, 3.0]), np.eye(2, dtype=complex))
-    if order is None:
-        result = ab_run(p, 1e-12, 100, expected_dim=0)
-    else:
-        cfg = AccelConfig(order=order, tol=1e-12, kmax=100, expected_dim=0)
-        result = modified_ab_run(p, cfg)
-    assert result.status is SolveStatus.CONVERGED
-    assert result.iterations == 2
-    assert result.U.dim == 0 and result.U.basis.shape == (2, 0)
-    assert result.residual == 0.0
+    # expected_dim=0 on a 2x2 pencil; threshold mode on the empty pencil,
+    # whose empty basis is the whole space
+    for n, dim in ((2, 0), (0, None)):
+        p = Pencil(np.diag(np.array([2.0 + 0j, 3.0])[:n]),
+                   np.eye(n, dtype=complex))
+        if order is None:
+            result = ab_run(p, 1e-12, 100, expected_dim=dim)
+        else:
+            cfg = AccelConfig(order=order, tol=1e-12, kmax=100,
+                              expected_dim=dim)
+            result = modified_ab_run(p, cfg)
+        assert result.status is SolveStatus.CONVERGED
+        assert result.iterations == 2
+        assert result.U.dim == 0 and result.U.basis.shape == (n, 0)
+        assert result.residual == 0.0
 
 
 def test_accelerated_recovery_quality():

@@ -19,6 +19,11 @@ def write(path, text):
     return str(path)
 
 
+def read_json(path):
+    with open(path, encoding="utf-8") as fh:
+        return json.load(fh)
+
+
 # ----------------------------- parsing -----------------------------
 
 def test_parse_txt_diagonal(tmp_path):
@@ -183,7 +188,7 @@ def test_cli_pencil_diagonal(tmp_path):
     out = str(tmp_path / "U.json")
     code = main(["pencil", "--a", a, "--b", b, "--out", out])
     assert code == 0
-    doc = json.loads(open(out).read())
+    doc = read_json(out)
     assert doc["status"] == "converged"
     assert doc["U"]["cols"] == 1
     assert doc["Lambda"]["data"][0][0] == pytest.approx(0.5, abs=1e-10)
@@ -196,7 +201,7 @@ def test_cli_pencil_breakdown(tmp_path):
     code = main(["pencil", "--a", a, "--b", b,
                  "--out", str(tmp_path / "U.json")])
     assert code == 2
-    doc = json.loads(open(tmp_path / "U.json").read())
+    doc = read_json(tmp_path / "U.json")
     assert doc["status"] == "breakdown"
     assert doc["residual"] is None
 
@@ -208,7 +213,7 @@ def test_cli_pencil_accelerated(tmp_path):
     code = main(["pencil", "--a", a, "--b", b, "--order", "2",
                  "--dim", "1", "--out", out])
     assert code == 0
-    doc = json.loads(open(out).read())
+    doc = read_json(out)
     assert doc["Lambda"]["data"][0][0] == pytest.approx(0.5, abs=1e-10)
 
 
@@ -217,7 +222,7 @@ def test_cli_pencil_empty_expected_subspace_exits_zero(tmp_path):
     b = write(tmp_path / "b.txt", "1 0\n0 1\n")
     out = str(tmp_path / "U.json")
     assert main(["pencil", "--a", a, "--b", b, "--dim", "0", "--out", out]) == 0
-    doc = json.loads(open(out).read())
+    doc = read_json(out)
     assert doc["status"] == "converged"
     assert (doc["iterations"], doc["residual"]) == (2, 0.0)
     assert (doc["U"]["rows"], doc["U"]["cols"]) == (2, 0)
@@ -255,7 +260,7 @@ def test_cli_bench_emits_traces_with_settled_order(tmp_path):
     settled = [float(r["order_estimate"]) for r in rows
                if r["order_estimate"] and float(r["error"]) > 1e2 * EPS]
     assert settled and 1.8 <= settled[-1] <= 2.2
-    doc = json.loads(open(os.path.join(out_dir, "bench_sqrt_r2.json")).read())
+    doc = read_json(os.path.join(out_dir, "bench_sqrt_r2.json"))
     assert doc["header"]["order"] == 2
     assert doc["header"]["seed"] == 7
 
@@ -327,7 +332,8 @@ def test_cli_non_finite_parameter_exits_one(tmp_path, capsys, args, name):
 @pytest.mark.parametrize("args, name", [
     (["--tol", "nan"], "tol"),
     (["--gamma", "inf"], "gamma"),
-], ids=["tol-nan", "gamma-inf"])
+    (["--kmax", "0"], "kmax"),
+], ids=["tol-nan", "gamma-inf", "kmax-0"])
 def test_cli_bench_plain_sqrt_checks_parameters(tmp_path, capsys, args, name):
     out_dir = tmp_path / "D"
     assert main(["bench", "--kind", "sqrt", "--spectrum", "2,3", "--orders", "1",

@@ -206,6 +206,14 @@ def test_sqrt_experiment_plain_chain_is_linear():
     assert abs(tr.orders[-1] - 1.0) <= 0.1
 
 
+def test_sqrt_experiment_plain_chain_stops_at_rounding_floor():
+    # tol below any reachable difference: only the floor rule can stop it
+    tr = run_experiment("sqrt", ProblemSpec(spectrum=(1.0, 1.1), seed=3),
+                        order=1, tol=1e-300, kmax=60)
+    assert tr.status == "converged"
+    assert len(tr.steps) < 60
+
+
 def test_sqrt_experiment_singular_ratio_half():
     spec = ProblemSpec(spectrum=(SpectrumEntry(0.0), 1.0), seed=3)
     tr = run_experiment("sqrt", spec, order=2, kmax=10, tol=1e-300)

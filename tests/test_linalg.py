@@ -90,6 +90,9 @@ def test_lu_rejects_nonfinite_and_shape():
 def test_null_space_full_rank_is_empty():
     basis = null_space_basis(np.eye(2, dtype=complex))
     assert basis.dim == 0 and basis.ambient_dim == 2
+    for bad in (0.0, float("nan")):
+        with pytest.raises(ValueError, match="rank_tol"):
+            null_space_basis(np.eye(3), bad)
 
 
 def test_null_space_exact_zero_row():

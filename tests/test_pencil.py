@@ -308,5 +308,3 @@ def test_ab_run_rejects_bad_parameters():
     for bad in (float("nan"), -float("inf")):
         with pytest.raises(ValueError, match="tol"):
             ab_run(p, bad, 10)
-        with pytest.raises(ValueError, match="rank_tol"):
-            ab_run(p, 1e-8, 10, rank_tol=bad)
