@@ -5,9 +5,15 @@ a discrete flow property (element i+j is a rational combination of
 elements i and j).  That property yields an accelerated variant of any
 integer convergence order and, through a Cayley-transformed embedding, a
 principal matrix square-root solver.
+
+``__all__`` is the public API: the solvers, their inputs and results,
+the problem generators and the ``linalg`` kernels.  These validate what
+they are given.  The chain kernels inside the modules (``combine``,
+``q_step`` and the steps built from them) are internal and trust their
+callers, which pass arrays built from already validated inputs.
 """
 
-from .accel import AccelConfig, accel_step, inner_chain, modified_ab_run
+from .accel import AccelConfig, modified_ab_run
 from .errors import (
     ABFlowError,
     BreakdownError,
@@ -16,9 +22,7 @@ from .errors import (
     InvalidBoundsError,
     InvalidSpectrumError,
     ParseError,
-    PoleEncounteredError,
     ShapeError,
-    SingularDenominatorError,
     SingularMatrixError,
 )
 from .lab import (
@@ -36,43 +40,20 @@ from .linalg import (
     LUFactorization,
     SubspaceBasis,
     as_matrix,
-    induced_norm2,
     lu_factor,
-    lu_solve,
-    matrix_power_sum,
     null_space_basis,
     smallest_singular_subspace,
-    solve_right,
     subspace_distance,
 )
 from .pencil import (
     BREAKDOWN_TOL,
-    INFINITY,
-    ABIterate,
     Pencil,
     SolveStatus,
     SubspaceResult,
     ab_run,
-    ab_step,
     breakdown_check,
-    closed_form_iterate,
-    combine,
-    eigenvalue_map,
-    first_iterate,
 )
-from .sqrtm import (
-    SqrtProblem,
-    SqrtResult,
-    accelerated_step,
-    binomial_step,
-    cayley_factor,
-    cayley_residual,
-    embed_pencil,
-    gamma_heuristic,
-    newton_step,
-    q_step,
-    sqrtm_ab,
-)
+from .sqrtm import SqrtProblem, SqrtResult, gamma_heuristic, sqrtm_ab
 from .trace import (
     ConvergenceTrace,
     estimate_order,
@@ -83,22 +64,17 @@ from .trace import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "ABFlowError", "ABIterate", "AccelConfig", "BreakdownError",
-    "BREAKDOWN_TOL", "ConvergenceTrace", "DEFAULT_RANK_TOL",
-    "DimensionMismatchError", "INFINITY", "InsufficientDataError",
-    "InvalidBoundsError", "InvalidSpectrumError", "LUFactorization",
-    "ParseError", "Pencil", "PencilProblem", "PoleEncounteredError",
-    "ProblemSpec", "ShapeError", "SingularDenominatorError",
-    "SingularMatrixError", "SolveStatus", "SpectrumEntry", "SqrtProblem",
-    "SqrtResult", "SubspaceBasis", "SubspaceResult",
-    "ab_run", "ab_step", "accel_step", "accelerated_step", "as_matrix",
-    "binomial_step", "breakdown_check", "cayley_factor", "cayley_residual",
-    "closed_form_iterate", "combine", "conditioned_similarity",
-    "eigenvalue_map", "embed_pencil", "estimate_order", "first_iterate",
-    "gamma_heuristic", "induced_norm2", "inner_chain", "lu_factor",
-    "lu_solve", "make_known_sqrt_problem", "make_pencil_problem",
-    "matrix_power_sum", "modified_ab_run", "newton_step",
-    "null_space_basis", "q_step", "random_unitary", "run_experiment",
-    "smallest_singular_subspace", "solve_right", "sqrtm_ab",
-    "subspace_distance", "write_trace_csv", "write_trace_json",
+    "ABFlowError", "AccelConfig", "BreakdownError", "BREAKDOWN_TOL",
+    "ConvergenceTrace", "DEFAULT_RANK_TOL", "DimensionMismatchError",
+    "InsufficientDataError", "InvalidBoundsError", "InvalidSpectrumError",
+    "LUFactorization", "ParseError", "Pencil", "PencilProblem",
+    "ProblemSpec", "ShapeError", "SingularMatrixError", "SolveStatus",
+    "SpectrumEntry", "SqrtProblem", "SqrtResult", "SubspaceBasis",
+    "SubspaceResult",
+    "ab_run", "as_matrix", "breakdown_check", "conditioned_similarity",
+    "estimate_order", "gamma_heuristic", "lu_factor",
+    "make_known_sqrt_problem", "make_pencil_problem", "modified_ab_run",
+    "null_space_basis", "random_unitary", "run_experiment",
+    "smallest_singular_subspace", "sqrtm_ab", "subspace_distance",
+    "write_trace_csv", "write_trace_json",
 ]

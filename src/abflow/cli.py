@@ -112,7 +112,7 @@ def _parse_json(text: str, path: str) -> np.ndarray:
 
 
 def _is_count(v) -> bool:
-    return isinstance(v, int) and not isinstance(v, bool) and v > 0
+    return isinstance(v, int) and not isinstance(v, bool) and v >= 0
 
 
 def _scan_pairs(data: list, path: str) -> np.ndarray:
@@ -180,6 +180,8 @@ def _parse_orders(text: str):
         raise ValueError(f"bad order list {text!r}") from exc
     if not orders:
         raise ValueError("order list is empty")
+    if not all(1 <= r <= 16 for r in orders):
+        raise ValueError(f"order must be between 1 and 16, got {text!r}")
     return orders
 
 

@@ -11,10 +11,6 @@ class SingularMatrixError(ABFlowError):
     """A solve target is numerically singular (pivot below the cutoff)."""
 
 
-class SingularDenominatorError(SingularMatrixError):
-    """The denominator sum of a rational matrix update is singular."""
-
-
 class DimensionMismatchError(ABFlowError, ValueError):
     """Operands live in incompatible spaces."""
 
@@ -32,10 +28,6 @@ class BreakdownError(ABFlowError):
     def __init__(self, message: str, index: int | None = None):
         super().__init__(message)
         self.index = index
-
-
-class PoleEncounteredError(ABFlowError, ArithmeticError):
-    """An eigenvalue map was evaluated at a pole of its rational form."""
 
 
 class InvalidBoundsError(ABFlowError, ValueError):

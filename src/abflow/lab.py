@@ -27,14 +27,12 @@ from .sqrtm import (
     q_step,
     sqrtm_ab,
 )
-from .trace import ConvergenceTrace, estimate_order, write_trace_csv, write_trace_json
+from .trace import ConvergenceTrace, estimate_order
 
 __all__ = [
     "SpectrumEntry", "ProblemSpec", "PencilProblem",
-    "make_known_sqrt_problem", "make_pencil_problem",
-    "estimate_order", "run_experiment",
+    "make_known_sqrt_problem", "make_pencil_problem", "run_experiment",
     "random_unitary", "conditioned_similarity",
-    "ConvergenceTrace", "write_trace_csv", "write_trace_json",
 ]
 
 #: Relative error below which superlinear order estimates are unreliable.
@@ -264,8 +262,7 @@ def _sqrt_experiment(spec, order, gamma, tol, kmax):
     _check_sqrt_settings(gamma, tol, kmax)  # order 1 has no SqrtProblem
     S, X = make_known_sqrt_problem(spec)
     xnorm = float(np.linalg.norm(X, "fro")) or 1.0
-    snorm = float(np.linalg.norm(S, "fro")) or 1.0
-    steps, errors, resids, secs = [], [], [], []
+    steps, errors, secs = [], [], []
     last = time.perf_counter()
 
     def record(k, Q):
@@ -273,19 +270,23 @@ def _sqrt_experiment(spec, order, gamma, tol, kmax):
         now = time.perf_counter()
         steps.append(k)
         errors.append(float(np.linalg.norm(Q - X, "fro")) / xnorm)
-        resids.append(float(np.linalg.norm(Q @ Q - S, "fro")) / snorm)
         secs.append(now - last)
         last = now
 
     if order == 1:
-        status = _run_q_chain(S, gamma, tol, kmax,
-                              lambda Q: q_step(Q, S, gamma), record).status
+        result = _run_q_chain(S, gamma, tol, kmax,
+                              lambda Q: q_step(Q, S, gamma), record)
     else:
         prob = SqrtProblem(S, gamma=gamma, order=order, tol=tol, kmax=kmax)
-        status = sqrtm_ab(prob, observer=record).status
-    return ConvergenceTrace(tuple(steps), tuple(errors), tuple(resids),
+        result = sqrtm_ab(prob, observer=record)
+    # the solver's trace holds the residual of every step after gamma*I
+    Q1 = gamma * np.eye(S.shape[0], dtype=np.complex128)
+    snorm = float(np.linalg.norm(S, "fro")) or 1.0
+    resid1 = float(np.linalg.norm(Q1 @ Q1 - S, "fro")) / snorm
+    return ConvergenceTrace(tuple(steps), tuple(errors),
+                            (resid1,) + result.trace.residuals,
                             _order_estimates(errors), tuple(secs),
-                            status.value)
+                            result.status.value)
 
 
 def _pencil_experiment(spec, order, tol, kmax):

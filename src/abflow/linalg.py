@@ -1,10 +1,9 @@
 """Dense complex linear-algebra kernels.
 
-Factored solves with partial pivoting, rank-revealing near-null spaces,
-subspace geometry, the spectral norm, and Horner-style matrix power sums.
-Everything operates on 2-D ``complex128`` arrays, never forms an explicit
-inverse, and is a pure function of its inputs: a fixed input yields a
-bit-identical output within one build.
+Factored solves with partial pivoting, rank-revealing near-null spaces
+and subspace geometry.  Everything operates on 2-D ``complex128`` arrays,
+never forms an explicit inverse, and is a pure function of its inputs: a
+fixed input yields a bit-identical output within one build.
 """
 
 from __future__ import annotations
@@ -130,21 +129,6 @@ def lu_factor(A, scale: float = 0.0) -> LUFactorization:
     return LUFactorization(lu, piv, a_max)
 
 
-def lu_solve(A, rhs) -> np.ndarray:
-    """Solve ``A @ X = rhs`` through a fresh pivoted factorization."""
-    return lu_factor(A).solve(rhs)
-
-
-def solve_right(B, M) -> np.ndarray:
-    """Return ``B @ inv(M)`` as a factored transpose solve."""
-    f = lu_factor(M)
-    Bm = as_matrix(B, "B")
-    if Bm.shape[1] != f.n:
-        raise DimensionMismatchError(
-            f"B has {Bm.shape[1]} columns, expected {f.n}")
-    return f.solve(Bm.T, trans=True).T
-
-
 @dataclass(frozen=True)
 class SubspaceBasis:
     """Orthonormal basis of a subspace of C^n.
@@ -258,23 +242,3 @@ def _residual_norm(Bu: np.ndarray, Bv: np.ndarray) -> float:
     """``||Bv - Bu (Bu^H Bv)||_2`` from the m-by-m Gram matrix of the residual."""
     W = _residual(Bu, Bv)
     return math.sqrt(max(0.0, float(np.linalg.eigvalsh(W.conj().T @ W)[-1])))
-
-
-def induced_norm2(A) -> float:
-    """Largest singular value of ``A`` (the induced 2-norm)."""
-    M = as_matrix(A)
-    if min(M.shape) == 0:
-        return 0.0
-    return float(np.linalg.norm(M, 2))
-
-
-def matrix_power_sum(A, k: int) -> np.ndarray:
-    """Return ``I + A + ... + A**(k-1)`` by Horner accumulation."""
-    M = _as_square(A)
-    if k < 1:
-        raise ValueError("k must be at least 1")
-    eye = np.eye(M.shape[0], dtype=np.complex128)
-    acc = eye.copy()
-    for _ in range(k - 1):
-        acc = eye + M @ acc
-    return acc

@@ -18,13 +18,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import BreakdownError, PoleEncounteredError, SingularMatrixError
+from .errors import BreakdownError, SingularMatrixError
 from .linalg import (
     SubspaceBasis,
     _as_square,
     _residual,
     lu_factor,
-    matrix_power_sum,
     null_space_basis,
     smallest_singular_subspace,
     subspace_distance,
@@ -32,9 +31,6 @@ from .linalg import (
 
 #: Absolute tolerance for matching an eigenvalue against a root of unity.
 BREAKDOWN_TOL = 1e-9
-
-#: Marker for the point at infinity in eigenvalue maps.
-INFINITY = complex(math.inf, 0.0)
 
 
 @dataclass(frozen=True)
@@ -67,17 +63,13 @@ class ABIterate:
 
     Along any chain the difference A_k - B_k stays equal to A_1 - B_1;
     the update below relies on that to get B_k with no extra solve.
+    The fields are trusted, not checked: the chain builds them from a
+    validated ``Pencil``.
     """
 
     A_k: np.ndarray
     B_k: np.ndarray
     k: int
-
-    def __post_init__(self):
-        object.__setattr__(self, "A_k", _as_square(self.A_k, "A_k"))
-        object.__setattr__(self, "B_k", _as_square(self.B_k, "B_k"))
-        if self.k < 1:
-            raise ValueError("iterate index must be positive")
 
 
 class SolveStatus(enum.Enum):
@@ -133,8 +125,6 @@ def combine(it_i: ABIterate, it_j: ABIterate) -> ABIterate:
     chain.  The sum counts as singular against the scale of its summands,
     so a sum that cancels to rounding error is a breakdown.
     """
-    if it_i.A_k.shape != it_j.A_k.shape:
-        raise ValueError("iterates have different shapes")
     target = it_i.k + it_j.k
     A_i, B_j = it_i.A_k, it_j.B_k
     scale = max(float(np.abs(A_i).max(initial=0.0)),
@@ -147,57 +137,6 @@ def combine(it_i: ABIterate, it_j: ABIterate) -> ABIterate:
             index=target) from exc
     A_new = A_i @ f.solve(it_j.A_k)
     return ABIterate(A_new, A_new + it_i.B_k - A_i, target)
-
-
-def closed_form_iterate(A1, k: int) -> ABIterate:
-    """Chain element k in closed form, for an initial pencil with B_1 = I.
-
-    Returns ``(A_1^k P^{-1}, P^{-1}, k)`` with ``P = I + A_1 + ... +
-    A_1^{k-1}``.  Serves as an independent oracle for step chains.
-
-    Raises
-    ------
-    SingularMatrixError
-        If the power sum is singular (equivalently, some eigenvalue of
-        A_1 is a k-th root of unity other than 1).
-    """
-    M = _as_square(A1, "A1")
-    if k < 1:
-        raise ValueError("k must be at least 1")
-    f = lu_factor(matrix_power_sum(M, k))
-    eye = np.eye(M.shape[0], dtype=np.complex128)
-    A_k = f.solve(np.linalg.matrix_power(M, k).T, trans=True).T
-    B_k = f.solve(eye)
-    return ABIterate(A_k, B_k, k)
-
-
-def eigenvalue_map(lam, i: int, k: int):
-    """Eigenvalue of the cross pencil A_i - mu*B_k induced by ``lam``.
-
-    For finite ``lam`` the value is
-    ``lam**i * sum(lam**s, s<k) / sum(lam**s, s<i)``; infinity maps to
-    infinity.  At ``lam = 1`` both sums are exact integers and the value
-    is exactly ``k / i``.
-
-    Raises
-    ------
-    PoleEncounteredError
-        When the denominator sum vanishes (``lam`` is a nontrivial root
-        of unity of order dividing i).
-    """
-    if i < 1 or k < 1:
-        raise ValueError("indices must be positive")
-    z = complex(lam)
-    if cmath.isnan(z):
-        raise ValueError("eigenvalue is NaN")
-    if cmath.isinf(z):
-        return INFINITY
-    num = sum(z ** s for s in range(k))
-    den = sum(z ** s for s in range(i))
-    if abs(den) <= 1e-12 * i:
-        raise PoleEncounteredError(
-            f"denominator sum vanishes at lambda={z} with i={i}")
-    return z ** i * num / den
 
 
 def breakdown_check(eigenvalues, kmax: int, tol: float = BREAKDOWN_TOL):

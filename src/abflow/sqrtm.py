@@ -3,9 +3,8 @@
 The quadratic equation X^2 = S embeds into a 2n-by-2n pencil whose chain
 elements keep the block pattern [[Q_k, -I], [-S, Q_k]] / [[Q_k, I],
 [S, Q_k]], so the solver runs the equivalent n-by-n rational iteration on
-Q_k directly (identical mathematics at an eighth of the flops); the
-embedding stays available for cross-validation.  Order r=2 reproduces the
-Newton iteration from gamma*I.
+Q_k directly (identical mathematics at an eighth of the flops).  Order
+r=2 reproduces the Newton iteration from gamma*I.
 """
 
 from __future__ import annotations
@@ -16,16 +15,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (
-    BreakdownError,
-    InvalidBoundsError,
-    SingularDenominatorError,
-    SingularMatrixError,
-)
-# lu_factor is unused here but stays bound: perfbench/tracer.py patches every
-# module's binding of it, and perfbench/test_counts.py checks this one.
-from .linalg import EPS, _as_square, induced_norm2, lu_factor, solve_right  # noqa: F401
-from .pencil import Pencil, SolveStatus
+from .errors import BreakdownError, InvalidBoundsError, SingularMatrixError
+from .linalg import EPS, _as_square, lu_factor
+from .pencil import SolveStatus
 from .trace import ConvergenceTrace, estimate_order
 
 #: Successive-difference level below which an increase is treated as the
@@ -80,28 +72,6 @@ class SqrtResult:
     status: SolveStatus
 
 
-def embed_pencil(S, gamma: float) -> Pencil:
-    """The 2n-by-2n pencil whose stable subspace encodes sqrt(S).
-
-    Returns ``(gamma*I - T, gamma*I + T)`` with ``T = [[0, I], [S, 0]]``.
-    """
-    Sm = _as_square(S, "S")
-    if gamma <= 0:
-        raise ValueError("gamma must be positive")
-    n = Sm.shape[0]
-    eye = np.eye(n, dtype=np.complex128)
-    T = np.block([[np.zeros((n, n), dtype=np.complex128), eye],
-                  [Sm, np.zeros((n, n), dtype=np.complex128)]])
-    g = gamma * np.eye(2 * n, dtype=np.complex128)
-    return Pencil(g - T, g + T)
-
-
-def _partner_matrix(partner, n: int) -> np.ndarray:
-    if np.isscalar(partner):
-        return complex(partner) * np.eye(n, dtype=np.complex128)
-    return _as_square(partner, "partner")
-
-
 def q_step(Q, S, partner) -> np.ndarray:
     """One rational update ``(S + partner Q)(partner + Q)^{-1}``.
 
@@ -109,34 +79,34 @@ def q_step(Q, S, partner) -> np.ndarray:
     accelerated iteration the partner is the current outer iterate.  A
     scalar partner is promoted to a multiple of the identity.
 
+    Q, S and a matrix partner are trusted square complex arrays.
+
     Raises
     ------
     BreakdownError
         If ``partner + Q`` is numerically singular, the runtime signal
         for spectrum on the negative real axis.
     """
-    Qm = _as_square(Q, "Q")
-    Sm = _as_square(S, "S")
-    P = _partner_matrix(partner, Qm.shape[0])
+    if np.isscalar(partner):
+        partner = complex(partner) * np.eye(Q.shape[0], dtype=np.complex128)
     try:
-        return solve_right(Sm + P @ Qm, P + Qm)
+        f = lu_factor(partner + Q)
     except SingularMatrixError as exc:
         raise BreakdownError("singular partner sum in square-root step") from exc
+    return f.solve((S + partner @ Q).T, trans=True).T
 
 
 def accelerated_step(Q, S, order: int) -> np.ndarray:
     """Advance the Q-chain from element m to element order*m.
 
-    Applies ``order - 1`` chain steps with the fixed partner Q; used by
-    :func:`sqrtm_ab` once per outer step and directly checkable against
-    :func:`binomial_step`.
+    Applies ``order - 1`` chain steps with the fixed partner Q, once per
+    outer step of :func:`sqrtm_ab`, whose ``SqrtProblem`` has checked S
+    and the order.  The result equals a single rational binomial update
+    ``N(Q) D(Q)^{-1}`` in powers of Q and S.
     """
-    if order < 2:
-        raise ValueError("order must be at least 2")
-    Qm = _as_square(Q, "Q")
-    cur = Qm
+    cur = Q
     for _ in range(order - 1):
-        cur = q_step(cur, S, Qm)
+        cur = q_step(cur, S, Q)
     return cur
 
 
@@ -232,66 +202,6 @@ def _run_q_chain(S: np.ndarray, gamma: float, tol: float, kmax: int,
                              orders, tuple(secs), status.value)
     residual = float(np.linalg.norm(Qhat @ Qhat - S, "fro")) / s_norm
     return SqrtResult(Qhat, residual, trace, status)
-
-
-def binomial_step(Q, S, order: int) -> np.ndarray:
-    """Collapse one outer step into a single rational binomial update.
-
-    Returns ``N @ inv(D)`` with ``N = sum_j C(r,2j) Q^{r-2j} S^j`` and
-    ``D = sum_j C(r,2j+1) Q^{r-2j-1} S^j`` (exact integer coefficients).
-    Independent oracle for :func:`accelerated_step`.
-
-    Raises
-    ------
-    SingularDenominatorError
-        If the denominator sum is numerically singular.
-    """
-    if not 2 <= order <= 16:
-        raise ValueError("order must be between 2 and 16")
-    Qm = _as_square(Q, "Q")
-    Sm = _as_square(S, "S")
-    n = Qm.shape[0]
-    q_pow = [np.eye(n, dtype=np.complex128)]
-    for _ in range(order):
-        q_pow.append(q_pow[-1] @ Qm)
-    s_pow = [np.eye(n, dtype=np.complex128)]
-    for _ in range(order // 2):
-        s_pow.append(s_pow[-1] @ Sm)
-    num = np.zeros((n, n), dtype=np.complex128)
-    for j in range(order // 2 + 1):
-        num += math.comb(order, 2 * j) * (q_pow[order - 2 * j] @ s_pow[j])
-    den = np.zeros((n, n), dtype=np.complex128)
-    for j in range((order - 1) // 2 + 1):
-        den += math.comb(order, 2 * j + 1) * (q_pow[order - 2 * j - 1] @ s_pow[j])
-    try:
-        return solve_right(num, den)
-    except SingularMatrixError as exc:
-        raise SingularDenominatorError(str(exc)) from exc
-
-
-def newton_step(Q, S) -> np.ndarray:
-    """One Newton update ``(Q + S Q^{-1}) / 2``."""
-    Qm = _as_square(Q, "Q")
-    Sm = _as_square(S, "S")
-    return 0.5 * (Qm + solve_right(Sm, Qm))
-
-
-def cayley_factor(M, gamma: float) -> np.ndarray:
-    """Moebius image ``(gamma I - M)(gamma I + M)^{-1}``.
-
-    Maps the open right half-plane into the open unit disk; the chain's
-    contraction factor is the Cayley factor of sqrt(S) at gamma.
-    """
-    Mm = _as_square(M, "M")
-    g = gamma * np.eye(Mm.shape[0], dtype=np.complex128)
-    return solve_right(g - Mm, g + Mm)
-
-
-def cayley_residual(Q, X_true) -> float:
-    """Cayley error measure ``||(X - Q)(X + Q)^{-1}||_2`` against a known root."""
-    Qm = _as_square(Q, "Q")
-    Xm = _as_square(X_true, "X_true")
-    return induced_norm2(solve_right(Xm - Qm, Xm + Qm))
 
 
 def gamma_heuristic(sqrt_spectrum_bounds) -> float:

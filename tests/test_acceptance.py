@@ -19,21 +19,9 @@ from abflow import (
     SolveStatus,
     SqrtProblem,
     ab_run,
-    ab_step,
-    accelerated_step,
-    binomial_step,
     breakdown_check,
-    cayley_factor,
-    cayley_residual,
-    closed_form_iterate,
-    combine,
-    eigenvalue_map,
-    embed_pencil,
-    first_iterate,
     gamma_heuristic,
     modified_ab_run,
-    newton_step,
-    q_step,
     sqrtm_ab,
     subspace_distance,
 )
@@ -46,7 +34,18 @@ from abflow.lab import (
     run_experiment,
 )
 from abflow.linalg import EPS
+from abflow.pencil import ab_step, combine, first_iterate
+from abflow.sqrtm import accelerated_step, q_step
 
+from oracles import (
+    binomial_step,
+    cayley_factor,
+    cayley_residual,
+    closed_form_iterate,
+    eigenvalue_map,
+    embed_pencil,
+    newton_step,
+)
 from util import chain, rel_err, stable_pencil
 
 

