@@ -10,7 +10,10 @@ run and hashes what it returned: status, iteration count, U, Lambda and
 residual of the subspace runs plus every observed chain element; X,
 residual and trace columns of the square-root runs; the traces and
 written trace files of ``run_experiment`` (wall seconds zeroed).  Two
-trees whose outputs agree on a line computed that run bit for bit.
+trees whose outputs agree on a line computed that run bit for bit.  The
+subspace lines also print ``sin=``, the distance of U to the problem's
+known basis in clear text, so a diff of two trees tells a change of bits
+from a change of accuracy.
 
 The runs: 18 F_pencil problems (n = 6..20) through ``ab_run`` with and
 without ``expected_dim`` and ``modified_ab_run`` at r = 2, 3, 4, 7;
@@ -67,9 +70,11 @@ for i, prob in enumerate(pencils):
     for tag, run in runs:
         seen = []
         res = run(lambda it, b: seen.extend([it.A_k, it.B_k, [it.k], b.basis]))
+        sin = abflow.subspace_distance(res.U, prob.basis)
         out.append(f"pencil{i} {tag} status={res.status.value} "
                    f"it={res.iterations} dim={res.U.dim} U={h(res.U.basis)} "
-                   f"L={h(res.Lambda)} res={res.residual!r} obs={h(*seen)}")
+                   f"sin={sin:.1e} L={h(res.Lambda)} res={res.residual!r} "
+                   f"obs={h(*seen)}")
 
 for i, (_, case) in enumerate(workloads.sqrt_pool(5, 9, n=24)[:8]):
     for r in (2, 3, 5):

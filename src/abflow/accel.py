@@ -69,7 +69,9 @@ def accel_step(it: ABIterate, order: int) -> ABIterate:
 
 def modified_ab_run(initial: Pencil, cfg: AccelConfig,
                     observer=None) -> SubspaceResult:
-    """Accelerated subspace run; extraction is identical to ``ab_run``.
+    """Accelerated subspace run; extraction is identical to ``ab_run``:
+    one per outer iterate, a rank-revealing pivoted QR when
+    ``cfg.expected_dim`` is set and an SVD threshold otherwise.
 
     The stopping rule compares near-null bases of successive outer
     iterates only.  ``observer(iterate, basis)`` is invoked per outer

@@ -201,7 +201,7 @@ def make_pencil_problem(spec: ProblemSpec, random_b: bool = False) -> PencilProb
     U, R = np.linalg.qr(P[:, :m])
     D_s = D[:m, :m]
     Lam = _solve_right(R @ D_s, R) if m else np.zeros((0, 0), np.complex128)
-    basis = SubspaceBasis(U, np.ones(m))
+    basis = SubspaceBasis(U)
     defect = np.linalg.norm(A @ U - B @ U @ Lam, "fro")
     scale = max(1.0, np.linalg.norm(A, "fro"))
     if defect > 1e-11 * scale:

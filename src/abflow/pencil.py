@@ -224,8 +224,7 @@ def _run_chain(initial: Pencil, advance, tol: float, kmax: int,
         try:
             it = advance(it)
         except BreakdownError as exc:
-            empty = SubspaceBasis(np.zeros((initial.n, 0), np.complex128),
-                                  np.zeros(0))
+            empty = SubspaceBasis(np.zeros((initial.n, 0), np.complex128))
             return SubspaceResult(empty, np.zeros((0, 0), np.complex128),
                                   math.nan, exc.index, SolveStatus.BREAKDOWN)
         basis = _extract_basis(it.A_k, expected_dim)
@@ -247,11 +246,14 @@ def ab_run(initial: Pencil, tol: float, kmax: int,
 
     Iterates ``ab_step`` until the distance between the near-null bases
     of consecutive A_k drops below ``tol``, then recovers the coupling
-    block from the original pencil.  Without ``expected_dim`` the basis
+    block from the original pencil.  Each chain element gets one
+    extraction.  Without ``expected_dim`` it is an SVD threshold: the basis
     holds the singular directions below ``DEFAULT_RANK_TOL`` times the
     largest singular value, and a step with an empty basis counts as
-    distance 1 unless n = 0; with it, the basis is the span of that many
-    smallest singular directions.  With widely spread stable eigenvalue
+    distance 1 unless n = 0.  With it, the basis is the near-null space of
+    that dimension from a rank-revealing pivoted QR of ``A_k^H``
+    (Bai-Demmel-Gu, see ``smallest_singular_subspace``), a fraction of the
+    cost of an SVD.  With widely spread stable eigenvalue
     magnitudes the threshold rule can settle on the fastest-decaying
     directions before slower ones cross the cutoff; the result is then a
     genuine deflating pair of smaller dimension, so supply

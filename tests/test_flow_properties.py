@@ -178,5 +178,5 @@ def _basis_pair(draw):
 @given(pair=_basis_pair())
 def test_stopping_test_decides_like_subspace_distance(pair):
     U, V, tol = pair
-    U, V = SubspaceBasis(U, np.ones(U.shape[1])), SubspaceBasis(V, np.ones(V.shape[1]))
+    U, V = SubspaceBasis(U), SubspaceBasis(V)
     assert _settled(U, V, tol) == (subspace_distance(U, V) < tol)

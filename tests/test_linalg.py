@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from abflow import (
     DimensionMismatchError,
@@ -116,7 +117,7 @@ def test_null_space_recovers_constructed_dimension():
         basis = null_space_basis(A)
         assert basis.dim == m
         true = Q[:, n - m:]
-        assert subspace_distance(basis, SubspaceBasis(true, np.ones(m))) <= 1e-8
+        assert subspace_distance(basis, SubspaceBasis(true)) <= 1e-8
 
 
 def test_subspace_distance_examples():
@@ -203,9 +204,91 @@ def test_smallest_singular_subspace_picks_bottom_directions():
     assert abs(abs(basis.basis[1, 0]) - 1.0) <= 1e-12
 
 
+def _orthonormality_defect(B):
+    return float(np.abs(B.conj().T @ B - np.eye(B.shape[1])).max(initial=0.0))
+
+
+def _with_singular_values(rows, sing, rng, scatter=False):
+    """``rows``-by-n matrix ``U diag(sing) V^H`` and its right factor V.
+
+    With ``scatter`` U is a random selection of unit vectors with random
+    phases, so each singular direction is one row, in random order: the
+    first rows need not be the dominant ones, and only pivoting finds them.
+    """
+    n = len(sing)
+    if scatter:
+        U = np.zeros((rows, n), dtype=complex)
+        U[rng.permutation(rows)[:n], np.arange(n)] = np.exp(2j * np.pi * rng.random(n))
+    else:
+        U = random_unitary(rows, rng)[:, :n]
+    V = random_unitary(n, rng)
+    return (U * sing) @ V.conj().T, V
+
+
+@pytest.mark.parametrize("rows_extra", [0, 3])
+def test_smallest_singular_subspace_exact_null_space(rows_extra):
+    rng = np.random.default_rng(8)
+    for n, m in [(1, 1), (4, 1), (7, 3), (12, 6), (20, 19)]:
+        sing = np.concatenate([np.linspace(1.0, 3.0, n - m), np.zeros(m)])
+        A, V = _with_singular_values(n + rows_extra, sing, rng)
+        basis = smallest_singular_subspace(A, m)
+        assert basis.dim == m and basis.ambient_dim == n
+        assert subspace_distance(basis, V[:, n - m:]) <= 1e-12
+        assert np.linalg.norm(A @ basis.basis) <= 1e-13 * n
+        assert _orthonormality_defect(basis.basis) <= 1e-13
+
+
+@pytest.mark.parametrize("shape,dim", [
+    ((0, 0), 0), ((0, 4), 0), ((0, 4), 2), ((0, 4), 4), ((4, 0), 0),
+    ((3, 7), 4), ((3, 7), 7), ((7, 3), 1), ((7, 3), 3),
+    ((5, 5), 0), ((5, 5), 5),
+])
+def test_smallest_singular_subspace_edge_shapes(shape, dim):
+    rng = np.random.default_rng(10)
+    A = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    basis = smallest_singular_subspace(A, dim)
+    assert basis.basis.shape == (shape[1], dim)
+    assert basis.basis.dtype == np.complex128
+    assert _orthonormality_defect(basis.basis) <= 1e-13
+    if dim <= shape[1] - min(shape):     # inside the exact null space
+        assert np.linalg.norm(A @ basis.basis) <= 1e-12
+
+
+@pytest.mark.parametrize("dim", [0, 1, 3, 4])
+def test_smallest_singular_subspace_zero_matrix(dim):
+    basis = smallest_singular_subspace(np.zeros((4, 4), dtype=complex), dim)
+    assert basis.basis.shape == (4, dim)
+    assert _orthonormality_defect(basis.basis) <= 1e-15
+
+
+def test_smallest_singular_subspace_rejects_bad_dim():
+    for dim in (-1, 4):
+        with pytest.raises(DimensionMismatchError):
+            smallest_singular_subspace(np.eye(3, dtype=complex), dim)
+
+
+@settings(derandomize=True, deadline=None, max_examples=60)
+@given(n=st.integers(1, 14), rows_extra=st.integers(0, 3),
+       r_frac=st.floats(0.0, 1.0), ratio=st.floats(0.0, 1e-8),
+       scatter=st.booleans(), seed=st.integers(0, 2 ** 32 - 1))
+def test_smallest_singular_subspace_follows_a_wide_gap(n, rows_extra, r_frac,
+                                                       ratio, scatter, seed):
+    """With sigma_{r+1} / sigma_r <= 1e-8 the pivoted-QR span lies within
+    1e-6 of the trailing right singular vectors."""
+    rng = np.random.default_rng(seed)
+    r = int(round(r_frac * n))
+    top = rng.uniform(1.0, 10.0, r)
+    low = top.min(initial=1.0) * ratio * rng.random(n - r)
+    A, V = _with_singular_values(n + rows_extra, np.concatenate([top, low]),
+                                 rng, scatter)
+    basis = smallest_singular_subspace(A, n - r)
+    assert subspace_distance(basis, V[:, r:]) <= 1e-6
+    assert _orthonormality_defect(basis.basis) <= 1e-13
+
+
 def test_subspace_basis_rejects_non_orthonormal():
     with pytest.raises(ValueError):
-        SubspaceBasis(np.array([[1.0], [1.0]], dtype=complex), np.ones(1))
+        SubspaceBasis(np.array([[1.0], [1.0]], dtype=complex))
 
 
 def test_induced_norm2_examples():

@@ -7,12 +7,14 @@ import numpy as np
 import pytest
 
 from abflow import (
+    AccelConfig,
     BreakdownError,
     Pencil,
     SingularMatrixError,
     SolveStatus,
     ab_run,
     breakdown_check,
+    modified_ab_run,
     subspace_distance,
 )
 from abflow.lab import make_pencil_problem, ProblemSpec, random_unitary
@@ -290,6 +292,31 @@ def test_ab_run_recovers_constructed_subspace():
     assert result.residual <= 1e-8
     eig = np.linalg.eigvals(result.Lambda)
     assert sorted(np.abs(eig)) == pytest.approx([0.3, 0.6], abs=1e-7)
+
+
+def _f_pencil(n, rng):
+    """An F_pencil draw: cond 10, random B, n/2 stable moduli 0.9*U(0,1),
+    the rest 1.1 + 2*U(0,1), arguments uniform."""
+    m = n // 2
+    moduli = np.concatenate([0.9 * rng.random(m), 1.1 + 2.0 * rng.random(n - m)])
+    spec = ProblemSpec(tuple(moduli * np.exp(2j * np.pi * rng.random(n))),
+                       cond=10.0, seed=int(rng.integers(2 ** 32)))
+    return make_pencil_problem(spec, random_b=True)
+
+
+@pytest.mark.parametrize("n", [6, 10, 16, 24, 32, 48])
+def test_extraction_converges_to_the_known_basis_on_f_pencil(n):
+    """Plain and order-r runs with ``expected_dim`` reach the generator's
+    basis to 1e-10 through the pivoted-QR extraction."""
+    prob = _f_pencil(n, np.random.default_rng([7, n]))
+    m = prob.basis.dim
+    results = [ab_run(prob.pencil, 1e-12, 500, expected_dim=m)]
+    for r in (2, 3, 4, 7):
+        cfg = AccelConfig(order=r, tol=1e-12, kmax=60, expected_dim=m)
+        results.append(modified_ab_run(prob.pencil, cfg))
+    for res in results:
+        assert res.status is SolveStatus.CONVERGED
+        assert subspace_distance(res.U, prob.basis) <= 1e-10
 
 
 def test_ab_run_max_iterations_status():
