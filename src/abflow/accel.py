@@ -70,8 +70,8 @@ def accel_step(it: ABIterate, order: int) -> ABIterate:
 def modified_ab_run(initial: Pencil, cfg: AccelConfig,
                     observer=None) -> SubspaceResult:
     """Accelerated subspace run; extraction is identical to ``ab_run``:
-    one per outer iterate, a rank-revealing pivoted QR when
-    ``cfg.expected_dim`` is set and an SVD threshold otherwise.
+    one pivoted QR per outer iterate, keeping ``cfg.expected_dim``
+    directions when it is set and the threshold rank's otherwise.
 
     The stopping rule compares near-null bases of successive outer
     iterates only.  ``observer(iterate, basis)`` is invoked per outer

@@ -18,7 +18,7 @@ import numpy as np
 
 from .accel import AccelConfig, modified_ab_run
 from .errors import InvalidSpectrumError
-from .linalg import EPS, SubspaceBasis, subspace_distance
+from .linalg import SubspaceBasis, subspace_distance
 from .pencil import BREAKDOWN_TOL, Pencil, ab_run, breakdown_check
 from .sqrtm import (
     SqrtProblem,
@@ -27,16 +27,13 @@ from .sqrtm import (
     q_step,
     sqrtm_ab,
 )
-from .trace import ConvergenceTrace, estimate_order
+from .trace import ConvergenceTrace, _order_estimates
 
 __all__ = [
     "SpectrumEntry", "ProblemSpec", "PencilProblem",
     "make_known_sqrt_problem", "make_pencil_problem", "run_experiment",
     "random_unitary", "conditioned_similarity",
 ]
-
-#: Relative error below which superlinear order estimates are unreliable.
-SATURATION_GUARD = 1e2 * EPS
 
 #: Largest chain index scanned when classifying unit-circle eigenvalues.
 _BREAKDOWN_SCAN = 64
@@ -208,22 +205,6 @@ def make_pencil_problem(spec: ProblemSpec, random_b: bool = False) -> PencilProb
         raise RuntimeError(f"generator self-check failed: defect {defect:.2e}")
     return PencilProblem(Pencil(A, B), basis, Lam,
                          min(tags) if tags else None)
-
-
-def _presaturation(errors):
-    out = []
-    for e in errors:
-        if e <= SATURATION_GUARD:
-            break
-        out.append(e)
-    return out
-
-
-def _order_estimates(errors):
-    pre = _presaturation(errors)
-    if sum(1 for e in pre if e > 0) < 3:
-        return ()
-    return tuple(estimate_order(pre))
 
 
 def run_experiment(kind: str, spec: ProblemSpec, *, order: int = 2,

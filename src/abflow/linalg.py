@@ -13,14 +13,15 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-from scipy.linalg.lapack import zgeqp3, zgetrf, zgetrs, zungqr
+from scipy.linalg.lapack import zgeqp3, zgetrf, zgetrs, zunmqr
 
 from .errors import DimensionMismatchError, SingularMatrixError
 
 EPS = float(np.finfo(np.float64).eps)
 
-#: Default relative cutoff sigma_i < rank_tol * sigma_max for near-null
-#: directions; sits between iteration tolerances and machine precision.
+#: Default relative rank cutoff |r_jj| < rank_tol * |r_11| on the diagonal
+#: of a pivoted QR (|r_11| lies in [sigma_max / sqrt(n), sigma_max]); sits
+#: between iteration tolerances and machine precision.
 DEFAULT_RANK_TOL = 1e-8
 
 #: Safety factor on the relative pivot cutoff n*eps*max|A|.  The bare
@@ -170,9 +171,12 @@ def _lapack_basis(B: np.ndarray) -> SubspaceBasis:
 def null_space_basis(A, rank_tol: float = DEFAULT_RANK_TOL) -> SubspaceBasis:
     """Orthonormal basis of the right near-null space of ``A``.
 
-    Collects the right singular vectors whose singular values satisfy
-    ``sigma < rank_tol * sigma_max``, from a full SVD: the rank rule is
-    stated in singular values.  An empty basis is a valid result.
+    The rank ``r`` is read off the pivoted QR ``A^H P = Q R`` as LAPACK's
+    rank-deciding least-squares routine ``xGELSY`` does: the length of the
+    leading run of ``|r_jj| >= rank_tol * |r_11|`` (0 for the zero matrix),
+    where ``|r_11|``, the largest row norm of ``A``, lies in
+    ``[sigma_max / sqrt(n_rows), sigma_max]``.  The basis spans the
+    trailing ``n_cols - r`` columns of Q and may be empty.
 
     Parameters
     ----------
@@ -183,24 +187,15 @@ def null_space_basis(A, rank_tol: float = DEFAULT_RANK_TOL) -> SubspaceBasis:
     """
     if not rank_tol > 0:
         raise ValueError(f"rank_tol must be positive, got {rank_tol!r}")
-    M = as_matrix(A)
-    n_cols = M.shape[1]
-    if M.shape[0] == 0 or n_cols == 0:
-        return _lapack_basis(np.eye(n_cols, dtype=np.complex128))
-    _, s, vh = np.linalg.svd(M, full_matrices=True)
-    if s[0] == 0.0:
-        return _lapack_basis(np.eye(n_cols, dtype=np.complex128))
-    rank = int(np.sum(s >= rank_tol * s[0]))
-    return _lapack_basis(vh[rank:].conj().T)
+    return _pivoted_qr_null_space(as_matrix(A), rank_tol=rank_tol)
 
 
 def smallest_singular_subspace(A, dim: int) -> SubspaceBasis:
     """Orthonormal basis of the ``dim``-dimensional right near-null space
     of ``A``, from a rank-revealing QR with column pivoting.
 
-    The pivoted QR of ``A^H`` (LAPACK ``zgeqp3``) gives ``A^H P = Q R``
-    with the ``r = n_cols - dim`` dominant rows of ``A`` pivoted first; the
-    trailing ``dim`` columns of the full ``Q`` (``zungqr``) are their
+    The pivoted QR ``A^H P = Q R`` puts the ``r = n_cols - dim`` dominant
+    rows of ``A`` first; the trailing ``dim`` columns of Q are their
     orthogonal complement, and ``A`` maps them to the block ``R22^H``.
     This is the extraction Bai, Demmel & Gu (Numer. Math. 76, 1997) use
     for the inverse-free divide-and-conquer iterate: the span is exact
@@ -216,20 +211,35 @@ def smallest_singular_subspace(A, dim: int) -> SubspaceBasis:
         If ``dim`` lies outside ``0..n_cols``.
     """
     M = as_matrix(A)
-    n_rows, n_cols = M.shape
-    if not 0 <= dim <= n_cols:
+    if not 0 <= dim <= M.shape[1]:
         raise DimensionMismatchError(
-            f"requested dim {dim} outside 0..{n_cols}")
-    if n_rows == 0 or dim == 0:
-        return _lapack_basis(np.eye(n_cols, dtype=np.complex128)[:, n_cols - dim:])
+            f"requested dim {dim} outside 0..{M.shape[1]}")
+    return _pivoted_qr_null_space(M, dim)
+
+
+def _pivoted_qr_null_space(M: np.ndarray, dim: int | None = None,
+                           rank_tol: float = DEFAULT_RANK_TOL) -> SubspaceBasis:
+    """The trailing ``dim`` columns of Q in ``M^H P = Q R`` (LAPACK
+    ``zgeqp3``), or without ``dim`` those the threshold rank leaves.
+
+    With ``r`` leading columns dropped, the basis is the first ``r``
+    reflectors (all if fewer) applied to ``I[:, r:]`` (``zunmqr``): the
+    later ones only rotate those columns within their own span.
+    """
+    n_cols = M.shape[1]
+    r = 0 if dim is None else n_cols - dim
+    if M.size == 0 or dim in (0, n_cols):     # I[:, r:] without a QR
+        return _lapack_basis(np.eye(n_cols, dtype=np.complex128)[:, r:])
     qr, _, tau, _, _ = zgeqp3(M.conj().T, overwrite_a=True)
-    if qr.shape[1] != n_cols:
-        # zungqr wants the n_cols x n_cols frame with the reflectors in front
-        frame = np.zeros((n_cols, n_cols), dtype=np.complex128, order="F")
-        frame[:, :tau.shape[0]] = qr[:, :tau.shape[0]]
-        qr = frame
-    q, _, _ = zungqr(qr, tau, overwrite_a=True)
-    return _lapack_basis(q[:, n_cols - dim:])
+    if dim is None:
+        diag = np.abs(qr.diagonal())
+        keep = (diag >= rank_tol * diag[0]) & (diag > 0.0)   # none when R = 0
+        r = int(np.argmin(np.append(keep, False)))
+    basis = np.eye(n_cols, n_cols - r, -r, dtype=np.complex128, order="F")
+    if r > 0:   # qr[:, :r] has as many columns as tau[:r] has reflectors
+        basis = zunmqr("L", "N", qr[:, :r], tau[:r], basis,
+                       max(1, n_cols - r), overwrite_c=True)[0]
+    return _lapack_basis(basis)
 
 
 def _basis_array(U) -> np.ndarray:

@@ -247,17 +247,17 @@ def ab_run(initial: Pencil, tol: float, kmax: int,
     Iterates ``ab_step`` until the distance between the near-null bases
     of consecutive A_k drops below ``tol``, then recovers the coupling
     block from the original pencil.  Each chain element gets one
-    extraction.  Without ``expected_dim`` it is an SVD threshold: the basis
-    holds the singular directions below ``DEFAULT_RANK_TOL`` times the
-    largest singular value, and a step with an empty basis counts as
-    distance 1 unless n = 0.  With it, the basis is the near-null space of
-    that dimension from a rank-revealing pivoted QR of ``A_k^H``
-    (Bai-Demmel-Gu, see ``smallest_singular_subspace``), a fraction of the
-    cost of an SVD.  With widely spread stable eigenvalue
-    magnitudes the threshold rule can settle on the fastest-decaying
-    directions before slower ones cross the cutoff; the result is then a
-    genuine deflating pair of smaller dimension, so supply
-    ``expected_dim`` when the stable dimension is known.
+    extraction, a rank-revealing pivoted QR ``A_k^H P = Q R``
+    (Bai-Demmel-Gu, see ``smallest_singular_subspace``), which keeps
+    ``expected_dim`` directions or, without it, those past the threshold
+    rank: the leading run of ``|r_jj| >= DEFAULT_RANK_TOL * |r_11|``,
+    with ``|r_11|`` within a factor ``sqrt(n)`` below the largest
+    singular value (see ``null_space_basis``).  A threshold step with an
+    empty basis counts as distance 1 unless n = 0.  With widely spread
+    stable eigenvalue magnitudes the threshold rule can settle on the
+    fastest-decaying directions before slower ones cross the cutoff; the
+    result is then a genuine deflating pair of smaller dimension, so
+    supply ``expected_dim`` when the stable dimension is known.
 
     Parameters
     ----------

@@ -18,7 +18,8 @@ import numpy as np
 from .errors import BreakdownError, InvalidBoundsError, SingularMatrixError
 from .linalg import EPS, _as_square, lu_factor
 from .pencil import SolveStatus
-from .trace import ConvergenceTrace, estimate_order
+# unused estimate_order stays bound for perfbench/test_counts.py's tracer
+from .trace import ConvergenceTrace, _order_estimates, estimate_order  # noqa: F401
 
 #: Successive-difference level below which an increase is treated as the
 #: rounding floor rather than transient behaviour.
@@ -159,6 +160,7 @@ def _run_q_chain(S: np.ndarray, gamma: float, tol: float, kmax: int,
     status = SolveStatus.MAX_ITERATIONS
     best_diff = math.inf
     best_Q = Qhat
+    best_k = -1     # row of best_Q in the trace; -1 while there is none
     rising = 0
     for k in range(2, kmax + 1):
         t0 = time.perf_counter()
@@ -179,8 +181,7 @@ def _run_q_chain(S: np.ndarray, gamma: float, tol: float, kmax: int,
         resids.append(float(np.linalg.norm(Qhat @ Qhat - S, "fro")) / s_norm)
         secs.append(dt)
         if diff < best_diff:
-            best_diff = diff
-            best_Q = Qhat
+            best_diff, best_Q, best_k = diff, Qhat, len(resids) - 1
         if diff < tol:
             status = SolveStatus.CONVERGED
             break
@@ -189,18 +190,15 @@ def _run_q_chain(S: np.ndarray, gamma: float, tol: float, kmax: int,
                    and (rising >= 2 or diff > 10.0 * best_diff))
         if floored:
             status = SolveStatus.CONVERGED
-            Qhat = best_Q
             break
 
-    if status is not SolveStatus.CONVERGED and best_diff < math.inf:
+    if best_k >= 0:
         Qhat = best_Q
-    if sum(1 for d in diffs if d > 0) >= 3:
-        orders = tuple(estimate_order(diffs))
-    else:
-        orders = ()
+    # with no best iterate Qhat is the last one, whose residual is resids[-1]
+    residual = (resids[best_k] if resids else
+                float(np.linalg.norm(Qhat @ Qhat - S, "fro")) / s_norm)
     trace = ConvergenceTrace(tuple(steps), tuple(diffs), tuple(resids),
-                             orders, tuple(secs), status.value)
-    residual = float(np.linalg.norm(Qhat @ Qhat - S, "fro")) / s_norm
+                             _order_estimates(diffs), tuple(secs), status.value)
     return SqrtResult(Qhat, residual, trace, status)
 
 

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 import os
@@ -9,9 +10,13 @@ import tempfile
 from dataclasses import dataclass
 
 from .errors import InsufficientDataError
+from .linalg import EPS
 
 #: Skip an order estimate when the reference log-ratio is this small.
 _FLAT_RATIO_TOL = 1e-12
+
+#: Relative error at or below which a trace's order estimates stop.
+SATURATION_GUARD = 1e2 * EPS
 
 
 @dataclass(frozen=True)
@@ -78,12 +83,30 @@ def estimate_order(errors) -> list:
     return [est for _, est in _log_ratios(vals)]
 
 
-def _orders_by_row(errors) -> list:
-    """Per-row order estimates aligned with the newest error; NaN if absent."""
-    out = [math.nan] * len(errors)
-    for k, est in _log_ratios(errors):
-        out[k + 1] = est
-    return out
+def _presaturation(errors) -> list:
+    """The errors before the first one at or below ``SATURATION_GUARD``."""
+    return list(itertools.takewhile(lambda e: e > SATURATION_GUARD, errors))
+
+
+def _order_estimates(errors) -> tuple:
+    """The ``orders`` of a trace: ``estimate_order`` over the errors before
+    saturation, empty when fewer than three remain."""
+    pre = _presaturation(errors)
+    return tuple(estimate_order(pre)) if len(pre) >= 3 else ()
+
+
+#: The columns of a trace file, one row per step.
+_FIELDS = ("step", "error", "residual", "order_estimate", "elapsed_seconds")
+
+
+def _rows(trace: ConvergenceTrace):
+    """The ``_FIELDS`` of each step; the order estimates are those of
+    ``_order_estimates``, on the row of their newest error, else None."""
+    orders = [None] * len(trace.errors)
+    for k, est in _log_ratios(_presaturation(trace.errors)):
+        orders[k + 1] = est
+    return zip(trace.steps, trace.errors, trace.residuals, orders,
+               trace.seconds)
 
 
 def atomic_write_text(path, text: str) -> None:
@@ -102,39 +125,21 @@ def atomic_write_text(path, text: str) -> None:
         raise
 
 
-def _fmt(x: float) -> str:
-    return "" if math.isnan(x) else repr(float(x))
+def _fmt(x) -> str:
+    return "" if x is None or math.isnan(x) else repr(float(x))
 
 
 def write_trace_csv(trace: ConvergenceTrace, path) -> None:
     """Emit one CSV row per step: step,error,residual,order,seconds."""
-    lines = ["step,error,residual,order_estimate,elapsed_seconds"]
-    row_orders = _orders_by_row(trace.errors)
-    for i, step in enumerate(trace.steps):
-        lines.append(",".join([
-            str(step),
-            _fmt(trace.errors[i]),
-            _fmt(trace.residuals[i]),
-            _fmt(row_orders[i]),
-            _fmt(trace.seconds[i]),
-        ]))
+    lines = [",".join(_FIELDS)]
+    lines += [",".join([str(step)] + [_fmt(x) for x in rest])
+              for step, *rest in _rows(trace)]
     atomic_write_text(path, "\n".join(lines) + "\n")
 
 
 def write_trace_json(trace: ConvergenceTrace, path, header: dict | None = None) -> None:
     """Emit the trace as JSON: a header object plus one record per step."""
-    row_orders = _orders_by_row(trace.errors)
-    records = []
-    for i, step in enumerate(trace.steps):
-        rec = {
-            "step": step,
-            "error": trace.errors[i],
-            "residual": trace.residuals[i],
-            "order_estimate": (None if math.isnan(row_orders[i])
-                               else row_orders[i]),
-            "elapsed_seconds": trace.seconds[i],
-        }
-        records.append(rec)
+    records = [dict(zip(_FIELDS, row)) for row in _rows(trace)]
     doc = {
         "header": dict(header or {}),
         "status": trace.status,

@@ -96,6 +96,24 @@ def test_trace_json_has_header_and_steps(tmp_path):
     assert doc["steps"][3]["order_estimate"] == pytest.approx(2.0)
 
 
+def test_written_order_cells_are_the_trace_orders(tmp_path):
+    """Both writers show exactly ``trace.orders``, in order: no estimate
+    read off the rounding floor that the trace itself drops."""
+    spec = ProblemSpec((2, 3, 5, 7), cond=10, seed=0)
+    S, _ = make_known_sqrt_problem(spec)
+    traces = [run_experiment("sqrt", spec, order=2, gamma=2.0),
+              sqrtm_ab(SqrtProblem(S, gamma=2.0)).trace]
+    for tr in traces:
+        write_trace_csv(tr, tmp_path / "t.csv")
+        write_trace_json(tr, tmp_path / "t.json")
+        with open(tmp_path / "t.csv", newline="") as fh:
+            cells = [r["order_estimate"] for r in csv.DictReader(fh)]
+        assert [float(c) for c in cells if c] == list(tr.orders)
+        steps = json.loads((tmp_path / "t.json").read_text())["steps"]
+        assert [s["order_estimate"] for s in steps
+                if s["order_estimate"] is not None] == list(tr.orders)
+
+
 # ----------------------------- generators -----------------------------
 
 def test_sqrt_generator_self_consistency():

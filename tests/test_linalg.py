@@ -241,17 +241,23 @@ def test_smallest_singular_subspace_exact_null_space(rows_extra):
 @pytest.mark.parametrize("shape,dim", [
     ((0, 0), 0), ((0, 4), 0), ((0, 4), 2), ((0, 4), 4), ((4, 0), 0),
     ((3, 7), 4), ((3, 7), 7), ((7, 3), 1), ((7, 3), 3),
-    ((5, 5), 0), ((5, 5), 5),
+    ((5, 5), 0), ((5, 5), 5), ((3, 7), 2),
 ])
 def test_smallest_singular_subspace_edge_shapes(shape, dim):
+    """Both extractions on a random matrix of full rank ``min(shape)``;
+    the threshold rule finds that rank, so its basis is the exact null
+    space.  At ``(3, 7)`` with ``dim = 2`` the QR has fewer reflectors
+    (3) than the 5 leading columns dropped."""
     rng = np.random.default_rng(10)
     A = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
-    basis = smallest_singular_subspace(A, dim)
-    assert basis.basis.shape == (shape[1], dim)
-    assert basis.basis.dtype == np.complex128
-    assert _orthonormality_defect(basis.basis) <= 1e-13
-    if dim <= shape[1] - min(shape):     # inside the exact null space
-        assert np.linalg.norm(A @ basis.basis) <= 1e-12
+    null_dim = shape[1] - min(shape)
+    for basis, m in ((smallest_singular_subspace(A, dim), dim),
+                     (null_space_basis(A), null_dim)):
+        assert basis.basis.shape == (shape[1], m)
+        assert basis.basis.dtype == np.complex128
+        assert _orthonormality_defect(basis.basis) <= 1e-13
+        if m <= null_dim:     # inside the exact null space
+            assert np.linalg.norm(A @ basis.basis) <= 1e-12
 
 
 @pytest.mark.parametrize("dim", [0, 1, 3, 4])
@@ -273,17 +279,25 @@ def test_smallest_singular_subspace_rejects_bad_dim():
        scatter=st.booleans(), seed=st.integers(0, 2 ** 32 - 1))
 def test_smallest_singular_subspace_follows_a_wide_gap(n, rows_extra, r_frac,
                                                        ratio, scatter, seed):
-    """With sigma_{r+1} / sigma_r <= 1e-8 the pivoted-QR span lies within
-    1e-6 of the trailing right singular vectors."""
-    rng = np.random.default_rng(seed)
+    """With sigma_{r+1} / sigma_r <= 1e-8 the pivoted-QR span of dimension
+    n - r lies within 1e-6 of the trailing right singular vectors.  With
+    the gap widened to 1e-10 around DEFAULT_RANK_TOL (sigma_r >= 0.1
+    sigma_max), the threshold rule finds rank r and the same span; for
+    r = 0 its relative rule sees rank 0 only in the zero matrix."""
     r = int(round(r_frac * n))
-    top = rng.uniform(1.0, 10.0, r)
-    low = top.min(initial=1.0) * ratio * rng.random(n - r)
-    A, V = _with_singular_values(n + rows_extra, np.concatenate([top, low]),
-                                 rng, scatter)
-    basis = smallest_singular_subspace(A, n - r)
-    assert subspace_distance(basis, V[:, r:]) <= 1e-6
-    assert _orthonormality_defect(basis.basis) <= 1e-13
+    extractions = [(lambda A: smallest_singular_subspace(A, n - r), 1.0)]
+    if r > 0 or ratio == 0.0:
+        extractions.append((null_space_basis, 1e-2))
+    for extract, widen in extractions:
+        rng = np.random.default_rng(seed)
+        top = rng.uniform(1.0, 10.0, r)
+        low = top.min(initial=1.0) * ratio * widen * rng.random(n - r)
+        A, V = _with_singular_values(n + rows_extra, np.concatenate([top, low]),
+                                     rng, scatter)
+        basis = extract(A)
+        assert basis.dim == n - r
+        assert subspace_distance(basis, V[:, r:]) <= 1e-6
+        assert _orthonormality_defect(basis.basis) <= 1e-13
 
 
 def test_subspace_basis_rejects_non_orthonormal():

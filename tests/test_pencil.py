@@ -306,11 +306,13 @@ def _f_pencil(n, rng):
 
 @pytest.mark.parametrize("n", [6, 10, 16, 24, 32, 48])
 def test_extraction_converges_to_the_known_basis_on_f_pencil(n):
-    """Plain and order-r runs with ``expected_dim`` reach the generator's
-    basis to 1e-10 through the pivoted-QR extraction."""
+    """Plain and order-r runs with ``expected_dim``, and plain runs on the
+    threshold rank, reach the generator's basis to 1e-10 through the
+    pivoted-QR extraction."""
     prob = _f_pencil(n, np.random.default_rng([7, n]))
     m = prob.basis.dim
-    results = [ab_run(prob.pencil, 1e-12, 500, expected_dim=m)]
+    results = [ab_run(prob.pencil, 1e-12, 500, expected_dim=m),
+               ab_run(prob.pencil, 1e-12, 500)]
     for r in (2, 3, 4, 7):
         cfg = AccelConfig(order=r, tol=1e-12, kmax=60, expected_dim=m)
         results.append(modified_ab_run(prob.pencil, cfg))
