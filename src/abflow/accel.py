@@ -2,8 +2,8 @@
 
 One outer step advances the chain from plain index m to index r*m, so
 outer iterate k carries plain-chain element r**(k-1).  The step is r-1
-flow merges with element m and keeps only the latest element (O(n^2)
-extra memory).
+``combine`` merges with element m, in the schedule the square-root Q-chain
+shares, and keeps only the latest element (O(n^2) extra memory).
 """
 
 from __future__ import annotations
@@ -17,10 +17,12 @@ import numpy as np
 # perfbench/test_counts.py checks these ones.
 from .linalg import lu_factor  # noqa: F401
 from .pencil import (  # noqa: F401
+    MAX_ORDER,
     ABIterate,
     Pencil,
     SubspaceResult,
     _check_run_settings,
+    _outer_step,
     _run_chain,
     combine,
     subspace_distance,
@@ -31,9 +33,9 @@ from .pencil import (  # noqa: F401
 class AccelConfig:
     """Settings for an accelerated run.
 
-    ``order`` is the per-step chain multiplier r, kept in 2..16 since one
-    outer step costs r-1 solve-multiply rounds.  ``order=2`` degenerates
-    to a doubling iteration with a single merge per step.
+    ``order`` is the per-step chain multiplier r, kept in 2..MAX_ORDER
+    since one outer step costs r-1 merges.  ``order=2`` degenerates to a
+    doubling iteration with a single merge per step.
     """
 
     order: int
@@ -42,8 +44,8 @@ class AccelConfig:
     expected_dim: int | None = None
 
     def __post_init__(self):
-        if not 2 <= self.order <= 16:
-            raise ValueError("order must be between 2 and 16")
+        if not 2 <= self.order <= MAX_ORDER:
+            raise ValueError(f"order must be between 2 and {MAX_ORDER}")
         _check_run_settings(self.tol, self.kmax, self.expected_dim)
 
 
@@ -58,20 +60,19 @@ def inner_chain(hatA: np.ndarray, hatB: np.ndarray, order: int):
 
 
 def accel_step(it: ABIterate, order: int) -> ABIterate:
-    """One outer step: chain element m to element order*m, as order-1 flow
-    merges ``cur = combine(cur, it)``.  A ``BreakdownError`` carries the
-    index of the element whose merge failed."""
-    cur = it
-    for _ in range(order - 1):
-        cur = combine(cur, it)
-    return cur
+    """One outer step: element m to element order*m, ``pencil._outer_step``
+    with ``combine`` as the merge.  A ``BreakdownError`` carries the index
+    of the element whose merge failed."""
+    return _outer_step(it, order, combine)
 
 
 def modified_ab_run(initial: Pencil, cfg: AccelConfig,
                     observer=None) -> SubspaceResult:
     """Accelerated subspace run; extraction is identical to ``ab_run``:
     one pivoted QR per outer iterate, keeping ``cfg.expected_dim``
-    directions when it is set and the threshold rank's otherwise.
+    directions when it is set and the threshold rank's otherwise, with
+    the threshold-mode limits of ``ab_run`` (all eigenvalues stable: a
+    smaller subspace; none stable: a run to ``kmax``).
 
     The stopping rule compares near-null bases of successive outer
     iterates only.  ``observer(iterate, basis)`` is invoked per outer

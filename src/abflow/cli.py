@@ -21,7 +21,7 @@ from .accel import AccelConfig, modified_ab_run
 from .errors import ABFlowError, InvalidSpectrumError, ParseError, ShapeError
 from .lab import ProblemSpec, run_experiment
 from .linalg import as_matrix
-from .pencil import Pencil, SolveStatus, ab_run
+from .pencil import MAX_ORDER, Pencil, SolveStatus, ab_run
 from .sqrtm import SqrtProblem, sqrtm_ab
 from .trace import atomic_write_text, write_trace_csv, write_trace_json
 
@@ -180,8 +180,9 @@ def _parse_orders(text: str):
         raise ValueError(f"bad order list {text!r}") from exc
     if not orders:
         raise ValueError("order list is empty")
-    if not all(1 <= r <= 16 for r in orders):
-        raise ValueError(f"order must be between 1 and 16, got {text!r}")
+    if not all(1 <= r <= MAX_ORDER for r in orders):
+        raise ValueError(
+            f"order must be between 1 and {MAX_ORDER}, got {text!r}")
     return orders
 
 
@@ -271,7 +272,8 @@ def build_parser() -> argparse.ArgumentParser:
                                      "of the matrix in --input.")
     sq.add_argument("--input", required=True, help="Matrix file (txt or json).")
     sq.add_argument("--order", type=int, default=2,
-                    help="Convergence order r >= 2 (default 2, Newton-equivalent).")
+                    help="Convergence order r >= 1; 1 is the plain chain "
+                         "from gamma*I (default 2, Newton-equivalent).")
     sq.add_argument("--gamma", type=float, default=1.0,
                     help="Positive shift for the initial iterate (default 1).")
     sq.add_argument("--tol", type=float, default=1e-12)

@@ -20,13 +20,7 @@ from .accel import AccelConfig, modified_ab_run
 from .errors import InvalidSpectrumError
 from .linalg import SubspaceBasis, subspace_distance
 from .pencil import BREAKDOWN_TOL, Pencil, ab_run, breakdown_check
-from .sqrtm import (
-    SqrtProblem,
-    _check_sqrt_settings,
-    _run_q_chain,
-    q_step,
-    sqrtm_ab,
-)
+from .sqrtm import SqrtProblem, sqrtm_ab
 from .trace import ConvergenceTrace, _order_estimates
 
 __all__ = [
@@ -240,7 +234,6 @@ def run_experiment(kind: str, spec: ProblemSpec, *, order: int = 2,
 
 
 def _sqrt_experiment(spec, order, gamma, tol, kmax):
-    _check_sqrt_settings(gamma, tol, kmax)  # order 1 has no SqrtProblem
     S, X = make_known_sqrt_problem(spec)
     xnorm = float(np.linalg.norm(X, "fro")) or 1.0
     steps, errors, secs = [], [], []
@@ -254,12 +247,8 @@ def _sqrt_experiment(spec, order, gamma, tol, kmax):
         secs.append(now - last)
         last = now
 
-    if order == 1:
-        result = _run_q_chain(S, gamma, tol, kmax,
-                              lambda Q: q_step(Q, S, gamma), record)
-    else:
-        prob = SqrtProblem(S, gamma=gamma, order=order, tol=tol, kmax=kmax)
-        result = sqrtm_ab(prob, observer=record)
+    prob = SqrtProblem(S, gamma=gamma, order=order, tol=tol, kmax=kmax)
+    result = sqrtm_ab(prob, observer=record)
     # the solver's trace holds the residual of every step after gamma*I
     Q1 = gamma * np.eye(S.shape[0], dtype=np.complex128)
     snorm = float(np.linalg.norm(S, "fro")) or 1.0

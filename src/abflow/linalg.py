@@ -98,21 +98,28 @@ class LUFactorization:
         return zgetrs(self.lu, self.piv, b, trans=int(trans))[0]
 
 
-def lu_factor(A, scale: float = 0.0) -> LUFactorization:
-    """Factor a square matrix as ``P A = L U`` with partial pivoting.
+def lu_factor(A, B=None) -> LUFactorization:
+    """Factor ``M = A`` or ``M = A + B`` as ``P M = L U`` with partial pivoting.
 
-    ``scale`` is the magnitude of the terms ``A`` was summed from, if it
-    is a sum: the pivot cutoff is relative to the larger of ``scale`` and
-    ``max|A|``, so a sum that cancels to rounding error counts as singular.
+    The pivot cutoff is relative to the largest entry of ``M`` and of each
+    term, so a sum that cancels to rounding error of its terms is singular.
+    Terms of unequal shape are rejected, never broadcast.
 
     Raises
     ------
     SingularMatrixError
-        When a pivot magnitude falls below
-        ``PIVOT_SAFETY * n * eps * max(scale, max|A|)`` (numerically
-        singular input; inside the pencil iteration this signals breakdown
-        upstream).
+        When a pivot magnitude falls below ``PIVOT_SAFETY * n * eps *
+        max(max|M|, max|A|, max|B|)`` (numerically singular input; inside
+        either chain this is a breakdown).
     """
+    term_max = 0.0
+    if B is not None:
+        A, B = np.asarray(A, np.complex128), np.asarray(B, np.complex128)
+        if A.shape != B.shape:
+            raise DimensionMismatchError(f"terms are {A.shape} and {B.shape}")
+        term_max = max(float(np.abs(A).max(initial=0.0)),
+                       float(np.abs(B).max(initial=0.0)))
+        A = A + B       # a non-finite term leaves a non-finite sum
     M = _as_square(A)
     n = M.shape[0]
     if n == 0:
@@ -123,7 +130,7 @@ def lu_factor(A, scale: float = 0.0) -> LUFactorization:
     # exact zero pivots (info > 0) are flagged below through the cutoff check
     lu, piv, _ = zgetrf(M)
     pivot = float(np.abs(lu.diagonal()).min())
-    cutoff = PIVOT_SAFETY * n * EPS * max(scale, a_max)
+    cutoff = PIVOT_SAFETY * n * EPS * max(term_max, a_max)
     if pivot < cutoff:
         raise SingularMatrixError(
             f"pivot {pivot:.3e} below cutoff {cutoff:.3e}")

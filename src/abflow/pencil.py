@@ -32,6 +32,9 @@ from .linalg import (
 #: Absolute tolerance for matching an eigenvalue against a root of unity.
 BREAKDOWN_TOL = 1e-9
 
+#: Largest order r of an outer step; one step costs r-1 merges.
+MAX_ORDER = 16
+
 
 @dataclass(frozen=True)
 class Pencil:
@@ -122,21 +125,28 @@ def combine(it_i: ABIterate, it_j: ABIterate) -> ABIterate:
     ``B_j (A_i + B_j)^{-1} B_i`` too, but is taken from the constant
     difference as ``A_{i+j} + B_i - A_i``, so a merge is one factorization,
     one solve and one product.  Both iterates must come from the same
-    chain.  The sum counts as singular against the scale of its summands,
-    so a sum that cancels to rounding error is a breakdown.
+    chain.  ``lu_factor`` judges the sum by its terms, so a sum that
+    cancels to rounding error is a breakdown.
     """
     target = it_i.k + it_j.k
-    A_i, B_j = it_i.A_k, it_j.B_k
-    scale = max(float(np.abs(A_i).max(initial=0.0)),
-                float(np.abs(B_j).max(initial=0.0)))
+    A_i = it_i.A_k
     try:
-        f = lu_factor(A_i + B_j, scale=scale)
+        f = lu_factor(A_i, it_j.B_k)
     except SingularMatrixError as exc:
         raise BreakdownError(
             f"singular sum producing chain element {target}",
             index=target) from exc
     A_new = A_i @ f.solve(it_j.A_k)
     return ABIterate(A_new, A_new + it_i.B_k - A_i, target)
+
+
+def _outer_step(x, order: int, merge):
+    """Element m (``x``) to element order*m of either chain, as order-1
+    merges ``cur = merge(cur, x)`` with the fixed element m."""
+    cur = x
+    for _ in range(order - 1):
+        cur = merge(cur, x)
+    return cur
 
 
 def breakdown_check(eigenvalues, kmax: int, tol: float = BREAKDOWN_TOL):
@@ -166,22 +176,19 @@ def _extract_basis(A_k: np.ndarray, expected_dim: int | None) -> SubspaceBasis:
     return smallest_singular_subspace(A_k, expected_dim)
 
 
-def _recover_block(pencil: Pencil, U: SubspaceBasis):
-    """Least-squares coupling block of the original pencil on span(U)."""
+def _finish(pencil: Pencil, U: SubspaceBasis, iterations: int,
+            status: SolveStatus) -> SubspaceResult:
+    """The result on span(U), with the least-squares coupling block of
+    the original pencil."""
     m = U.dim
     if m == 0:
-        return np.zeros((0, 0), dtype=np.complex128), 0.0
+        return SubspaceResult(U, np.zeros((0, 0), dtype=np.complex128), 0.0,
+                              iterations, status)
     AU = pencil.A @ U.basis
     BU = pencil.B @ U.basis
     Lam = np.linalg.lstsq(BU, AU, rcond=None)[0]
     residual = float(np.linalg.norm(AU - BU @ Lam, "fro") / math.sqrt(m))
-    return Lam, residual
-
-
-def _finish(pencil: Pencil, basis: SubspaceBasis, iterations: int,
-            status: SolveStatus) -> SubspaceResult:
-    Lam, residual = _recover_block(pencil, basis)
-    return SubspaceResult(basis, Lam, residual, iterations, status)
+    return SubspaceResult(U, Lam, residual, iterations, status)
 
 
 def _check_run_settings(tol: float, kmax: int,
@@ -253,11 +260,14 @@ def ab_run(initial: Pencil, tol: float, kmax: int,
     rank: the leading run of ``|r_jj| >= DEFAULT_RANK_TOL * |r_11|``,
     with ``|r_11|`` within a factor ``sqrt(n)`` below the largest
     singular value (see ``null_space_basis``).  A threshold step with an
-    empty basis counts as distance 1 unless n = 0.  With widely spread
-    stable eigenvalue magnitudes the threshold rule can settle on the
-    fastest-decaying directions before slower ones cross the cutoff; the
-    result is then a genuine deflating pair of smaller dimension, so
-    supply ``expected_dim`` when the stable dimension is known.
+    empty basis counts as distance 1 unless n = 0.  The threshold rank
+    never reaches 0, so with every eigenvalue stable threshold mode
+    reports CONVERGED on a smaller subspace, and with none stable it keeps
+    the correct empty basis but runs to ``kmax`` (MAX_ITERATIONS).  With
+    widely spread stable eigenvalue magnitudes it can also settle on the
+    fastest-decaying directions before slower ones cross the cutoff, a
+    genuine deflating pair of smaller dimension.  Supply ``expected_dim``
+    when the stable dimension is known.
 
     Parameters
     ----------

@@ -4,7 +4,8 @@ The quadratic equation X^2 = S embeds into a 2n-by-2n pencil whose chain
 elements keep the block pattern [[Q_k, -I], [-S, Q_k]] / [[Q_k, I],
 [S, Q_k]], so the solver runs the equivalent n-by-n rational iteration on
 Q_k directly (identical mathematics at an eighth of the flops).  Order
-r=2 reproduces the Newton iteration from gamma*I.
+r=1 is the plain Q-chain from gamma*I and order r=2 reproduces the Newton
+iteration from it.
 """
 
 from __future__ import annotations
@@ -17,24 +18,13 @@ import numpy as np
 
 from .errors import BreakdownError, InvalidBoundsError, SingularMatrixError
 from .linalg import EPS, _as_square, lu_factor
-from .pencil import SolveStatus
+from .pencil import MAX_ORDER, SolveStatus, _outer_step
 # unused estimate_order stays bound for perfbench/test_counts.py's tracer
 from .trace import ConvergenceTrace, _order_estimates, estimate_order  # noqa: F401
 
 #: Successive-difference level below which an increase is treated as the
 #: rounding floor rather than transient behaviour.
 STAGNATION_DIFF = math.sqrt(EPS)
-
-
-def _check_sqrt_settings(gamma: float, tol: float, kmax: int) -> None:
-    """Settings check shared by ``SqrtProblem`` and the order-1 runs of
-    ``lab.run_experiment``; NaN fails it."""
-    if not (math.isfinite(gamma) and gamma > 0):
-        raise ValueError(f"gamma must be finite and positive, got {gamma!r}")
-    if not tol > 0:
-        raise ValueError(f"tol must be positive, got {tol!r}")
-    if kmax < 1:
-        raise ValueError("kmax must be at least 1")
 
 
 @dataclass(frozen=True)
@@ -44,6 +34,7 @@ class SqrtProblem:
     ``S`` must not have eigenvalues on the open negative real axis
     (semisimple zeros are tolerated); this is the caller's contract and
     is signalled at runtime through breakdown, not verified eagerly.
+    ``order`` is r in 1..MAX_ORDER; r = 1 is the plain chain from gamma*I.
     """
 
     S: np.ndarray
@@ -54,9 +45,15 @@ class SqrtProblem:
 
     def __post_init__(self):
         object.__setattr__(self, "S", _as_square(self.S, "S"))
-        _check_sqrt_settings(self.gamma, self.tol, self.kmax)
-        if not 2 <= self.order <= 16:
-            raise ValueError("order must be between 2 and 16")
+        if not 0 < self.gamma < math.inf:   # NaN fails every check
+            raise ValueError(
+                f"gamma must be finite and positive, got {self.gamma!r}")
+        if not self.tol > 0:
+            raise ValueError(f"tol must be positive, got {self.tol!r}")
+        if self.kmax < 1:
+            raise ValueError("kmax must be at least 1")
+        if not 1 <= self.order <= MAX_ORDER:
+            raise ValueError(f"order must be between 1 and {MAX_ORDER}")
 
 
 @dataclass(frozen=True)
@@ -74,7 +71,7 @@ class SqrtResult:
 
 
 def q_step(Q, S, partner) -> np.ndarray:
-    """One rational update ``(S + partner Q)(partner + Q)^{-1}``.
+    """One rational merge ``(S + partner Q)(partner + Q)^{-1}``.
 
     With ``partner = gamma*I`` this is the plain chain step; inside the
     accelerated iteration the partner is the current outer iterate.  A
@@ -86,12 +83,13 @@ def q_step(Q, S, partner) -> np.ndarray:
     ------
     BreakdownError
         If ``partner + Q`` is numerically singular, the runtime signal
-        for spectrum on the negative real axis.
+        for spectrum on the negative real axis; as in ``pencil.combine``,
+        a sum that cancels to rounding error of its terms counts.
     """
     if np.isscalar(partner):
         partner = complex(partner) * np.eye(Q.shape[0], dtype=np.complex128)
     try:
-        f = lu_factor(partner + Q)
+        f = lu_factor(partner, Q)
     except SingularMatrixError as exc:
         raise BreakdownError("singular partner sum in square-root step") from exc
     return f.solve((S + partner @ Q).T, trans=True).T
@@ -100,22 +98,21 @@ def q_step(Q, S, partner) -> np.ndarray:
 def accelerated_step(Q, S, order: int) -> np.ndarray:
     """Advance the Q-chain from element m to element order*m.
 
-    Applies ``order - 1`` chain steps with the fixed partner Q, once per
-    outer step of :func:`sqrtm_ab`, whose ``SqrtProblem`` has checked S
-    and the order.  The result equals a single rational binomial update
+    ``pencil._outer_step`` with ``q_step`` as the merge: ``order - 1``
+    merges with the fixed partner Q, run by :func:`sqrtm_ab` at order
+    >= 2.  The result equals a single rational binomial update
     ``N(Q) D(Q)^{-1}`` in powers of Q and S.
     """
-    cur = Q
-    for _ in range(order - 1):
-        cur = q_step(cur, S, Q)
-    return cur
+    return _outer_step(Q, order, lambda cur, P: q_step(cur, S, P))
 
 
 def sqrtm_ab(prob: SqrtProblem, observer=None) -> SqrtResult:
     """Principal square root of ``prob.S`` by the order-r iteration.
 
-    Outer iterate k equals plain-chain element r**(k-1) started from
-    ``gamma*I``.  Stops when the relative successive difference
+    The chain starts from ``gamma*I``.  At order 1 outer iterate k is
+    plain-chain element k (each step merges with ``gamma*I``); at order
+    r >= 2 it is plain-chain element r**(k-1) (each step is
+    ``accelerated_step``).  Stops when the relative successive difference
     ``||Q_k - Q_{k-1}||_F / ||Q_k||_F`` drops below ``prob.tol`` (the
     true error is unavailable), or after ``kmax`` outer steps; the
     returned residual certifies the answer independently.
@@ -140,18 +137,8 @@ def sqrtm_ab(prob: SqrtProblem, observer=None) -> SqrtResult:
         The trace records one row per outer update (step index, relative
         successive difference, residual, wall seconds).
     """
-    return _run_q_chain(
-        prob.S, prob.gamma, prob.tol, prob.kmax,
-        lambda Q: accelerated_step(Q, prob.S, prob.order), observer)
-
-
-def _run_q_chain(S: np.ndarray, gamma: float, tol: float, kmax: int,
-                 advance, observer) -> SqrtResult:
-    """The loop of ``sqrtm_ab`` and of the order-1 experiments of
-    ``lab.run_experiment``; ``advance`` maps the current Q-chain element
-    to the next one the run keeps."""
-    n = S.shape[0]
-    Qhat = gamma * np.eye(n, dtype=np.complex128)
+    S, gamma, order, tol = prob.S, prob.gamma, prob.order, prob.tol
+    Qhat = gamma * np.eye(S.shape[0], dtype=np.complex128)
     s_norm = float(np.linalg.norm(S, "fro")) or 1.0
     if observer is not None:
         observer(1, Qhat)
@@ -162,10 +149,11 @@ def _run_q_chain(S: np.ndarray, gamma: float, tol: float, kmax: int,
     best_Q = Qhat
     best_k = -1     # row of best_Q in the trace; -1 while there is none
     rising = 0
-    for k in range(2, kmax + 1):
+    for k in range(2, prob.kmax + 1):
         t0 = time.perf_counter()
         try:
-            Qnew = advance(Qhat)
+            Qnew = (q_step(Qhat, S, gamma) if order == 1
+                    else accelerated_step(Qhat, S, order))
         except BreakdownError:
             status = SolveStatus.BREAKDOWN
             break

@@ -10,7 +10,7 @@ import pytest
 
 from abflow import AccelConfig, ParseError, Pencil, ShapeError, modified_ab_run
 from abflow.cli import main, matrix_to_json, parse_matrix_file, write_matrix_json
-from abflow.lab import ProblemSpec, make_pencil_problem
+from abflow.lab import ProblemSpec, make_known_sqrt_problem, make_pencil_problem
 from abflow.linalg import EPS
 
 
@@ -175,6 +175,30 @@ def test_cli_sqrt_diagonal(tmp_path):
     with open(trace, newline="") as fh:
         rows = list(csv.DictReader(fh))
     assert rows and rows[-1]["residual"]
+
+
+def test_cli_sqrt_order_one_runs_the_plain_chain(tmp_path):
+    S, X = make_known_sqrt_problem(ProblemSpec((2.0, 3.0 + 1.0j, 0.7), seed=5))
+    s = str(tmp_path / "S.json")
+    write_matrix_json(S, s)
+    out = str(tmp_path / "X.json")
+    trace = str(tmp_path / "trace.csv")
+    assert main(["sqrt", "--input", s, "--order", "1", "--gamma", "1.5",
+                 "--out", out, "--trace", trace]) == 0
+    err = np.linalg.norm(parse_matrix_file(out) - X) / np.linalg.norm(X)
+    assert err <= 1e-11
+    with open(trace, newline="") as fh:
+        assert len(list(csv.DictReader(fh))) == 32   # 6 rows at order 2
+
+
+@pytest.mark.parametrize("order", ["0", "17"])
+def test_cli_sqrt_rejects_order_out_of_range(tmp_path, capsys, order):
+    s = write(tmp_path / "s.txt", "4 0\n0 9\n")
+    out = tmp_path / "X.json"
+    assert main(["sqrt", "--input", s, "--order", order,
+                 "--out", str(out)]) == 1
+    assert "order must be between 1 and 16" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_cli_sqrt_breakdown_exit_code(tmp_path):

@@ -21,7 +21,7 @@ from abflow import (
     write_trace_csv,
     write_trace_json,
 )
-from abflow.sqrtm import SqrtProblem, _run_q_chain, q_step, sqrtm_ab
+from abflow.sqrtm import SqrtProblem, sqrtm_ab
 
 
 # ----------------------------- estimate_order -----------------------------
@@ -254,12 +254,8 @@ def test_sqrt_experiment_residuals_are_the_solver_trace(order):
     tr = run_experiment("sqrt", spec, order=order, gamma=gamma, tol=tol,
                         kmax=kmax)
     S, _ = make_known_sqrt_problem(spec)
-    if order == 1:
-        solved = _run_q_chain(S, gamma, tol, kmax,
-                              lambda Q: q_step(Q, S, gamma), None)
-    else:
-        solved = sqrtm_ab(SqrtProblem(S, gamma=gamma, order=order, tol=tol,
-                                      kmax=kmax))
+    solved = sqrtm_ab(SqrtProblem(S, gamma=gamma, order=order, tol=tol,
+                                  kmax=kmax))
     assert len(solved.trace.residuals) >= 3
     assert tr.residuals[1:] == solved.trace.residuals      # bit for bit
     Q1 = gamma * np.eye(S.shape[0])

@@ -71,11 +71,12 @@ def test_lu_factor_rejects_singular():
         lu_factor(np.array([[1.0, 1.0], [1.0, 1.0]], dtype=complex))
     with pytest.raises(SingularMatrixError):
         lu_factor(np.zeros((3, 3), dtype=complex))
-    # a sum that cancelled to rounding error of its unit-sized terms
+    # a sum that cancels to rounding error of its unit-sized terms
     tiny = np.array([[1e-15]], dtype=complex)
+    ones = np.ones((1, 1), dtype=complex)
     assert lu_factor(tiny).n == 1    # regular against its own scale
     with pytest.raises(SingularMatrixError):
-        lu_factor(tiny, scale=1.0)
+        lu_factor(ones, tiny - ones)
 
 
 def test_lu_rejects_nonfinite_and_shape():
@@ -83,6 +84,11 @@ def test_lu_rejects_nonfinite_and_shape():
         lu_factor(np.array([[np.inf, 0], [0, 1]], dtype=complex))
     with pytest.raises(DimensionMismatchError):
         lu_factor(np.ones((2, 3), dtype=complex))
+    # the terms of a sum are checked too, and never broadcast
+    with pytest.raises(ValueError):
+        lu_factor(np.eye(2), np.array([[np.inf, 0], [0, 1]]))
+    with pytest.raises(DimensionMismatchError):
+        lu_factor(np.eye(2), np.ones((2, 1)))
     with pytest.raises(DimensionMismatchError):
         lu_solve(np.eye(2, dtype=complex), np.ones((3, 1), dtype=complex))
 

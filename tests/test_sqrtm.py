@@ -132,6 +132,17 @@ def test_q_step_breakdown_on_singular_sum():
         q_step(np.array([[-1.0 + 0j]]), S, 1.0)
 
 
+def test_q_step_breakdown_on_sum_cancelled_to_rounding_error():
+    # partner + Q is 1e-8 noise against terms of size 1e8: singular by the
+    # same rule as the pencil chain's combine, not an update of size ~1e24
+    rng = np.random.default_rng(0)
+    n = 6
+    P = 1e8 * (rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))
+    Q = -P + 1e-8 * rng.standard_normal((n, n))
+    with pytest.raises(BreakdownError):
+        q_step(Q, np.eye(n, dtype=complex), P)
+
+
 def test_chain_commutativity():
     S, _ = normal_sqrt_problem(5, n=4)
     qs = q_chain(S, 1.2, 8)
@@ -171,7 +182,7 @@ def test_sqrtm_rejects_bad_problem():
     with pytest.raises(ValueError):
         SqrtProblem(np.eye(2, dtype=complex), gamma=0.0)
     with pytest.raises(ValueError):
-        SqrtProblem(np.eye(2, dtype=complex), order=1)
+        SqrtProblem(np.eye(2, dtype=complex), order=0)
     with pytest.raises(ValueError):
         SqrtProblem(np.eye(2, dtype=complex), tol=0.0)
     for bad in (float("nan"), float("inf"), -float("inf")):
