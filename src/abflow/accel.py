@@ -71,13 +71,14 @@ def modified_ab_run(initial: Pencil, cfg: AccelConfig,
     """Accelerated subspace run; extraction is identical to ``ab_run``:
     one pivoted QR per outer iterate, keeping ``cfg.expected_dim``
     directions when it is set and the threshold rank's otherwise, with
-    the threshold-mode limits of ``ab_run`` (all eigenvalues stable: a
-    smaller subspace; none stable: a run to ``kmax``).
+    the threshold-mode limit of ``ab_run`` (no eigenvalue stable: a run
+    to ``kmax``).
 
     The stopping rule compares near-null bases of successive outer
-    iterates only.  ``observer(iterate, basis)`` is invoked per outer
-    iterate (including the first); ``iterate.k`` is the plain-chain
-    index r**(k-1).
+    iterates only; a run that reaches ``kmax`` returns the basis of the
+    outer step with the smallest distance, as ``ab_run`` does.
+    ``observer(iterate, basis)`` is invoked per outer iterate (including
+    the first); ``iterate.k`` is the plain-chain index r**(k-1).
 
     Returns
     -------

@@ -236,27 +236,17 @@ def run_experiment(kind: str, spec: ProblemSpec, *, order: int = 2,
 def _sqrt_experiment(spec, order, gamma, tol, kmax):
     S, X = make_known_sqrt_problem(spec)
     xnorm = float(np.linalg.norm(X, "fro")) or 1.0
-    steps, errors, secs = [], [], []
-    last = time.perf_counter()
-
-    def record(k, Q):
-        nonlocal last
-        now = time.perf_counter()
-        steps.append(k)
-        errors.append(float(np.linalg.norm(Q - X, "fro")) / xnorm)
-        secs.append(now - last)
-        last = now
-
+    errors = []
     prob = SqrtProblem(S, gamma=gamma, order=order, tol=tol, kmax=kmax)
-    result = sqrtm_ab(prob, observer=record)
-    # the solver's trace holds the residual of every step after gamma*I
+    t = sqrtm_ab(prob, observer=lambda k, Q: errors.append(
+        float(np.linalg.norm(Q - X, "fro")) / xnorm)).trace
+    # the solver's trace holds every step after gamma*I
     Q1 = gamma * np.eye(S.shape[0], dtype=np.complex128)
-    snorm = float(np.linalg.norm(S, "fro")) or 1.0
-    resid1 = float(np.linalg.norm(Q1 @ Q1 - S, "fro")) / snorm
-    return ConvergenceTrace(tuple(steps), tuple(errors),
-                            (resid1,) + result.trace.residuals,
-                            _order_estimates(errors), tuple(secs),
-                            result.status.value)
+    resid1 = float(np.linalg.norm(Q1 @ Q1 - S, "fro")) / (
+        float(np.linalg.norm(S, "fro")) or 1.0)
+    return ConvergenceTrace((1,) + t.steps, tuple(errors),
+                            (resid1,) + t.residuals, _order_estimates(errors),
+                            (0.0,) + t.seconds, t.status)
 
 
 def _pencil_experiment(spec, order, tol, kmax):
@@ -270,10 +260,7 @@ def _pencil_experiment(spec, order, tol, kmax):
         nonlocal last
         now = time.perf_counter()
         steps.append(it.k)
-        if basis.dim != target.dim:
-            errors.append(1.0)
-        else:
-            errors.append(subspace_distance(basis, target))
+        errors.append(subspace_distance(basis, target))
         aknorm = float(np.linalg.norm(it.A_k, "fro")) or 1.0
         resids.append(float(np.linalg.norm(it.A_k @ target.basis, "fro")) / aknorm)
         secs.append(now - last)

@@ -14,12 +14,14 @@ from __future__ import annotations
 import cmath
 import enum
 import math
+import time
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import BreakdownError, SingularMatrixError
 from .linalg import (
+    DEFAULT_RANK_TOL,
     SubspaceBasis,
     _as_square,
     _residual,
@@ -170,20 +172,19 @@ def breakdown_check(eigenvalues, kmax: int, tol: float = BREAKDOWN_TOL):
     return None
 
 
-def _extract_basis(A_k: np.ndarray, expected_dim: int | None) -> SubspaceBasis:
-    if expected_dim is None:
-        return null_space_basis(A_k)
-    return smallest_singular_subspace(A_k, expected_dim)
+def _max_row_norm(M: np.ndarray) -> float:
+    return float(np.linalg.norm(M, axis=1).max(initial=0.0))
 
 
 def _finish(pencil: Pencil, U: SubspaceBasis, iterations: int,
             status: SolveStatus) -> SubspaceResult:
     """The result on span(U), with the least-squares coupling block of
-    the original pencil."""
+    the original pencil (residual NaN on breakdown)."""
     m = U.dim
-    if m == 0:
-        return SubspaceResult(U, np.zeros((0, 0), dtype=np.complex128), 0.0,
-                              iterations, status)
+    if m == 0:     # an empty basis is exact, unless the run broke down
+        residual = math.nan if status is SolveStatus.BREAKDOWN else 0.0
+        return SubspaceResult(U, np.zeros((0, 0), dtype=np.complex128),
+                              residual, iterations, status)
     AU = pencil.A @ U.basis
     BU = pencil.B @ U.basis
     Lam = np.linalg.lstsq(BU, AU, rcond=None)[0]
@@ -202,48 +203,83 @@ def _check_run_settings(tol: float, kmax: int,
         raise ValueError("expected_dim must be nonnegative")
 
 
-def _settled(U: SubspaceBasis, V: SubspaceBasis, tol: float) -> bool:
-    """Whether ``subspace_distance(U, V) < tol``.
-
-    For equal dimensions m the residual ``W = V - U (U^H V)`` gives the
-    lower bound ``||W||_F / sqrt(m)`` on the distance, so a step whose
-    ``||W||_F`` lies clearly above ``sqrt(m) * tol`` (the margin covers
-    rounding) fails without the exact distance.  Since ``||W||_F <=
-    sqrt(m)``, the bound never decides when ``tol >= 1``.
-    """
+def _basis_change(U: SubspaceBasis, V: SubspaceBasis, tol: float) -> float:
+    """The pencil's step metric: ``subspace_distance(U, V)``, or for equal
+    dimensions m its lower bound ``||V - U (U^H V)||_F / sqrt(m)`` when
+    that alone lies clearly above ``tol`` (the margin covers rounding),
+    which never happens for ``tol >= 1``."""
     m = V.dim
     if U.dim == m > 0:
-        bound = math.sqrt(m) * tol * (1 + 1e-6)
-        if np.linalg.norm(_residual(U.basis, V.basis)) > bound:
-            return False
-    return subspace_distance(U, V) < tol
+        bound = float(np.linalg.norm(_residual(U.basis, V.basis))) / math.sqrt(m)
+        if bound > tol * (1 + 1e-6):
+            return bound
+    return subspace_distance(U, V)
+
+
+def _drive(x, advance, metric, tol: float, kmax: int, observe,
+           floor: float = 0.0):
+    """The run loop of both solvers from chain element 1, ``x``.
+
+    Step k times ``new = advance(x)``, calls ``observe(k, new)`` and
+    records ``metric(x, new)``.  Stops CONVERGED when the metric drops
+    below ``tol`` or, once the best one lies below ``floor``, rises twice
+    in a row or jumps tenfold; BREAKDOWN with the error's index;
+    MAX_ITERATIONS at ``kmax``.  Returns ``(status, index, best_k, best,
+    metrics, seconds)``: ``best`` is element ``best_k``, the one of
+    smallest metric (the later on a tie; element 1 while none has one).
+    """
+    if observe is not None:
+        observe(1, x)
+    best_k, best, best_m = 1, x, math.inf
+    metrics, secs, rising = [], [], 0
+    for k in range(2, kmax + 1):
+        t0 = time.perf_counter()
+        try:
+            new = advance(x)
+        except BreakdownError as exc:
+            return SolveStatus.BREAKDOWN, exc.index, best_k, best, metrics, secs
+        secs.append(time.perf_counter() - t0)
+        if observe is not None:
+            observe(k, new)
+        m = metric(x, new)
+        rising = rising + 1 if metrics and m > metrics[-1] else 0
+        metrics.append(m)
+        x = new
+        if m <= best_m:
+            best_k, best, best_m = k, new, m
+        if m < tol or best_m < floor and (rising >= 2 or m > 10.0 * best_m):
+            return SolveStatus.CONVERGED, k, best_k, best, metrics, secs
+    return SolveStatus.MAX_ITERATIONS, kmax, best_k, best, metrics, secs
 
 
 def _run_chain(initial: Pencil, advance, tol: float, kmax: int,
                expected_dim: int | None, observer) -> SubspaceResult:
-    """The loop of ``ab_run`` and ``modified_ab_run``; ``advance`` maps the
-    current chain element to the next one the run keeps."""
-    it = first_iterate(initial)
-    basis_prev = _extract_basis(it.A_k, expected_dim)
-    if observer is not None:
-        observer(it, basis_prev)
-    for k in range(2, kmax + 1):
-        try:
-            it = advance(it)
-        except BreakdownError as exc:
-            empty = SubspaceBasis(np.zeros((initial.n, 0), np.complex128))
-            return SubspaceResult(empty, np.zeros((0, 0), np.complex128),
-                                  math.nan, exc.index, SolveStatus.BREAKDOWN)
-        basis = _extract_basis(it.A_k, expected_dim)
-        if observer is not None:
-            observer(it, basis)
-        # an empty threshold basis means nothing has emerged yet, unless
-        # the space itself is empty
-        emerged = basis.dim > 0 or expected_dim is not None or initial.n == 0
-        if emerged and _settled(basis_prev, basis, tol):
-            return _finish(initial, basis, k, SolveStatus.CONVERGED)
-        basis_prev = basis
-    return _finish(initial, basis_prev, kmax, SolveStatus.MAX_ITERATIONS)
+    """``_drive`` over (element, basis) pairs; ``advance`` maps an element
+    to the next one the run keeps.  Threshold mode cuts the rank at
+    ``DEFAULT_RANK_TOL`` times the largest row norm of D = A_1 - B_1 =
+    A_k - B_k, the scale A_k tends to on unstable directions (0 on
+    stable ones); relative to A_k when D = 0 or A_k = 0."""
+    ref = _max_row_norm(initial.A - initial.B)
+
+    def extract(it):
+        if expected_dim is not None:
+            return it, smallest_singular_subspace(it.A_k, expected_dim)
+        top = _max_row_norm(it.A_k)
+        return it, null_space_basis(
+            it.A_k, DEFAULT_RANK_TOL * (ref / top if ref and top else 1.0))
+
+    def metric(prev, new):
+        if new[1].dim == 0 and expected_dim is None and initial.n:
+            return 1.0      # nothing has emerged yet
+        return _basis_change(prev[1], new[1], tol)
+
+    observe = None if observer is None else lambda _, x: observer(*x)
+    status, k, _, (_, basis), _, _ = _drive(
+        extract(first_iterate(initial)), lambda x: extract(advance(x[0])),
+        metric, tol, kmax, observe)
+    if status is SolveStatus.BREAKDOWN:
+        basis = SubspaceBasis(np.zeros((initial.n, 0), np.complex128))
+    return _finish(initial, basis, k, status)
 
 
 def ab_run(initial: Pencil, tol: float, kmax: int,
@@ -257,17 +293,17 @@ def ab_run(initial: Pencil, tol: float, kmax: int,
     extraction, a rank-revealing pivoted QR ``A_k^H P = Q R``
     (Bai-Demmel-Gu, see ``smallest_singular_subspace``), which keeps
     ``expected_dim`` directions or, without it, those past the threshold
-    rank: the leading run of ``|r_jj| >= DEFAULT_RANK_TOL * |r_11|``,
-    with ``|r_11|`` within a factor ``sqrt(n)`` below the largest
-    singular value (see ``null_space_basis``).  A threshold step with an
-    empty basis counts as distance 1 unless n = 0.  The threshold rank
-    never reaches 0, so with every eigenvalue stable threshold mode
-    reports CONVERGED on a smaller subspace, and with none stable it keeps
-    the correct empty basis but runs to ``kmax`` (MAX_ITERATIONS).  With
+    rank: the leading run of ``|r_jj| >= DEFAULT_RANK_TOL * ref``, with
+    ``ref`` the largest row norm of ``A_1 - B_1`` (``|r_11|`` when that
+    is 0).  A threshold step with an empty basis counts as distance 1
+    unless n = 0, so with no eigenvalue stable threshold mode keeps the
+    correct empty basis but runs to ``kmax`` (MAX_ITERATIONS).  With
     widely spread stable eigenvalue magnitudes it can also settle on the
     fastest-decaying directions before slower ones cross the cutoff, a
     genuine deflating pair of smaller dimension.  Supply ``expected_dim``
-    when the stable dimension is known.
+    when the stable dimension is known.  A run that reaches ``kmax``
+    returns the basis of smallest step distance (the later on a tie),
+    not the last one.
 
     Parameters
     ----------

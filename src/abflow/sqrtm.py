@@ -11,14 +11,13 @@ iteration from it.
 from __future__ import annotations
 
 import math
-import time
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import BreakdownError, InvalidBoundsError, SingularMatrixError
 from .linalg import EPS, _as_square, lu_factor
-from .pencil import MAX_ORDER, SolveStatus, _outer_step
+from .pencil import MAX_ORDER, SolveStatus, _drive, _outer_step
 # unused estimate_order stays bound for perfbench/test_counts.py's tracer
 from .trace import ConvergenceTrace, _order_estimates, estimate_order  # noqa: F401
 
@@ -112,17 +111,21 @@ def sqrtm_ab(prob: SqrtProblem, observer=None) -> SqrtResult:
     The chain starts from ``gamma*I``.  At order 1 outer iterate k is
     plain-chain element k (each step merges with ``gamma*I``); at order
     r >= 2 it is plain-chain element r**(k-1) (each step is
-    ``accelerated_step``).  Stops when the relative successive difference
-    ``||Q_k - Q_{k-1}||_F / ||Q_k||_F`` drops below ``prob.tol`` (the
-    true error is unavailable), or after ``kmax`` outer steps; the
-    returned residual certifies the answer independently.
+    ``accelerated_step``).  The run is the subspace runs' loop
+    (``pencil._drive``) with the relative successive difference
+    ``||Q_k - Q_{k-1}||_F / ||Q_k||_F`` as its metric (the true error is
+    unavailable): it stops when the difference drops below ``prob.tol``,
+    on breakdown, or after ``kmax`` outer iterates; the returned residual
+    certifies the answer independently.
 
     The underlying rational iteration (Newton's method at order 2) is
     not self-correcting: once the rounding floor is reached, errors can
-    grow again.  The solver therefore keeps the iterate with the
-    smallest successive difference and stops early when differences
-    below the square root of machine precision start rising, reporting
-    convergence at that floor.
+    grow again.  The solver therefore returns the iterate with the
+    smallest successive difference (the later one on a tie; ``gamma*I``
+    when the first step breaks down) and, once that difference lies
+    below ``STAGNATION_DIFF`` (the square root of machine precision),
+    reports convergence at the floor when the difference rises on two
+    steps in a row or jumps tenfold above it.
 
     Parameters
     ----------
@@ -137,57 +140,28 @@ def sqrtm_ab(prob: SqrtProblem, observer=None) -> SqrtResult:
         The trace records one row per outer update (step index, relative
         successive difference, residual, wall seconds).
     """
-    S, gamma, order, tol = prob.S, prob.gamma, prob.order, prob.tol
-    Qhat = gamma * np.eye(S.shape[0], dtype=np.complex128)
+    S, gamma, order = prob.S, prob.gamma, prob.order
     s_norm = float(np.linalg.norm(S, "fro")) or 1.0
-    if observer is not None:
-        observer(1, Qhat)
+    resids = []
 
-    steps, diffs, resids, secs = [], [], [], []
-    status = SolveStatus.MAX_ITERATIONS
-    best_diff = math.inf
-    best_Q = Qhat
-    best_k = -1     # row of best_Q in the trace; -1 while there is none
-    rising = 0
-    for k in range(2, prob.kmax + 1):
-        t0 = time.perf_counter()
-        try:
-            Qnew = (q_step(Qhat, S, gamma) if order == 1
-                    else accelerated_step(Qhat, S, order))
-        except BreakdownError:
-            status = SolveStatus.BREAKDOWN
-            break
-        dt = time.perf_counter() - t0
-        denom = float(np.linalg.norm(Qnew, "fro")) or 1.0
-        diff = float(np.linalg.norm(Qnew - Qhat, "fro")) / denom
-        prev_diff = diffs[-1] if diffs else math.inf
-        Qhat = Qnew
-        if observer is not None:
-            observer(k, Qhat)
-        steps.append(k)
-        diffs.append(diff)
-        resids.append(float(np.linalg.norm(Qhat @ Qhat - S, "fro")) / s_norm)
-        secs.append(dt)
-        if diff < best_diff:
-            best_diff, best_Q, best_k = diff, Qhat, len(resids) - 1
-        if diff < tol:
-            status = SolveStatus.CONVERGED
-            break
-        rising = rising + 1 if diff > prev_diff else 0
-        floored = (best_diff < STAGNATION_DIFF
-                   and (rising >= 2 or diff > 10.0 * best_diff))
-        if floored:
-            status = SolveStatus.CONVERGED
-            break
+    def residual(Q):
+        return float(np.linalg.norm(Q @ Q - S, "fro")) / s_norm
 
-    if best_k >= 0:
-        Qhat = best_Q
-    # with no best iterate Qhat is the last one, whose residual is resids[-1]
-    residual = (resids[best_k] if resids else
-                float(np.linalg.norm(Qhat @ Qhat - S, "fro")) / s_norm)
-    trace = ConvergenceTrace(tuple(steps), tuple(diffs), tuple(resids),
-                             _order_estimates(diffs), tuple(secs), status.value)
-    return SqrtResult(Qhat, residual, trace, status)
+    def rel_diff(P, Q):     # the metric, which also records Q's residual
+        resids.append(residual(Q))
+        return float(np.linalg.norm(Q - P, "fro")) / (
+            float(np.linalg.norm(Q, "fro")) or 1.0)
+
+    status, _, best_k, X, diffs, secs = _drive(
+        gamma * np.eye(S.shape[0], dtype=np.complex128),
+        lambda Q: (q_step(Q, S, gamma) if order == 1
+                   else accelerated_step(Q, S, order)),
+        rel_diff, prob.tol, prob.kmax, observer, STAGNATION_DIFF)
+    trace = ConvergenceTrace(tuple(range(2, len(diffs) + 2)), tuple(diffs),
+                             tuple(resids), _order_estimates(diffs),
+                             tuple(secs), status.value)
+    return SqrtResult(X, resids[best_k - 2] if best_k > 1 else residual(X),
+                      trace, status)
 
 
 def gamma_heuristic(sqrt_spectrum_bounds) -> float:

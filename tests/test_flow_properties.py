@@ -17,7 +17,7 @@ from abflow import (
 )
 from abflow.accel import accel_step
 from abflow.lab import conditioned_similarity, random_unitary
-from abflow.pencil import _settled, combine
+from abflow.pencil import _basis_change, combine
 
 from oracles import closed_form_iterate
 from util import chain, rel_err, scalar_pencil
@@ -179,4 +179,6 @@ def _basis_pair(draw):
 def test_stopping_test_decides_like_subspace_distance(pair):
     U, V, tol = pair
     U, V = SubspaceBasis(U), SubspaceBasis(V)
-    assert _settled(U, V, tol) == (subspace_distance(U, V) < tol)
+    metric, dist = _basis_change(U, V, tol), subspace_distance(U, V)
+    assert (metric < tol) == (dist < tol)
+    assert metric <= dist * (1 + 1e-6)

@@ -328,6 +328,33 @@ def test_ab_run_max_iterations_status():
     assert result.iterations == 5
 
 
+@pytest.mark.parametrize("order, max_steps", [(1, 40), (2, 8)])
+def test_threshold_mode_returns_an_all_stable_space(order, max_steps):
+    # the rank cutoff sits on the scale of A_1 - B_1, so it reaches rank 0
+    # once every direction of A_k has decayed (a cutoff relative to A_k
+    # alone stopped at dimension 2 after 148 plain or 10 order-2 steps)
+    spec = ProblemSpec((0.5, 0.3 + 0.2j, -0.6), cond=5, seed=1)
+    prob = make_pencil_problem(spec, random_b=True)
+    if order == 1:
+        result = ab_run(prob.pencil, 1e-12, 200)
+    else:
+        result = modified_ab_run(prob.pencil,
+                                 AccelConfig(order=order, tol=1e-12, kmax=200))
+    assert result.status is SolveStatus.CONVERGED
+    assert result.U.dim == 3
+    assert result.iterations <= max_steps
+    assert subspace_distance(result.U, prob.basis) <= 1e-12
+
+
+def test_threshold_mode_all_unstable_keeps_the_empty_basis():
+    # no stop for an empty threshold basis yet: the run reaches kmax
+    spec = ProblemSpec((2.0, -1.5, 3j), cond=5, seed=1)
+    prob = make_pencil_problem(spec, random_b=True)
+    result = ab_run(prob.pencil, 1e-12, 50)
+    assert (result.status, result.iterations) == (SolveStatus.MAX_ITERATIONS, 50)
+    assert result.U.dim == 0 and result.residual == 0.0
+
+
 def test_ab_run_rejects_bad_parameters():
     p = Pencil(np.eye(2, dtype=complex), np.eye(2, dtype=complex))
     with pytest.raises(ValueError):

@@ -1,0 +1,109 @@
+"""The run contract both solvers share: what the observer sees, the index
+a result reports, and the element it returns."""
+
+import numpy as np
+import pytest
+
+from abflow import (
+    AccelConfig,
+    SolveStatus,
+    SqrtProblem,
+    ab_run,
+    modified_ab_run,
+    sqrtm_ab,
+)
+from abflow.lab import ProblemSpec, make_known_sqrt_problem, make_pencil_problem
+from abflow.pencil import _basis_change
+
+CONVERGED = SolveStatus.CONVERGED
+MAX_ITERATIONS = SolveStatus.MAX_ITERATIONS
+BREAKDOWN = SolveStatus.BREAKDOWN
+
+
+def _last_argmin(values):
+    """Index of the smallest value, the later one on a tie."""
+    return max(range(len(values)), key=lambda i: (-values[i], i))
+
+
+@pytest.mark.parametrize("order", [1, 4])
+@pytest.mark.parametrize("status", list(SolveStatus))
+def test_pencil_run_contract(status, order):
+    # a primitive sixth root of unity breaks the plain chain at element 6
+    # and the order-4 chain inside the outer step from element 4
+    spectrum = ((np.exp(1j * np.pi / 3), 0.3, 2.0) if status is BREAKDOWN
+                else (0.3, 0.6, 1.5, 2.0 + 1j))
+    prob = make_pencil_problem(ProblemSpec(spectrum, seed=1), random_b=True)
+    tol, kmax = (1e-300, 6) if status is MAX_ITERATIONS else (1e-10, 60)
+    m = prob.basis.dim
+    seen = []
+
+    def observer(it, basis):
+        seen.append((it, basis))
+
+    if order == 1:
+        res = ab_run(prob.pencil, tol, kmax, expected_dim=m, observer=observer)
+    else:
+        cfg = AccelConfig(order=order, tol=tol, kmax=kmax, expected_dim=m)
+        res = modified_ab_run(prob.pencil, cfg, observer=observer)
+    assert res.status is status
+    ks = [it.k for it, _ in seen]
+    assert ks == [j + 1 if order == 1 else order ** j for j in range(len(seen))]
+    assert np.array_equal(seen[0][0].A_k, prob.pencil.A)
+    if status is BREAKDOWN:
+        # the element whose merge failed lies in the outer step after the
+        # last observed one, and was never observed
+        assert ks[-1] < res.iterations <= max(order, 2) * ks[-1]
+        if order == 1:
+            assert res.iterations == prob.expected_breakdown + 1
+        assert res.U.dim == 0 and np.isnan(res.residual)
+        return
+    assert res.iterations == len(seen)
+    if status is MAX_ITERATIONS:
+        assert len(seen) == kmax
+    else:
+        assert np.array_equal(res.U.basis, seen[-1][1].basis)
+
+
+@pytest.mark.parametrize("status", list(SolveStatus))
+def test_sqrt_run_contract(status):
+    if status is BREAKDOWN:
+        # element 2 is 0, so the sum of the next merge is 0
+        S, gamma, kmax = np.array([[-1.0 + 0j]]), 1.0, 100
+    else:
+        S, _ = make_known_sqrt_problem(ProblemSpec((1.0, 4.0, 9.0 + 1j), seed=3))
+        gamma, kmax = 1.0, 3 if status is MAX_ITERATIONS else 100
+    seen = []
+    res = sqrtm_ab(SqrtProblem(S, gamma=gamma, kmax=kmax),
+                   observer=lambda k, Q: seen.append((k, Q)))
+    assert res.status is status
+    ks = [k for k, _ in seen]
+    assert ks == list(range(1, len(seen) + 1))
+    assert np.array_equal(seen[0][1], gamma * np.eye(len(S)))
+    trace = res.trace
+    assert trace.steps == tuple(ks[1:])
+    if status is MAX_ITERATIONS:
+        assert len(seen) == kmax
+    # the returned root is the observed iterate of smallest difference
+    best = _last_argmin(trace.errors)
+    assert np.array_equal(res.X, seen[best + 1][1])
+    assert res.residual == trace.residuals[best]
+
+
+def test_max_iterations_returns_the_basis_of_smallest_metric():
+    """A threshold run cut off at the step where a second direction
+    crosses the rank cutoff returns the settled one-dimensional basis of
+    an earlier step, not the last basis."""
+    prob = make_pencil_problem(ProblemSpec((0.1, 0.5, 3.0), seed=1),
+                               random_b=True)
+    tol = 1e-300
+    seen = []
+    ab_run(prob.pencil, tol, 80, observer=lambda it, b: seen.append(b))
+    kmax = 1 + [b.dim for b in seen].index(2)
+    seen.clear()
+    res = ab_run(prob.pencil, tol, kmax, observer=lambda it, b: seen.append(b))
+    assert (res.status, res.iterations, len(seen)) == (MAX_ITERATIONS, kmax, kmax)
+    metrics = [1.0 if V.dim == 0 else _basis_change(U, V, tol)
+               for U, V in zip(seen, seen[1:])]
+    assert metrics[-1] == 1.0 > min(metrics)
+    assert res.U.dim == 1
+    assert np.array_equal(res.U.basis, seen[_last_argmin(metrics) + 1].basis)
