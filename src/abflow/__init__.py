@@ -13,7 +13,6 @@ they are given.  The chain kernels inside the modules (``combine``,
 callers, which pass arrays built from already validated inputs.
 """
 
-from .accel import AccelConfig, modified_ab_run
 from .errors import (
     ABFlowError,
     BreakdownError,
@@ -47,11 +46,13 @@ from .linalg import (
 )
 from .pencil import (
     BREAKDOWN_TOL,
+    AccelConfig,
     Pencil,
     SolveStatus,
     SubspaceResult,
     ab_run,
     breakdown_check,
+    modified_ab_run,
 )
 from .sqrtm import SqrtProblem, SqrtResult, gamma_heuristic, sqrtm_ab
 from .trace import (

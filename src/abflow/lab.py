@@ -16,10 +16,15 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .accel import AccelConfig, modified_ab_run
 from .errors import InvalidSpectrumError
 from .linalg import SubspaceBasis, subspace_distance
-from .pencil import BREAKDOWN_TOL, Pencil, ab_run, breakdown_check
+from .pencil import (
+    BREAKDOWN_TOL,
+    AccelConfig,
+    Pencil,
+    breakdown_check,
+    modified_ab_run,
+)
 from .sqrtm import SqrtProblem, sqrtm_ab
 from .trace import ConvergenceTrace, _order_estimates
 
@@ -266,13 +271,8 @@ def _pencil_experiment(spec, order, tol, kmax):
         secs.append(now - last)
         last = now
 
-    if order == 1:
-        result = ab_run(prob.pencil, tol, kmax,
-                        expected_dim=target.dim, observer=record)
-    else:
-        cfg = AccelConfig(order=order, tol=tol, kmax=kmax,
-                          expected_dim=target.dim)
-        result = modified_ab_run(prob.pencil, cfg, observer=record)
+    cfg = AccelConfig(order, tol, kmax, target.dim)
+    result = modified_ab_run(prob.pencil, cfg, observer=record)
     return ConvergenceTrace(tuple(steps), tuple(errors), tuple(resids),
                             _order_estimates(errors), tuple(secs),
                             result.status.value)

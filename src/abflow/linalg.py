@@ -79,14 +79,6 @@ class LUFactorization:
             return 0.0
         return float(np.abs(np.triu(self.lu)).max() / self.a_max)
 
-    @property
-    def perm(self) -> np.ndarray:
-        """Row permutation with ``A[perm] = L @ U``."""
-        perm = np.arange(self.n, dtype=np.intp)
-        for i, p in enumerate(self.piv):
-            perm[i], perm[p] = perm[p], perm[i]
-        return perm
-
     def solve(self, rhs: np.ndarray, trans: bool = False) -> np.ndarray:
         """Solve ``A @ X = rhs`` (or ``A.T @ X = rhs`` when ``trans``)."""
         b = as_matrix(rhs, "rhs")
@@ -157,10 +149,6 @@ class SubspaceBasis:
         gram = B.conj().T @ B
         if np.linalg.norm(gram - np.eye(m), "fro") > 1e-12 * max(1, m):
             raise ValueError("basis columns are not orthonormal")
-
-    @property
-    def ambient_dim(self) -> int:
-        return self.basis.shape[0]
 
     @property
     def dim(self) -> int:

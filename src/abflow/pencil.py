@@ -3,10 +3,11 @@
 Given a regular pencil A - lambda*B, the iteration produces pencils
 (A_k, B_k) whose stable deflating subspace emerges as the near-null space
 of A_k.  The chain obeys a discrete flow: element i+j is a rational
-combination of elements i and j, which is what the accelerated variant in
-:mod:`abflow.accel` exploits.  Eigenvalues transform by explicit rational
-maps, and the iteration breaks down exactly when the initial pencil's
-spectrum meets certain roots of unity.
+combination of elements i and j, which the order-r run
+(``modified_ab_run``) exploits; its order 1 is the plain chain.
+Eigenvalues transform by explicit rational maps, and the iteration
+breaks down exactly when the initial pencil's spectrum meets certain
+roots of unity.
 """
 
 from __future__ import annotations
@@ -151,13 +152,13 @@ def _outer_step(x, order: int, merge):
     return cur
 
 
-def breakdown_check(eigenvalues, kmax: int, tol: float = BREAKDOWN_TOL):
+def breakdown_check(eigenvalues, kmax: int):
     """Smallest k <= kmax whose breakdown set meets the given spectrum.
 
     The breakdown set for step k collects all p-th roots of unity except
     1 itself, for p = 2..k+1.  Returns ``None`` when no eigenvalue comes
-    within ``tol`` of the set up to ``kmax``.  Producing chain element
-    k+1 is what fails when this returns k.
+    within ``BREAKDOWN_TOL`` of the set up to ``kmax``.  Producing chain
+    element k+1 is what fails when this returns k.
     """
     if kmax < 1:
         raise ValueError("kmax must be at least 1")
@@ -167,13 +168,24 @@ def breakdown_check(eigenvalues, kmax: int, tol: float = BREAKDOWN_TOL):
         p = k + 1
         roots = [cmath.exp(2j * math.pi * q / p) for q in range(1, p)]
         for z in lams:
-            if any(abs(z - w) <= tol for w in roots):
+            if any(abs(z - w) <= BREAKDOWN_TOL for w in roots):
                 return k
     return None
 
 
+def _pow2_split(M: np.ndarray):
+    """``(M * 2**-e, e)`` with ``max|M|`` in ``[2**(e-1), 2**e)``.  A norm
+    of the first part squares entries of at most 1, which cannot overflow,
+    and scaling it back by ``2**e`` is exact, so in-range norms keep their
+    bits."""
+    e = math.frexp(float(np.abs(M).max(initial=0.0)))[1]
+    return M * math.ldexp(1.0, -e), e
+
+
 def _max_row_norm(M: np.ndarray) -> float:
-    return float(np.linalg.norm(M, axis=1).max(initial=0.0))
+    """Largest row 2-norm of ``M``, free of overflow."""
+    S, e = _pow2_split(M)
+    return math.ldexp(float(np.linalg.norm(S, axis=1).max(initial=0.0)), e)
 
 
 def _finish(pencil: Pencil, U: SubspaceBasis, iterations: int,
@@ -188,19 +200,9 @@ def _finish(pencil: Pencil, U: SubspaceBasis, iterations: int,
     AU = pencil.A @ U.basis
     BU = pencil.B @ U.basis
     Lam = np.linalg.lstsq(BU, AU, rcond=None)[0]
-    residual = float(np.linalg.norm(AU - BU @ Lam, "fro") / math.sqrt(m))
+    R, e = _pow2_split(AU - BU @ Lam)
+    residual = math.ldexp(float(np.linalg.norm(R, "fro")), e) / math.sqrt(m)
     return SubspaceResult(U, Lam, residual, iterations, status)
-
-
-def _check_run_settings(tol: float, kmax: int,
-                        expected_dim: int | None) -> None:
-    """Settings check shared by ``ab_run`` and ``AccelConfig``; NaN fails it."""
-    if not tol > 0:
-        raise ValueError(f"tol must be positive, got {tol!r}")
-    if kmax < 2:
-        raise ValueError("kmax must be at least 2")
-    if expected_dim is not None and expected_dim < 0:
-        raise ValueError("expected_dim must be nonnegative")
 
 
 def _basis_change(U: SubspaceBasis, V: SubspaceBasis, tol: float) -> float:
@@ -252,13 +254,66 @@ def _drive(x, advance, metric, tol: float, kmax: int, observe,
     return SolveStatus.MAX_ITERATIONS, kmax, best_k, best, metrics, secs
 
 
-def _run_chain(initial: Pencil, advance, tol: float, kmax: int,
-               expected_dim: int | None, observer) -> SubspaceResult:
-    """``_drive`` over (element, basis) pairs; ``advance`` maps an element
-    to the next one the run keeps.  Threshold mode cuts the rank at
-    ``DEFAULT_RANK_TOL`` times the largest row norm of D = A_1 - B_1 =
-    A_k - B_k, the scale A_k tends to on unstable directions (0 on
-    stable ones); relative to A_k when D = 0 or A_k = 0."""
+def _check_settings(order: int, tol: float, kmax: int, kmax_min: int) -> None:
+    """Run settings of both solvers: ``order`` in 1..MAX_ORDER, ``tol``
+    positive (NaN fails), ``kmax`` at least the solver's ``kmax_min``."""
+    if not 1 <= order <= MAX_ORDER:
+        raise ValueError(
+            f"order must be between 1 and {MAX_ORDER}, got {order!r}")
+    if not tol > 0:
+        raise ValueError(f"tol must be positive, got {tol!r}")
+    if kmax < kmax_min:
+        raise ValueError(f"kmax must be at least {kmax_min}")
+
+
+@dataclass(frozen=True)
+class AccelConfig:
+    """Settings for a subspace run of order r.
+
+    ``order`` is the per-step chain multiplier r in 1..MAX_ORDER; one
+    outer step costs r-1 merges.  ``order=1`` is the plain chain
+    (``ab_run``), ``order=2`` a doubling iteration with a single merge
+    per step.
+    """
+
+    order: int
+    tol: float
+    kmax: int
+    expected_dim: int | None = None
+
+    def __post_init__(self):
+        _check_settings(self.order, self.tol, self.kmax, 2)
+        if self.expected_dim is not None and self.expected_dim < 0:
+            raise ValueError("expected_dim must be nonnegative")
+
+
+def accel_step(it: ABIterate, order: int) -> ABIterate:
+    """One outer step: element m to element order*m, ``_outer_step`` with
+    ``combine`` as the merge.  A ``BreakdownError`` carries the index of
+    the element whose merge failed."""
+    return _outer_step(it, order, combine)
+
+
+def modified_ab_run(initial: Pencil, cfg: AccelConfig,
+                    observer=None) -> SubspaceResult:
+    """Subspace run of order ``cfg.order``: ``_drive`` over (element,
+    basis) pairs, where outer iterate k is plain-chain element
+    r**(k-1).  Order 1 is the plain chain and advances by ``ab_step``;
+    order r >= 2 advances by ``accel_step``.  Every order shares the
+    extraction and the stopping rule described under ``ab_run``; the
+    threshold cutoff's ``ref`` (the largest row norm of D = A_1 - B_1 =
+    A_k - B_k) is the scale A_k tends to on unstable directions, as it
+    tends to 0 on stable ones.  ``observer(iterate, basis)`` is invoked
+    per outer iterate (including the first); ``iterate.k`` is the
+    plain-chain index.
+
+    Returns
+    -------
+    SubspaceResult
+        On breakdown, ``iterations`` holds the plain-chain index of the
+        element that could not be produced.
+    """
+    tol, order, expected_dim = cfg.tol, cfg.order, cfg.expected_dim
     ref = _max_row_norm(initial.A - initial.B)
 
     def extract(it):
@@ -268,6 +323,11 @@ def _run_chain(initial: Pencil, advance, tol: float, kmax: int,
         return it, null_space_basis(
             it.A_k, DEFAULT_RANK_TOL * (ref / top if ref and top else 1.0))
 
+    def advance(x):     # both steps are module globals, read at each call
+        it = x[0]
+        return extract(ab_step(initial, it) if order == 1
+                       else accel_step(it, order))
+
     def metric(prev, new):
         if new[1].dim == 0 and expected_dim is None and initial.n:
             return 1.0      # nothing has emerged yet
@@ -275,8 +335,8 @@ def _run_chain(initial: Pencil, advance, tol: float, kmax: int,
 
     observe = None if observer is None else lambda _, x: observer(*x)
     status, k, _, (_, basis), _, _ = _drive(
-        extract(first_iterate(initial)), lambda x: extract(advance(x[0])),
-        metric, tol, kmax, observe)
+        extract(first_iterate(initial)), advance, metric, tol, cfg.kmax,
+        observe)
     if status is SolveStatus.BREAKDOWN:
         basis = SubspaceBasis(np.zeros((initial.n, 0), np.complex128))
     return _finish(initial, basis, k, status)
@@ -285,7 +345,8 @@ def _run_chain(initial: Pencil, advance, tol: float, kmax: int,
 def ab_run(initial: Pencil, tol: float, kmax: int,
            expected_dim: int | None = None,
            observer=None) -> SubspaceResult:
-    """Run the plain chain until successive near-null spaces stabilize.
+    """Run the plain chain until successive near-null spaces stabilize:
+    ``modified_ab_run`` at order 1.
 
     Iterates ``ab_step`` until the distance between the near-null bases
     of consecutive A_k drops below ``tol``, then recovers the coupling
@@ -324,6 +385,5 @@ def ab_run(initial: Pencil, tol: float, kmax: int,
         Status CONVERGED, MAX_ITERATIONS, or BREAKDOWN (breakdown is
         reported, never regularized away).
     """
-    _check_run_settings(tol, kmax, expected_dim)
-    return _run_chain(initial, lambda it: ab_step(initial, it), tol, kmax,
-                      expected_dim, observer)
+    return modified_ab_run(initial, AccelConfig(1, tol, kmax, expected_dim),
+                           observer)

@@ -17,7 +17,7 @@ import numpy as np
 
 from .errors import BreakdownError, InvalidBoundsError, SingularMatrixError
 from .linalg import EPS, _as_square, lu_factor
-from .pencil import MAX_ORDER, SolveStatus, _drive, _outer_step
+from .pencil import SolveStatus, _check_settings, _drive, _outer_step
 # unused estimate_order stays bound for perfbench/test_counts.py's tracer
 from .trace import ConvergenceTrace, _order_estimates, estimate_order  # noqa: F401
 
@@ -47,12 +47,7 @@ class SqrtProblem:
         if not 0 < self.gamma < math.inf:   # NaN fails every check
             raise ValueError(
                 f"gamma must be finite and positive, got {self.gamma!r}")
-        if not self.tol > 0:
-            raise ValueError(f"tol must be positive, got {self.tol!r}")
-        if self.kmax < 1:
-            raise ValueError("kmax must be at least 1")
-        if not 1 <= self.order <= MAX_ORDER:
-            raise ValueError(f"order must be between 1 and {MAX_ORDER}")
+        _check_settings(self.order, self.tol, self.kmax, 1)
 
 
 @dataclass(frozen=True)

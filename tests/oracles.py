@@ -40,6 +40,15 @@ def lu_solve(A, rhs):
     return lu_factor(A).solve(rhs)
 
 
+def lu_perm(piv):
+    """Row permutation ``perm`` with ``A[perm] = L @ U`` from LAPACK pivot
+    indices ``piv`` (row ``i`` was swapped with row ``piv[i]``)."""
+    perm = np.arange(len(piv), dtype=np.intp)
+    for i, p in enumerate(piv):
+        perm[i], perm[p] = perm[p], perm[i]
+    return perm
+
+
 def solve_right(B, M):
     """Return ``B @ inv(M)`` as a factored transpose solve."""
     f = lu_factor(M)

@@ -21,8 +21,9 @@ from util import chain, rel_err, scalar_pencil, stable_pencil
 
 def test_config_validation():
     AccelConfig(order=2, tol=1e-10, kmax=10)
+    AccelConfig(order=1, tol=1e-10, kmax=10)    # the plain chain
     with pytest.raises(ValueError):
-        AccelConfig(order=1, tol=1e-10, kmax=10)
+        AccelConfig(order=0, tol=1e-10, kmax=10)
     with pytest.raises(ValueError):
         AccelConfig(order=17, tol=1e-10, kmax=10)
     with pytest.raises(ValueError):
@@ -32,6 +33,40 @@ def test_config_validation():
     for bad in (float("nan"), -float("inf")):
         with pytest.raises(ValueError, match="tol"):
             AccelConfig(order=2, tol=bad, kmax=10)
+
+
+@pytest.mark.parametrize("dim", [None, 2])
+def test_order_one_is_the_plain_chain(dim):
+    # a converged, a breakdown and a kmax-limited run, in both extraction
+    # modes: order 1 returns ab_run's result and observes the ab_step
+    # chain, bit for bit
+    rng = np.random.default_rng(11)
+    Q = random_unitary(4, rng)
+    eye = np.eye(4, dtype=complex)
+    good = Pencil(Q @ np.diag([0.3, 0.5 + 0.1j, 2.0, -1.5]) @ Q.conj().T, eye)
+    cube = Pencil(Q @ np.diag([0.3, 0.5, np.exp(2j * np.pi / 3), 2.0])
+                  @ Q.conj().T, eye)
+    statuses = []
+    for p, kmax in ((good, 100), (cube, 50), (good, 5)):
+        runs = []
+        for run in (lambda obs: ab_run(p, 1e-12, kmax, dim, obs),
+                    lambda obs: modified_ab_run(
+                        p, AccelConfig(1, 1e-12, kmax, dim), obs)):
+            seen = []
+            res = run(lambda it, b: seen.append((it.k, it.A_k.tobytes(),
+                                                 it.B_k.tobytes(),
+                                                 b.basis.tobytes())))
+            runs.append((res.status, res.iterations, res.U.basis.tobytes(),
+                         res.Lambda.tobytes(),
+                         np.float64(res.residual).tobytes(), seen))
+        assert runs[0] == runs[1]
+        steps = chain(p, len(runs[0][-1]))
+        assert [s[:3] for s in runs[0][-1]] == [
+            (it.k, it.A_k.tobytes(), it.B_k.tobytes()) for it in steps]
+        statuses.append((runs[0][0], runs[0][1]))
+    assert statuses[1:] == [(SolveStatus.BREAKDOWN, 3),
+                            (SolveStatus.MAX_ITERATIONS, 5)]
+    assert statuses[0][0] is SolveStatus.CONVERGED
 
 
 def test_inner_chain_order_two_is_identity():

@@ -251,6 +251,21 @@ def test_cli_pencil_accelerated(tmp_path):
     assert doc["Lambda"]["data"][0][0] == pytest.approx(0.5, abs=1e-10)
 
 
+@pytest.mark.parametrize("dim", [[], ["--dim", "1"]], ids=["threshold", "dim"])
+def test_cli_pencil_order_one_is_the_default(tmp_path, capsys, dim):
+    a = write(tmp_path / "a.txt", "0.5 0.1\n0.2 2\n")
+    b = write(tmp_path / "b.txt", "1 0\n0 1\n")
+    outs = [tmp_path / "U0.json", tmp_path / "U1.json", tmp_path / "U2.json"]
+    base = ["pencil", "--a", a, "--b", b, *dim]
+    assert main([*base, "--out", str(outs[0])]) == 0
+    assert main([*base, "--order", "1", "--out", str(outs[1])]) == 0
+    assert outs[0].read_bytes() == outs[1].read_bytes()
+    capsys.readouterr()
+    assert main([*base, "--order", "0", "--out", str(outs[2])]) == 1
+    assert "order must be between 1 and 16" in capsys.readouterr().err
+    assert not outs[2].exists()
+
+
 def test_cli_pencil_empty_expected_subspace_exits_zero(tmp_path):
     a = write(tmp_path / "a.txt", "2 0\n0 3\n")
     b = write(tmp_path / "b.txt", "1 0\n0 1\n")

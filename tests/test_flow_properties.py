@@ -15,9 +15,8 @@ from abflow import (
     modified_ab_run,
     subspace_distance,
 )
-from abflow.accel import accel_step
 from abflow.lab import conditioned_similarity, random_unitary
-from abflow.pencil import _basis_change, combine
+from abflow.pencil import _basis_change, accel_step, combine
 
 from oracles import closed_form_iterate
 from util import chain, rel_err, scalar_pencil

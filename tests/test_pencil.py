@@ -335,11 +335,7 @@ def test_threshold_mode_returns_an_all_stable_space(order, max_steps):
     # alone stopped at dimension 2 after 148 plain or 10 order-2 steps)
     spec = ProblemSpec((0.5, 0.3 + 0.2j, -0.6), cond=5, seed=1)
     prob = make_pencil_problem(spec, random_b=True)
-    if order == 1:
-        result = ab_run(prob.pencil, 1e-12, 200)
-    else:
-        result = modified_ab_run(prob.pencil,
-                                 AccelConfig(order=order, tol=1e-12, kmax=200))
+    result = modified_ab_run(prob.pencil, AccelConfig(order, 1e-12, 200))
     assert result.status is SolveStatus.CONVERGED
     assert result.U.dim == 3
     assert result.iterations <= max_steps
@@ -353,6 +349,27 @@ def test_threshold_mode_all_unstable_keeps_the_empty_basis():
     result = ab_run(prob.pencil, 1e-12, 50)
     assert (result.status, result.iterations) == (SolveStatus.MAX_ITERATIONS, 50)
     assert result.U.dim == 0 and result.residual == 0.0
+
+
+@pytest.mark.parametrize("scale", [1e155, 1e200, 1e-200])
+def test_threshold_mode_on_scaled_pencils(scale):
+    # row norms and the residual square the pencil's entries; taken on a
+    # power-of-two rescaling they neither overflow (a NaN rank cutoff at
+    # 1e155) nor lose range, and match the unscaled run step for step
+    diag = Pencil(scale * np.diag([0.5 + 0j, 2.0]),
+                  scale * np.eye(2, dtype=complex))
+    result = ab_run(diag, 1e-12, 100)
+    assert (result.status, result.iterations, result.U.dim) == (
+        SolveStatus.CONVERGED, 27, 1)
+    spec = ProblemSpec((0.3, 0.6 + 0.2j, -0.5, 1.5, 2.5, -3.0), seed=1)
+    prob = make_pencil_problem(spec, random_b=True)
+    ref = ab_run(prob.pencil, 1e-12, 200)
+    result = ab_run(Pencil(scale * prob.pencil.A, scale * prob.pencil.B),
+                    1e-12, 200)
+    assert (result.status, result.iterations, result.U.dim) == (
+        SolveStatus.CONVERGED, ref.iterations, 3)
+    assert subspace_distance(result.U, prob.basis) <= 1e-11
+    assert 0.0 < result.residual <= 1e-10 * scale
 
 
 def test_ab_run_rejects_bad_parameters():

@@ -199,6 +199,26 @@ def test_sqrtm_breakdown_on_negative_axis():
     assert res.status is SolveStatus.BREAKDOWN
 
 
+# Two overflow failures of the uncoupled Q-chain, pinned until the solver
+# reports divergence with a status of its own: every run should return a
+# finite residual and no BREAKDOWN, as no sum here is singular.
+
+@pytest.mark.xfail(strict=True, reason="the Q-chain overflows and raises "
+                                      "instead of returning a status")
+def test_sqrtm_huge_scalar_matrix_returns_a_true_status():
+    res = sqrtm_ab(SqrtProblem(1e160 * np.eye(3, dtype=complex)))
+    assert res.status is not SolveStatus.BREAKDOWN
+    assert np.isfinite(res.residual) and np.all(np.isfinite(res.X))
+
+
+@pytest.mark.xfail(strict=True, reason="the Q-chain overflows into a false "
+                                      "BREAKDOWN with residual inf")
+def test_sqrtm_wide_diagonal_is_not_a_breakdown():
+    res = sqrtm_ab(SqrtProblem(np.diag([1e150 + 0j, 1.0])))
+    assert res.status is not SolveStatus.BREAKDOWN
+    assert np.isfinite(res.residual)
+
+
 def test_sqrtm_trace_is_consistent():
     S, _ = normal_sqrt_problem(6, n=3)
     res = sqrtm_ab(SqrtProblem(S, order=2, tol=1e-13))
