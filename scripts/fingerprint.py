@@ -23,6 +23,7 @@ root of unity, plus two pencils whose sums cancel to rounding error) and
 ``expected_dim=0`` runs, which report status and iteration count only.
 """
 
+import dataclasses
 import hashlib
 import os
 import sys
@@ -93,8 +94,7 @@ specs = [("pencil", lab.ProblemSpec(spectrum=(0.3, 0.6, 1.5, 2.5, 0.8 + 0.1j), s
 for s_i, (kind, spec) in enumerate(specs):
     for r in (1, 2, 3, 4):
         t = lab.run_experiment(kind, spec, order=r, kmax=40)
-        t0 = trace.ConvergenceTrace(t.steps, t.errors, t.residuals, t.orders,
-                                    [0.0] * len(t.steps), t.status)
+        t0 = dataclasses.replace(t, seconds=[0.0] * len(t.steps))
         csv_p, json_p = os.path.join(tmp, "t.csv"), os.path.join(tmp, "t.json")
         trace.write_trace_csv(t0, csv_p)
         trace.write_trace_json(t0, json_p, header={"r": r})

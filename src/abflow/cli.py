@@ -217,9 +217,8 @@ def _cmd_pencil(ns) -> int:
     A = parse_matrix_file(ns.a)
     B = parse_matrix_file(ns.b)
     pencil = Pencil(A, B)
-    cfg = AccelConfig(1 if ns.order is None else ns.order, ns.tol, ns.kmax,
-                      ns.dim)
-    result = modified_ab_run(pencil, cfg)
+    result = modified_ab_run(pencil,
+                             AccelConfig(ns.order, ns.tol, ns.kmax, ns.dim))
     out = _resolve_out(ns.out, "pencil_result.json")
     doc = {
         "status": result.status.value,
@@ -290,8 +289,8 @@ def build_parser() -> argparse.ArgumentParser:
     pc.add_argument("--tol", type=float, default=1e-12)
     pc.add_argument("--kmax", type=int, default=100)
     pc.add_argument("--dim", type=int, help="Known subspace dimension.")
-    pc.add_argument("--order", type=int,
-                    help="Order r >= 1; omit or 1 for the plain chain.")
+    pc.add_argument("--order", type=int, default=1,
+                    help="Order r >= 1; 1 is the plain chain (default 1).")
     pc.add_argument("--out", help="Output json with U, Lambda, residual "
                                   "(default pencil_result.json).")
 

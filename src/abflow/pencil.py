@@ -25,6 +25,7 @@ from .linalg import (
     DEFAULT_RANK_TOL,
     SubspaceBasis,
     _as_square,
+    _norm,
     _residual,
     lu_factor,
     null_space_basis,
@@ -173,21 +174,6 @@ def breakdown_check(eigenvalues, kmax: int):
     return None
 
 
-def _pow2_split(M: np.ndarray):
-    """``(M * 2**-e, e)`` with ``max|M|`` in ``[2**(e-1), 2**e)``.  A norm
-    of the first part squares entries of at most 1, which cannot overflow,
-    and scaling it back by ``2**e`` is exact, so in-range norms keep their
-    bits."""
-    e = math.frexp(float(np.abs(M).max(initial=0.0)))[1]
-    return M * math.ldexp(1.0, -e), e
-
-
-def _max_row_norm(M: np.ndarray) -> float:
-    """Largest row 2-norm of ``M``, free of overflow."""
-    S, e = _pow2_split(M)
-    return math.ldexp(float(np.linalg.norm(S, axis=1).max(initial=0.0)), e)
-
-
 def _finish(pencil: Pencil, U: SubspaceBasis, iterations: int,
             status: SolveStatus) -> SubspaceResult:
     """The result on span(U), with the least-squares coupling block of
@@ -200,8 +186,7 @@ def _finish(pencil: Pencil, U: SubspaceBasis, iterations: int,
     AU = pencil.A @ U.basis
     BU = pencil.B @ U.basis
     Lam = np.linalg.lstsq(BU, AU, rcond=None)[0]
-    R, e = _pow2_split(AU - BU @ Lam)
-    residual = math.ldexp(float(np.linalg.norm(R, "fro")), e) / math.sqrt(m)
+    residual = _norm(AU - BU @ Lam) / math.sqrt(m)
     return SubspaceResult(U, Lam, residual, iterations, status)
 
 
@@ -314,12 +299,12 @@ def modified_ab_run(initial: Pencil, cfg: AccelConfig,
         element that could not be produced.
     """
     tol, order, expected_dim = cfg.tol, cfg.order, cfg.expected_dim
-    ref = _max_row_norm(initial.A - initial.B)
+    ref = float(_norm(initial.A - initial.B, axis=1).max(initial=0.0))
 
     def extract(it):
         if expected_dim is not None:
             return it, smallest_singular_subspace(it.A_k, expected_dim)
-        top = _max_row_norm(it.A_k)
+        top = float(_norm(it.A_k, axis=1).max(initial=0.0))
         return it, null_space_basis(
             it.A_k, DEFAULT_RANK_TOL * (ref / top if ref and top else 1.0))
 

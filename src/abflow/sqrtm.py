@@ -16,10 +16,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import BreakdownError, InvalidBoundsError, SingularMatrixError
-from .linalg import EPS, _as_square, lu_factor
+from .linalg import EPS, _as_square, _norm, lu_factor
 from .pencil import SolveStatus, _check_settings, _drive, _outer_step
 # unused estimate_order stays bound for perfbench/test_counts.py's tracer
-from .trace import ConvergenceTrace, _order_estimates, estimate_order  # noqa: F401
+from .trace import ConvergenceTrace, estimate_order  # noqa: F401
 
 #: Successive-difference level below which an increase is treated as the
 #: rounding floor rather than transient behaviour.
@@ -89,6 +89,13 @@ def q_step(Q, S, partner) -> np.ndarray:
     return f.solve((S + partner @ Q).T, trans=True).T
 
 
+def _residual_of(S):
+    """The certificate of a root Q of S, ``||Q^2 - S||_F / ||S||_F``
+    (over 1 when S = 0), with overflow-free norms."""
+    s_norm = _norm(S) or 1.0
+    return lambda Q: _norm(Q @ Q - S) / s_norm
+
+
 def accelerated_step(Q, S, order: int) -> np.ndarray:
     """Advance the Q-chain from element m to element order*m.
 
@@ -136,16 +143,12 @@ def sqrtm_ab(prob: SqrtProblem, observer=None) -> SqrtResult:
         successive difference, residual, wall seconds).
     """
     S, gamma, order = prob.S, prob.gamma, prob.order
-    s_norm = float(np.linalg.norm(S, "fro")) or 1.0
+    residual = _residual_of(S)
     resids = []
-
-    def residual(Q):
-        return float(np.linalg.norm(Q @ Q - S, "fro")) / s_norm
 
     def rel_diff(P, Q):     # the metric, which also records Q's residual
         resids.append(residual(Q))
-        return float(np.linalg.norm(Q - P, "fro")) / (
-            float(np.linalg.norm(Q, "fro")) or 1.0)
+        return _norm(Q - P) / (_norm(Q) or 1.0)
 
     status, _, best_k, X, diffs, secs = _drive(
         gamma * np.eye(S.shape[0], dtype=np.complex128),
@@ -153,8 +156,7 @@ def sqrtm_ab(prob: SqrtProblem, observer=None) -> SqrtResult:
                    else accelerated_step(Q, S, order)),
         rel_diff, prob.tol, prob.kmax, observer, STAGNATION_DIFF)
     trace = ConvergenceTrace(tuple(range(2, len(diffs) + 2)), tuple(diffs),
-                             tuple(resids), _order_estimates(diffs),
-                             tuple(secs), status.value)
+                             tuple(resids), tuple(secs), status.value)
     return SqrtResult(X, resids[best_k - 2] if best_k > 1 else residual(X),
                       trace, status)
 

@@ -25,36 +25,43 @@ class ConvergenceTrace:
 
     ``errors[i]`` belongs to step ``steps[i]``; entries stay positive
     while the run makes progress and may only vanish once the target is
-    hit exactly.  ``orders`` holds the admissible log-ratio
-    convergence-order estimates (at most ``len(errors) - 2``).
-    ``seconds`` is wall time spent producing each step.
+    hit exactly.  ``seconds`` is wall time spent producing each step.
     """
 
     steps: tuple
     errors: tuple
     residuals: tuple
-    orders: tuple
     seconds: tuple
     status: str = "converged"
 
     def __post_init__(self):
         object.__setattr__(self, "steps", tuple(int(s) for s in self.steps))
-        for name in ("errors", "residuals", "orders", "seconds"):
+        for name in ("errors", "residuals", "seconds"):
             object.__setattr__(self, name,
                                tuple(float(v) for v in getattr(self, name)))
-        n = len(self.steps)
         if not (len(self.errors) == len(self.residuals)
-                == len(self.seconds) == n):
+                == len(self.seconds) == len(self.steps)):
             raise ValueError("trace columns have inconsistent lengths")
-        if len(self.orders) > max(0, n - 2):
-            raise ValueError("more order estimates than interior steps")
         if any(e < 0 or math.isnan(e) for e in self.errors):
             raise ValueError("errors must be nonnegative")
 
+    @property
+    def orders(self) -> tuple:
+        """The log-ratio convergence-order estimates (``estimate_order``)
+        of the errors before the first one at or below
+        ``SATURATION_GUARD``, where rounding sets the error; empty when
+        fewer than three come before it."""
+        return tuple(est for _, est in _log_ratios(self.errors,
+                                                   SATURATION_GUARD))
 
-def _log_ratios(errors):
+
+def _log_ratios(errors, floor=None):
     """Yield ``(k, log(e[k+1]/e[k]) / log(e[k]/e[k-1]))`` for each interior
-    index k whose triple is positive with a non-vanishing reference ratio."""
+    index k whose triple is positive with a non-vanishing reference ratio;
+    with a ``floor``, only among the errors before the first one at or
+    below it."""
+    if floor is not None:
+        errors = list(itertools.takewhile(lambda e: e > floor, errors))
     for k in range(1, len(errors) - 1):
         if min(errors[k - 1:k + 2]) <= 0:
             continue
@@ -83,27 +90,15 @@ def estimate_order(errors) -> list:
     return [est for _, est in _log_ratios(vals)]
 
 
-def _presaturation(errors) -> list:
-    """The errors before the first one at or below ``SATURATION_GUARD``."""
-    return list(itertools.takewhile(lambda e: e > SATURATION_GUARD, errors))
-
-
-def _order_estimates(errors) -> tuple:
-    """The ``orders`` of a trace: ``estimate_order`` over the errors before
-    saturation, empty when fewer than three remain."""
-    pre = _presaturation(errors)
-    return tuple(estimate_order(pre)) if len(pre) >= 3 else ()
-
-
 #: The columns of a trace file, one row per step.
 _FIELDS = ("step", "error", "residual", "order_estimate", "elapsed_seconds")
 
 
 def _rows(trace: ConvergenceTrace):
-    """The ``_FIELDS`` of each step; the order estimates are those of
-    ``_order_estimates``, on the row of their newest error, else None."""
+    """The ``_FIELDS`` of each step; the order estimates are the trace's
+    ``orders``, each on the row of its newest error, else None."""
     orders = [None] * len(trace.errors)
-    for k, est in _log_ratios(_presaturation(trace.errors)):
+    for k, est in _log_ratios(trace.errors, SATURATION_GUARD):
         orders[k + 1] = est
     return zip(trace.steps, trace.errors, trace.residuals, orders,
                trace.seconds)

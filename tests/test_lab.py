@@ -1,11 +1,13 @@
 """Generators, order estimation, trace emission, experiment drivers."""
 
 import csv
+import itertools
 import json
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from abflow import (
     ConvergenceTrace,
@@ -22,6 +24,7 @@ from abflow import (
     write_trace_json,
 )
 from abflow.sqrtm import SqrtProblem, sqrtm_ab
+from abflow.trace import SATURATION_GUARD
 
 
 # ----------------------------- estimate_order -----------------------------
@@ -59,18 +62,27 @@ def _toy_trace():
     return ConvergenceTrace(steps=(1, 2, 3, 4),
                             errors=(1e-1, 1e-2, 1e-4, 1e-8),
                             residuals=(1e-2, 1e-3, 1e-5, 1e-9),
-                            orders=(2.0, 2.0),
                             seconds=(0.0, 0.1, 0.1, 0.1),
                             status="converged")
 
 
 def test_trace_validates_lengths():
     with pytest.raises(ValueError):
-        ConvergenceTrace((1, 2), (0.1,), (0.1, 0.2), (), (0.0, 0.0))
+        ConvergenceTrace((1, 2), (0.1,), (0.1, 0.2), (0.0, 0.0))
     with pytest.raises(ValueError):
-        ConvergenceTrace((1, 2), (0.1, 0.2), (0.1, 0.2), (1.0,), (0.0, 0.0))
-    with pytest.raises(ValueError):
-        ConvergenceTrace((1,), (-0.5,), (0.1,), (), (0.0,))
+        ConvergenceTrace((1,), (-0.5,), (0.1,), (0.0,))
+
+
+@settings(derandomize=True, deadline=None, max_examples=200)
+@given(st.lists(st.floats(min_value=1e-300, max_value=1e3), max_size=12))
+def test_trace_orders_are_the_presaturation_estimates(errors):
+    """``orders`` is derived from ``errors``: ``estimate_order`` of the
+    errors before the first one at or below ``SATURATION_GUARD``, or
+    empty when fewer than three come before it."""
+    tr = ConvergenceTrace(range(len(errors)), errors, [0.0] * len(errors),
+                          [0.0] * len(errors))
+    pre = list(itertools.takewhile(lambda e: e > SATURATION_GUARD, errors))
+    assert tr.orders == (tuple(estimate_order(pre)) if len(pre) >= 3 else ())
 
 
 def test_trace_csv_roundtrip(tmp_path):
@@ -282,6 +294,32 @@ def test_pencil_experiment_accelerated_matches_status():
     assert tr.errors[-1] <= 1e-9
     # steps carry plain-chain indices 1, 2, 4, 8, ...
     assert tr.steps[:4] == (1, 2, 4, 8)
+
+
+def test_pencil_experiment_seconds_leave_out_the_recording(monkeypatch):
+    """The ``seconds`` column times the solver, not the observer's own
+    error and residual work: a ``subspace_distance`` that takes 1000 s
+    on a fake clock shows in no entry."""
+    import abflow.lab as lab
+
+    class Clock:
+        now = 0.0
+
+        def perf_counter(self):
+            return self.now
+
+    clock, distance = Clock(), lab.subspace_distance
+
+    def slow_distance(U, V):
+        clock.now += 1000.0
+        return distance(U, V)
+
+    monkeypatch.setattr(lab, "time", clock)
+    monkeypatch.setattr(lab, "subspace_distance", slow_distance)
+    tr = run_experiment("pencil", ProblemSpec(spectrum=(0.3, 0.6, 1.5), seed=1),
+                        order=2, tol=1e-10, kmax=12)
+    assert len(tr.seconds) >= 3
+    assert all(s < 1000.0 for s in tr.seconds)
 
 
 def test_pencil_experiment_breakdown_partial_trace():

@@ -351,11 +351,12 @@ def test_threshold_mode_all_unstable_keeps_the_empty_basis():
     assert result.U.dim == 0 and result.residual == 0.0
 
 
-@pytest.mark.parametrize("scale", [1e155, 1e200, 1e-200])
+@pytest.mark.parametrize("scale", [1e155, 1e200, 1e-200, 1e-300])
 def test_threshold_mode_on_scaled_pencils(scale):
     # row norms and the residual square the pencil's entries; taken on a
     # power-of-two rescaling they neither overflow (a NaN rank cutoff at
-    # 1e155) nor lose range, and match the unscaled run step for step
+    # 1e155) nor lose range, and match the unscaled run step for step; at
+    # 1e-300 the residual's entries are subnormal and 2**-e must stay finite
     diag = Pencil(scale * np.diag([0.5 + 0j, 2.0]),
                   scale * np.eye(2, dtype=complex))
     result = ab_run(diag, 1e-12, 100)

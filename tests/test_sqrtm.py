@@ -1,5 +1,7 @@
 """Square-root solver: embedding, chains, oracles, convergence behaviour."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -217,6 +219,18 @@ def test_sqrtm_wide_diagonal_is_not_a_breakdown():
     res = sqrtm_ab(SqrtProblem(np.diag([1e150 + 0j, 1.0])))
     assert res.status is not SolveStatus.BREAKDOWN
     assert np.isfinite(res.residual)
+
+
+def test_sqrtm_wide_diagonal_certificate_is_finite():
+    """The residual and step norms are overflow-free: on diag(1e150, 1)
+    the entries of Q^2 fit in a double but the sum of their squares does
+    not, and the residual still comes back finite with no RuntimeWarning
+    (the false BREAKDOWN is the xfail above)."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        res = sqrtm_ab(SqrtProblem(np.diag([1e150 + 0j, 1.0])))
+    assert np.isfinite(res.residual)
+    assert all(np.isfinite(res.trace.residuals))
 
 
 def test_sqrtm_trace_is_consistent():
