@@ -36,7 +36,7 @@ sys.path.insert(0, os.path.join(tree, "perfbench"))
 import numpy as np  # noqa: E402
 
 import abflow  # noqa: E402
-from abflow import accel, lab, pencil, sqrtm, trace  # noqa: E402
+from abflow import lab, pencil, sqrtm, trace  # noqa: E402
 import workloads  # noqa: E402
 
 if not abflow.__file__.startswith(tree):
@@ -65,8 +65,8 @@ for i, prob in enumerate(pencils):
                 P, 1e-12, 500, expected_dim=m, observer=obs)),
             ("plain-thr", lambda obs: pencil.ab_run(P, 1e-10, 500, observer=obs))]
     for r in (2, 3, 4, 7):
-        cfg = accel.AccelConfig(order=r, tol=1e-12, kmax=60, expected_dim=m)
-        runs.append((f"r{r}", lambda obs, cfg=cfg: accel.modified_ab_run(
+        cfg = pencil.AccelConfig(order=r, tol=1e-12, kmax=60, expected_dim=m)
+        runs.append((f"r{r}", lambda obs, cfg=cfg: pencil.modified_ab_run(
             P, cfg, observer=obs)))
     for tag, run in runs:
         seen = []
@@ -117,14 +117,14 @@ for name, P in breakdowns:
     res = pencil.ab_run(P, 1e-10, 50)
     out.append(f"brk {name} plain status={res.status.value} it={res.iterations}")
     for r in (2, 3, 4, 5):
-        cfg = accel.AccelConfig(order=r, tol=1e-10, kmax=20)
-        res = accel.modified_ab_run(P, cfg)
+        cfg = pencil.AccelConfig(order=r, tol=1e-10, kmax=20)
+        res = pencil.modified_ab_run(P, cfg)
         out.append(f"brk {name} r{r} status={res.status.value} it={res.iterations}")
 
 P = pencil.Pencil(np.diag([2.0 + 0j, 3.0]), np.eye(2, dtype=complex))
 res = pencil.ab_run(P, 1e-12, 100, expected_dim=0)
 out.append(f"dim0 plain status={res.status.value} it={res.iterations}")
-cfg = accel.AccelConfig(order=2, tol=1e-12, kmax=100, expected_dim=0)
-res = accel.modified_ab_run(P, cfg)
+cfg = pencil.AccelConfig(order=2, tol=1e-12, kmax=100, expected_dim=0)
+res = pencil.modified_ab_run(P, cfg)
 out.append(f"dim0 r2 status={res.status.value} it={res.iterations}")
 print("\n".join(out))

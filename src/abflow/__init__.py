@@ -6,23 +6,23 @@ elements i and j).  That property yields an accelerated variant of any
 integer convergence order and, through a Cayley-transformed embedding, a
 principal matrix square-root solver.
 
-``__all__`` is the public API: the solvers, their inputs and results,
-the problem generators and the ``linalg`` kernels.  These validate what
-they are given.  The chain kernels inside the modules (``combine``,
-``q_step`` and the steps built from them) are internal and trust their
-callers, which pass arrays built from already validated inputs.
+``__all__`` is the public API: solvers, inputs, results, generators,
+traces and errors.  Input is validated once, where it enters (``Pencil``,
+``SqrtProblem``, ``AccelConfig``, ``SubspaceBasis``, ``subspace_distance``
+and the CLI parser).  The ``linalg`` and chain kernels (``lu_factor``,
+``null_space_basis``, ``combine``, ``q_step`` and the like) are internal
+and trust their callers; each chain element is checked once, where
+``combine`` or ``q_step`` makes it.
 """
 
 from .errors import (
     ABFlowError,
-    BreakdownError,
     DimensionMismatchError,
     InsufficientDataError,
     InvalidBoundsError,
     InvalidSpectrumError,
     ParseError,
     ShapeError,
-    SingularMatrixError,
 )
 from .lab import (
     PencilProblem,
@@ -36,12 +36,7 @@ from .lab import (
 )
 from .linalg import (
     DEFAULT_RANK_TOL,
-    LUFactorization,
     SubspaceBasis,
-    as_matrix,
-    lu_factor,
-    null_space_basis,
-    smallest_singular_subspace,
     subspace_distance,
 )
 from .pencil import (
@@ -65,17 +60,15 @@ from .trace import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "ABFlowError", "AccelConfig", "BreakdownError", "BREAKDOWN_TOL",
-    "ConvergenceTrace", "DEFAULT_RANK_TOL", "DimensionMismatchError",
-    "InsufficientDataError", "InvalidBoundsError", "InvalidSpectrumError",
-    "LUFactorization", "ParseError", "Pencil", "PencilProblem",
-    "ProblemSpec", "ShapeError", "SingularMatrixError", "SolveStatus",
+    "ABFlowError", "AccelConfig", "BREAKDOWN_TOL", "ConvergenceTrace",
+    "DEFAULT_RANK_TOL", "DimensionMismatchError", "InsufficientDataError",
+    "InvalidBoundsError", "InvalidSpectrumError", "ParseError", "Pencil",
+    "PencilProblem", "ProblemSpec", "ShapeError", "SolveStatus",
     "SpectrumEntry", "SqrtProblem", "SqrtResult", "SubspaceBasis",
     "SubspaceResult",
-    "ab_run", "as_matrix", "breakdown_check", "conditioned_similarity",
-    "estimate_order", "gamma_heuristic", "lu_factor",
-    "make_known_sqrt_problem", "make_pencil_problem", "modified_ab_run",
-    "null_space_basis", "random_unitary", "run_experiment",
-    "smallest_singular_subspace", "sqrtm_ab", "subspace_distance",
+    "ab_run", "breakdown_check", "conditioned_similarity",
+    "estimate_order", "gamma_heuristic", "make_known_sqrt_problem",
+    "make_pencil_problem", "modified_ab_run", "random_unitary",
+    "run_experiment", "sqrtm_ab", "subspace_distance",
     "write_trace_csv", "write_trace_json",
 ]

@@ -4,6 +4,8 @@ Factored solves with partial pivoting, rank-revealing near-null spaces
 and subspace geometry.  Everything operates on 2-D ``complex128`` arrays,
 never forms an explicit inverse, and is a pure function of its inputs: a
 fixed input yields a bit-identical output within one build.
+``as_matrix`` checks input where it enters the package; the factor,
+solve and extraction kernels trust their callers, the chains.
 """
 
 from __future__ import annotations
@@ -32,13 +34,7 @@ PIVOT_SAFETY = 64.0
 
 
 def as_matrix(a, name: str = "matrix") -> np.ndarray:
-    """Coerce ``a`` to a finite 2-D complex128 array.
-
-    Raises
-    ------
-    ValueError
-        If the input is not 2-D or contains NaN/Inf entries.
-    """
+    """Coerce ``a`` to a finite 2-D complex128 array (else ValueError)."""
     M = np.asarray(a, dtype=np.complex128)
     if M.ndim != 2:
         raise ValueError(f"{name} must be 2-D, got ndim={M.ndim}")
@@ -81,46 +77,36 @@ class LUFactorization:
 
     def solve(self, rhs: np.ndarray, trans: bool = False) -> np.ndarray:
         """Solve ``A @ X = rhs`` (or ``A.T @ X = rhs`` when ``trans``)."""
-        b = as_matrix(rhs, "rhs")
-        if b.shape[0] != self.n:
-            raise DimensionMismatchError(
-                f"rhs has {b.shape[0]} rows, expected {self.n}")
-        if self.n == 0 or b.shape[1] == 0:
-            return np.zeros_like(b)
-        return zgetrs(self.lu, self.piv, b, trans=int(trans))[0]
+        if self.n == 0 or rhs.shape[1] == 0:
+            return np.zeros_like(rhs)
+        return zgetrs(self.lu, self.piv, rhs, trans=int(trans))[0]
 
 
 def lu_factor(A, B=None) -> LUFactorization:
-    """Factor ``M = A`` or ``M = A + B`` as ``P M = L U`` with partial pivoting.
+    """Factor ``M = A`` or ``M = A + B`` (finite square complex128 arrays
+    of one shape) as ``P M = L U`` with partial pivoting.
 
-    The pivot cutoff is relative to the largest entry of ``M`` and of each
-    term, so a sum that cancels to rounding error of its terms is singular.
-    Terms of unequal shape are rejected, never broadcast.
-
-    Raises
-    ------
-    SingularMatrixError
-        When a pivot magnitude falls below ``PIVOT_SAFETY * n * eps *
-        max(max|M|, max|A|, max|B|)`` (numerically singular input; inside
-        either chain this is a breakdown).
+    Raises ``SingularMatrixError`` when a pivot magnitude falls below
+    ``PIVOT_SAFETY * n * eps * max(max|M|, max|A|, max|B|)``, so a sum that
+    cancels to rounding error of its terms is singular (inside either chain
+    this is a breakdown), and ``ValueError`` when ``max|M|`` overflows,
+    where no pivot test can judge ``M``.
     """
     term_max = 0.0
     if B is not None:
-        A, B = np.asarray(A, np.complex128), np.asarray(B, np.complex128)
-        if A.shape != B.shape:
-            raise DimensionMismatchError(f"terms are {A.shape} and {B.shape}")
         term_max = max(float(np.abs(A).max(initial=0.0)),
                        float(np.abs(B).max(initial=0.0)))
-        A = A + B       # a non-finite term leaves a non-finite sum
-    M = _as_square(A)
-    n = M.shape[0]
+        A = A + B
+    n = A.shape[0]
     if n == 0:
-        return LUFactorization(M.copy(), np.empty(0, dtype=np.int32), 0.0)
-    a_max = float(np.abs(M).max())
+        return LUFactorization(A.copy(), np.empty(0, dtype=np.int32), 0.0)
+    a_max = float(np.abs(A).max())
     if a_max == 0.0:
         raise SingularMatrixError("matrix is identically zero")
+    if a_max == math.inf:
+        raise ValueError("matrix entries overflow")
     # exact zero pivots (info > 0) are flagged below through the cutoff check
-    lu, piv, _ = zgetrf(M)
+    lu, piv, _ = zgetrf(A)
     pivot = float(np.abs(lu.diagonal()).min())
     cutoff = PIVOT_SAFETY * n * EPS * max(term_max, a_max)
     if pivot < cutoff:
@@ -170,24 +156,17 @@ def null_space_basis(A, rank_tol: float = DEFAULT_RANK_TOL) -> SubspaceBasis:
     rank-deciding least-squares routine ``xGELSY`` does: the length of the
     leading run of ``|r_jj| >= rank_tol * |r_11|`` (0 for the zero matrix),
     where ``|r_11|``, the largest row norm of ``A``, lies in
-    ``[sigma_max / sqrt(n_rows), sigma_max]``.  The basis spans the
-    trailing ``n_cols - r`` columns of Q and may be empty.
-
-    Parameters
-    ----------
-    A : array_like
-        Any rectangular complex matrix.
-    rank_tol : float
-        Relative rank cutoff, must be positive.
+    ``[sigma_max / sqrt(n_rows), sigma_max]``, for a finite complex128
+    ``A`` and a positive ``rank_tol``.  The basis spans the trailing
+    ``n_cols - r`` columns of Q and may be empty.
     """
-    if not rank_tol > 0:
-        raise ValueError(f"rank_tol must be positive, got {rank_tol!r}")
-    return _pivoted_qr_null_space(as_matrix(A), rank_tol=rank_tol)
+    return _pivoted_qr_null_space(A, rank_tol=rank_tol)
 
 
 def smallest_singular_subspace(A, dim: int) -> SubspaceBasis:
     """Orthonormal basis of the ``dim``-dimensional right near-null space
-    of ``A``, from a rank-revealing QR with column pivoting.
+    of a finite complex128 ``A`` (``0 <= dim <= n_cols``), from a
+    rank-revealing QR with column pivoting.
 
     The pivoted QR ``A^H P = Q R`` puts the ``r = n_cols - dim`` dominant
     rows of ``A`` first; the trailing ``dim`` columns of Q are their
@@ -199,17 +178,8 @@ def smallest_singular_subspace(A, dim: int) -> SubspaceBasis:
     ``tan(theta) <~ ||R12|| ||R22|| / sigma_min(R11)^2``, so it is
     accurate once the singular gap at ``r`` has opened, as it does along
     a converging chain.  It costs a fraction of a full SVD.
-
-    Raises
-    ------
-    DimensionMismatchError
-        If ``dim`` lies outside ``0..n_cols``.
     """
-    M = as_matrix(A)
-    if not 0 <= dim <= M.shape[1]:
-        raise DimensionMismatchError(
-            f"requested dim {dim} outside 0..{M.shape[1]}")
-    return _pivoted_qr_null_space(M, dim)
+    return _pivoted_qr_null_space(A, dim)
 
 
 def _pivoted_qr_null_space(M: np.ndarray, dim: int | None = None,

@@ -15,12 +15,13 @@ from __future__ import annotations
 import cmath
 import enum
 import math
+import operator
 import time
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import BreakdownError, SingularMatrixError
+from .errors import BreakdownError, DimensionMismatchError, SingularMatrixError
 from .linalg import (
     DEFAULT_RANK_TOL,
     SubspaceBasis,
@@ -130,7 +131,9 @@ def combine(it_i: ABIterate, it_j: ABIterate) -> ABIterate:
     difference as ``A_{i+j} + B_i - A_i``, so a merge is one factorization,
     one solve and one product.  Both iterates must come from the same
     chain.  ``lu_factor`` judges the sum by its terms, so a sum that
-    cancels to rounding error is a breakdown.
+    cancels to rounding error is a breakdown.  Each element after the
+    first is made here and checked once, for ``ValueError`` when it is
+    not finite: a NaN or Inf in ``A_{i+j}`` carries into ``B_{i+j}``.
     """
     target = it_i.k + it_j.k
     A_i = it_i.A_k
@@ -141,7 +144,10 @@ def combine(it_i: ABIterate, it_j: ABIterate) -> ABIterate:
             f"singular sum producing chain element {target}",
             index=target) from exc
     A_new = A_i @ f.solve(it_j.A_k)
-    return ABIterate(A_new, A_new + it_i.B_k - A_i, target)
+    B_new = A_new + it_i.B_k - A_i
+    if not np.isfinite(B_new).all():
+        raise ValueError(f"chain element {target} is not finite")
+    return ABIterate(A_new, B_new, target)
 
 
 def _outer_step(x, order: int, merge):
@@ -161,7 +167,7 @@ def breakdown_check(eigenvalues, kmax: int):
     within ``BREAKDOWN_TOL`` of the set up to ``kmax``.  Producing chain
     element k+1 is what fails when this returns k.
     """
-    if kmax < 1:
+    if _integer("kmax", kmax) < 1:
         raise ValueError("kmax must be at least 1")
     lams = [complex(v) for v in eigenvalues]
     lams = [z for z in lams if not cmath.isinf(z)]
@@ -239,15 +245,23 @@ def _drive(x, advance, metric, tol: float, kmax: int, observe,
     return SolveStatus.MAX_ITERATIONS, kmax, best_k, best, metrics, secs
 
 
+def _integer(name: str, value) -> int:
+    """``operator.index(value)``, or a ``ValueError`` naming ``name``."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise ValueError(f"{name} must be an integer, got {value!r}") from None
+
+
 def _check_settings(order: int, tol: float, kmax: int, kmax_min: int) -> None:
-    """Run settings of both solvers: ``order`` in 1..MAX_ORDER, ``tol``
-    positive (NaN fails), ``kmax`` at least the solver's ``kmax_min``."""
-    if not 1 <= order <= MAX_ORDER:
+    """Run settings of both solvers: an integer ``order`` in 1..MAX_ORDER,
+    ``tol`` positive (NaN fails), an integer ``kmax`` of at least ``kmax_min``."""
+    if not 1 <= _integer("order", order) <= MAX_ORDER:
         raise ValueError(
             f"order must be between 1 and {MAX_ORDER}, got {order!r}")
     if not tol > 0:
         raise ValueError(f"tol must be positive, got {tol!r}")
-    if kmax < kmax_min:
+    if _integer("kmax", kmax) < kmax_min:
         raise ValueError(f"kmax must be at least {kmax_min}")
 
 
@@ -268,7 +282,8 @@ class AccelConfig:
 
     def __post_init__(self):
         _check_settings(self.order, self.tol, self.kmax, 2)
-        if self.expected_dim is not None and self.expected_dim < 0:
+        if (self.expected_dim is not None
+                and _integer("expected_dim", self.expected_dim) < 0):
             raise ValueError("expected_dim must be nonnegative")
 
 
@@ -290,7 +305,8 @@ def modified_ab_run(initial: Pencil, cfg: AccelConfig,
     A_k - B_k) is the scale A_k tends to on unstable directions, as it
     tends to 0 on stable ones.  ``observer(iterate, basis)`` is invoked
     per outer iterate (including the first); ``iterate.k`` is the
-    plain-chain index.
+    plain-chain index.  An ``expected_dim`` above n raises
+    ``DimensionMismatchError`` before element 1 is observed.
 
     Returns
     -------
@@ -299,6 +315,9 @@ def modified_ab_run(initial: Pencil, cfg: AccelConfig,
         element that could not be produced.
     """
     tol, order, expected_dim = cfg.tol, cfg.order, cfg.expected_dim
+    if expected_dim is not None and expected_dim > initial.n:
+        raise DimensionMismatchError(
+            f"requested dim {expected_dim} outside 0..{initial.n}")
     ref = float(_norm(initial.A - initial.B, axis=1).max(initial=0.0))
 
     def extract(it):

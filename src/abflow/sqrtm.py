@@ -79,6 +79,8 @@ def q_step(Q, S, partner) -> np.ndarray:
         If ``partner + Q`` is numerically singular, the runtime signal
         for spectrum on the negative real axis; as in ``pencil.combine``,
         a sum that cancels to rounding error of its terms counts.
+    ValueError
+        If the new iterate, checked here where it is made, is not finite.
     """
     if np.isscalar(partner):
         partner = complex(partner) * np.eye(Q.shape[0], dtype=np.complex128)
@@ -86,7 +88,10 @@ def q_step(Q, S, partner) -> np.ndarray:
         f = lu_factor(partner, Q)
     except SingularMatrixError as exc:
         raise BreakdownError("singular partner sum in square-root step") from exc
-    return f.solve((S + partner @ Q).T, trans=True).T
+    X = f.solve((S + partner @ Q).T, trans=True).T
+    if not np.isfinite(X).all():
+        raise ValueError("square-root iterate is not finite")
+    return X
 
 
 def _residual_of(S):

@@ -10,15 +10,9 @@ import math
 
 import numpy as np
 
-from abflow import (
-    ABFlowError,
-    DimensionMismatchError,
-    Pencil,
-    SingularMatrixError,
-    as_matrix,
-    lu_factor,
-)
-from abflow.linalg import _as_square
+from abflow import ABFlowError, DimensionMismatchError, Pencil
+from abflow.errors import SingularMatrixError
+from abflow.linalg import _as_square, as_matrix, lu_factor
 from abflow.pencil import ABIterate
 
 #: Marker for the point at infinity in eigenvalue maps.

@@ -8,12 +8,12 @@ from abflow import (
     Pencil,
     SolveStatus,
     ab_run,
-    lu_factor,
     modified_ab_run,
     subspace_distance,
 )
 from abflow.accel import inner_chain
 from abflow.lab import ProblemSpec, make_pencil_problem, random_unitary
+from abflow.linalg import lu_factor
 
 from oracles import induced_norm2
 from util import chain, rel_err, scalar_pencil, stable_pencil

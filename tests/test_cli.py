@@ -4,6 +4,9 @@ import csv
 import json
 import math
 import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -332,6 +335,20 @@ def test_cli_bench_rejects_orders_before_any_run(tmp_path, capsys, orders):
     assert not out_dir.exists() or not any(out_dir.iterdir())
 
 
+@pytest.mark.parametrize("flag, value, message", [
+    ("--spectrum", ",", "spectrum is empty"),
+    ("--orders", "x", "bad order list 'x'"),
+    ("--orders", ",", "order list is empty"),
+], ids=["empty-spectrum", "bad-orders", "empty-orders"])
+def test_cli_bench_rejects_bad_lists(tmp_path, capsys, flag, value, message):
+    args = {"--spectrum": "2,3", "--orders": "2", flag: value}
+    out_dir = tmp_path / "D"
+    assert main(["bench", "--kind", "sqrt", *sum(args.items(), ()),
+                 "--out-dir", str(out_dir)]) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not out_dir.exists()
+
+
 def test_cli_bench_pencil_kind(tmp_path):
     out_dir = str(tmp_path / "D")
     code = main(["bench", "--kind", "pencil", "--spectrum", "0.5,2",
@@ -362,7 +379,8 @@ def test_cli_parse_error_exits_one(tmp_path, capsys):
     ('{"rows": true, "cols": true, "data": [[1, 0]]}', "bad shape"),
     ('{"rows": 1, "cols": 1, "data": [[1' + "0" * 400 + ', 0]]}',
      "entry 0 is outside double range"),
-], ids=["bool-shape", "huge-integer"])
+    ('[{"rows": 1, "cols": 1, "data": [[1, 0]]}]', "top level must be an object"),
+], ids=["bool-shape", "huge-integer", "not-an-object"])
 def test_cli_bad_json_document_exits_one(tmp_path, capsys, text, message):
     bad = write(tmp_path / "bad.json", text)
     assert main(["sqrt", "--input", bad, "--out", str(tmp_path / "X.json")]) == 1
@@ -415,3 +433,24 @@ def test_cli_atomic_write_leaves_no_temp(tmp_path):
     assert main(["sqrt", "--input", s, "--out", out]) == 0
     leftovers = [p for p in os.listdir(tmp_path) if p.startswith(".tmp-")]
     assert leftovers == []
+
+
+@pytest.mark.parametrize("files, args, code", [
+    ({"S.txt": "4 0\n0 9\n"}, ["sqrt", "--input", "S.txt"], 0),
+    ({"A.txt": "-1\n", "B.txt": "1\n"},
+     ["pencil", "--a", "A.txt", "--b", "B.txt"], 2),
+    ({"S.txt": "4 0\n0 9\n"}, ["sqrt", "--input", "S.txt", "--kmax", "1"], 3),
+    ({}, [], 1),
+], ids=["converged", "breakdown", "max-iterations", "usage"])
+def test_process_exit_codes(tmp_path, files, args, code):
+    """``python -m abflow.cli`` runs ``entry()``, which exits with the code
+    that ``main`` returns."""
+    for name, text in files.items():
+        write(tmp_path / name, text)
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    env.pop("ABFLOW_OUT_DIR", None)
+    proc = subprocess.run([sys.executable, "-m", "abflow.cli", *args],
+                          cwd=tmp_path, env=env, capture_output=True,
+                          text=True, timeout=120)
+    assert proc.returncode == code, proc.stderr

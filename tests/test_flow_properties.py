@@ -7,7 +7,6 @@ from hypothesis import given, settings, strategies as st
 
 from abflow import (
     AccelConfig,
-    LUFactorization,
     Pencil,
     SolveStatus,
     SubspaceBasis,
@@ -16,6 +15,7 @@ from abflow import (
     subspace_distance,
 )
 from abflow.lab import conditioned_similarity, random_unitary
+from abflow.linalg import LUFactorization
 from abflow.pencil import _basis_change, accel_step, combine
 
 from oracles import closed_form_iterate

@@ -23,8 +23,9 @@ from abflow import (
     write_trace_csv,
     write_trace_json,
 )
+from abflow.lab import conditioned_similarity
 from abflow.sqrtm import SqrtProblem, sqrtm_ab
-from abflow.trace import SATURATION_GUARD
+from abflow.trace import SATURATION_GUARD, atomic_write_text
 
 
 # ----------------------------- estimate_order -----------------------------
@@ -97,6 +98,12 @@ def test_trace_csv_roundtrip(tmp_path):
     assert float(rows[3]["order_estimate"]) == pytest.approx(2.0)
 
 
+def test_atomic_write_removes_its_temp_file_when_the_write_fails(tmp_path):
+    with pytest.raises(TypeError):
+        atomic_write_text(tmp_path / "t.csv", None)     # write() needs a str
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_trace_json_has_header_and_steps(tmp_path):
     path = tmp_path / "trace.json"
     write_trace_json(_toy_trace(), path, header={"kind": "sqrt", "order": 2})
@@ -167,6 +174,18 @@ def test_sqrt_generator_rejects_bad_spectra():
         make_known_sqrt_problem(ProblemSpec(spectrum=(1j, 2.0)))
     with pytest.raises(InvalidSpectrumError):
         make_known_sqrt_problem(ProblemSpec(spectrum=(SpectrumEntry(0.0, semisimple=False), 1.0)))
+
+
+@pytest.mark.parametrize("make, message", [
+    (lambda: SpectrumEntry(2.0, multiplicity=0), "multiplicity must be positive"),
+    (lambda: ProblemSpec(()), "spectrum must be nonempty"),
+    (lambda: ProblemSpec((2.0,), cond=0.5), "cond must be at least 1"),
+    (lambda: conditioned_similarity(3, 0.5, np.random.default_rng(0)),
+     "cond must be at least 1"),
+], ids=["multiplicity-0", "empty-spectrum", "spec-cond", "similarity-cond"])
+def test_generator_inputs_are_checked(make, message):
+    with pytest.raises(ValueError, match=message):
+        make()
 
 
 def test_pencil_generator_self_consistency():

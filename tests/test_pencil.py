@@ -8,15 +8,14 @@ import pytest
 
 from abflow import (
     AccelConfig,
-    BreakdownError,
     Pencil,
-    SingularMatrixError,
     SolveStatus,
     ab_run,
     breakdown_check,
     modified_ab_run,
     subspace_distance,
 )
+from abflow.errors import BreakdownError, SingularMatrixError
 from abflow.lab import make_pencil_problem, ProblemSpec, random_unitary
 from abflow.pencil import ab_step, combine, first_iterate
 
@@ -382,3 +381,38 @@ def test_ab_run_rejects_bad_parameters():
     for bad in (float("nan"), -float("inf")):
         with pytest.raises(ValueError, match="tol"):
             ab_run(p, bad, 10)
+
+
+@pytest.mark.parametrize("make, message", [
+    (lambda: Pencil(np.eye(2), np.eye(3)), "A is .* but B is"),
+    (lambda: Pencil(np.ones(2), np.ones(2)), "A must be 2-D"),
+    (lambda: Pencil(np.ones((2, 2, 2)), np.ones((2, 2, 2))), "A must be 2-D"),
+    (lambda: AccelConfig(2, 1e-10, 10, expected_dim=-1),
+     "expected_dim must be nonnegative"),
+    (lambda: breakdown_check([-1.0], 0), "kmax must be at least 1"),
+], ids=["shapes-differ", "1-d", "3-d", "negative-dim", "kmax-0"])
+def test_entry_checks_reject(make, message):
+    with pytest.raises(ValueError, match=message):
+        make()
+
+
+_SUBNORMAL = Pencil(1e-310 * np.diag([0.5 + 0j, 0.25]), 1e-310 * np.eye(2))
+
+
+@pytest.mark.parametrize("run", [
+    lambda: ab_run(_SUBNORMAL, 1e-12, 100),
+    lambda: ab_run(_SUBNORMAL, 1e-12, 100, expected_dim=2),
+    lambda: modified_ab_run(_SUBNORMAL, AccelConfig(2, 1e-12, 100)),
+], ids=["threshold", "expected-dim", "order-2"])
+def test_non_finite_element_is_reported_where_it_is_made(run):
+    """The subnormal pivots of A_1 + B_1 pass the relative cutoff and the
+    solve returns NaN; ``combine`` names element 2, also when the
+    extraction (``expected_dim = n``) never reads it."""
+    with pytest.raises(ValueError, match="^chain element 2 is not finite$"):
+        run()
+
+
+def test_overflowing_sum_is_not_a_breakdown():
+    huge = Pencil(np.diag([1e308 + 0j, 1.0]), np.diag([1e308 + 0j, 1.0]))
+    with np.errstate(over="ignore"), pytest.raises(ValueError, match="overflow"):
+        ab_run(huge, 1e-12, 10)

@@ -6,10 +6,13 @@ import pytest
 
 from abflow import (
     AccelConfig,
+    Pencil,
     SolveStatus,
     SqrtProblem,
     ab_run,
+    breakdown_check,
     modified_ab_run,
+    run_experiment,
     sqrtm_ab,
 )
 from abflow.lab import ProblemSpec, make_known_sqrt_problem, make_pencil_problem
@@ -107,3 +110,30 @@ def test_max_iterations_returns_the_basis_of_smallest_metric():
     assert metrics[-1] == 1.0 > min(metrics)
     assert res.U.dim == 1
     assert np.array_equal(res.U.basis, seen[_last_argmin(metrics) + 1].basis)
+
+
+_S = np.eye(2, dtype=complex)
+_P = Pencil(np.diag([0.5 + 0j, 2.0]), np.eye(2, dtype=complex))
+
+
+@pytest.mark.parametrize("make, name", [
+    (lambda: AccelConfig(order=2.0, tol=1e-10, kmax=30), "order"),
+    (lambda: AccelConfig(order=2, tol=1e-10, kmax=30.0), "kmax"),
+    (lambda: AccelConfig(2, 1e-10, 30, expected_dim=1.0), "expected_dim"),
+    (lambda: SqrtProblem(_S, order=2.0), "order"),
+    (lambda: SqrtProblem(_S, kmax=50.0), "kmax"),
+    (lambda: ab_run(_P, 1e-10, 30.5), "kmax"),
+    (lambda: breakdown_check([-1.0], 20.0), "kmax"),
+    (lambda: run_experiment("sqrt", ProblemSpec((2.0, 3.0)), order=2.0),
+     "order"),
+], ids=["accel-order", "accel-kmax", "accel-dim", "sqrt-order", "sqrt-kmax",
+        "ab_run-kmax", "breakdown_check-kmax", "experiment-order"])
+def test_integer_settings_are_checked_at_the_entry(make, name):
+    with pytest.raises(ValueError, match=f"^{name} must be an integer"):
+        make()
+
+
+def test_integer_settings_accept_numpy_integers():
+    cfg = AccelConfig(np.int64(2), 1e-10, np.int32(30), np.int8(1))
+    assert modified_ab_run(_P, cfg).status is CONVERGED
+    assert breakdown_check([-1.0], np.int64(3)) == 1

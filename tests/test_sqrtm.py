@@ -6,15 +6,14 @@ import numpy as np
 import pytest
 
 from abflow import (
-    BreakdownError,
     InvalidBoundsError,
     Pencil,
-    SingularMatrixError,
     SolveStatus,
     SqrtProblem,
     gamma_heuristic,
     sqrtm_ab,
 )
+from abflow.errors import BreakdownError, SingularMatrixError
 from abflow.lab import (
     ProblemSpec,
     SpectrumEntry,
@@ -219,6 +218,15 @@ def test_sqrtm_wide_diagonal_is_not_a_breakdown():
     res = sqrtm_ab(SqrtProblem(np.diag([1e150 + 0j, 1.0])))
     assert res.status is not SolveStatus.BREAKDOWN
     assert np.isfinite(res.residual)
+
+
+def test_sqrtm_overflow_is_reported_where_the_iterate_is_made():
+    """On 1e160*I the Newton step's S + Q^2 overflows; ``q_step`` names the
+    iterate instead of passing Inf on (the status question is the xfail
+    above)."""
+    with np.errstate(over="ignore", invalid="ignore"), pytest.raises(
+            ValueError, match="^square-root iterate is not finite$"):
+        sqrtm_ab(SqrtProblem(1e160 * np.eye(3, dtype=complex)))
 
 
 def test_sqrtm_wide_diagonal_certificate_is_finite():
