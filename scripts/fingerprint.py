@@ -16,7 +16,8 @@ known basis in clear text, so a diff of two trees tells a change of bits
 from a change of accuracy.
 
 The runs: 18 F_pencil problems (n = 6..20) through ``ab_run`` with and
-without ``expected_dim`` and ``modified_ab_run`` at r = 2, 3, 4, 7;
+without ``expected_dim``, ``modified_ab_run`` at r = 2, 3, 4, 7 and,
+without ``expected_dim`` (threshold mode), at r = 2;
 8 F_sqrt problems (n = 24) at r = 2, 3, 5; ``run_experiment`` at orders
 1-4; then breakdown runs (an eigenvalue at a primitive 2nd, 3rd or 6th
 root of unity, plus two pencils whose sums cancel to rounding error) and
@@ -68,6 +69,9 @@ for i, prob in enumerate(pencils):
         cfg = pencil.AccelConfig(order=r, tol=1e-12, kmax=60, expected_dim=m)
         runs.append((f"r{r}", lambda obs, cfg=cfg: pencil.modified_ab_run(
             P, cfg, observer=obs)))
+    cfg = pencil.AccelConfig(order=2, tol=1e-10, kmax=60)
+    runs.append(("r2-thr", lambda obs, cfg=cfg: pencil.modified_ab_run(
+        P, cfg, observer=obs)))
     for tag, run in runs:
         seen = []
         res = run(lambda it, b: seen.extend([it.A_k, it.B_k, [it.k], b.basis]))

@@ -8,11 +8,11 @@ principal matrix square-root solver.
 
 ``__all__`` is the public API: solvers, inputs, results, generators,
 traces and errors.  Input is validated once, where it enters (``Pencil``,
-``SqrtProblem``, ``AccelConfig``, ``SubspaceBasis``, ``subspace_distance``
-and the CLI parser).  The ``linalg`` and chain kernels (``lu_factor``,
-``null_space_basis``, ``combine``, ``q_step`` and the like) are internal
-and trust their callers; each chain element is checked once, where
-``combine`` or ``q_step`` makes it.
+``SqrtProblem``, ``AccelConfig``, ``SubspaceBasis``, ``subspace_distance``,
+``ProblemSpec`` and the CLI parser).  The ``linalg`` and chain kernels
+(``lu_factor``, ``null_space_basis``, ``combine``, ``q_step`` and the
+like) are internal and trust their callers; each chain element is
+checked once, where ``combine`` or ``q_step`` makes it.
 """
 
 from .errors import (

@@ -237,7 +237,7 @@ def _cmd_bench(ns) -> int:
     values = _parse_spectrum(ns.spectrum)
     orders = _parse_orders(ns.orders)
     for r in orders:    # every run's settings, before any run
-        _check_settings(r, ns.tol, ns.kmax, 1 if ns.kind == "sqrt" else 2)
+        _check_settings(r, ns.tol, ns.kmax)
     spec = ProblemSpec(spectrum=tuple(values), cond=ns.cond, seed=ns.seed)
     out_dir = _resolve_out(ns.out_dir, "traces")
     os.makedirs(out_dir, exist_ok=True)

@@ -22,6 +22,7 @@ from .pencil import (
     BREAKDOWN_TOL,
     AccelConfig,
     Pencil,
+    _integer,
     breakdown_check,
     modified_ab_run,
 )
@@ -48,7 +49,9 @@ class SpectrumEntry:
 
     def __post_init__(self):
         object.__setattr__(self, "value", complex(self.value))
-        if self.multiplicity < 1:
+        if not np.isfinite(self.value):
+            raise InvalidSpectrumError(f"eigenvalue {self.value} is not finite")
+        if _integer("multiplicity", self.multiplicity) < 1:
             raise InvalidSpectrumError("multiplicity must be positive")
 
 
@@ -67,8 +70,9 @@ class ProblemSpec:
         if not entries:
             raise InvalidSpectrumError("spectrum must be nonempty")
         object.__setattr__(self, "spectrum", entries)
-        if self.cond < 1:
-            raise InvalidSpectrumError("cond must be at least 1")
+        _check_cond(self.cond)
+        if _integer("seed", self.seed) < 0:
+            raise InvalidSpectrumError("seed must be nonnegative")
 
     @property
     def dim(self) -> int:
@@ -91,11 +95,15 @@ def random_unitary(n: int, rng: np.random.Generator) -> np.ndarray:
     return Q * (d / np.abs(d))
 
 
+def _check_cond(cond: float) -> None:
+    if not 1 <= cond < math.inf:    # NaN fails every check
+        raise InvalidSpectrumError(f"cond must be at least 1 and finite, got {cond}")
+
+
 def conditioned_similarity(n: int, cond: float,
                            rng: np.random.Generator) -> np.ndarray:
     """Random matrix with 2-norm condition number exactly ``cond``."""
-    if cond < 1:
-        raise ValueError("cond must be at least 1")
+    _check_cond(cond)
     U = random_unitary(n, rng)
     V = random_unitary(n, rng)
     s = np.logspace(0.0, math.log10(cond), n) if n > 1 else np.ones(1)
@@ -106,19 +114,21 @@ def _solve_right(B: np.ndarray, M: np.ndarray) -> np.ndarray:
     return np.linalg.solve(M.T, B.T).T
 
 
-def _blocks_matrix(entries) -> np.ndarray:
-    """Block-diagonal matrix of diagonal runs and Jordan blocks."""
-    items = list(entries)
-    n = sum(e.multiplicity for e in items)
-    D = np.zeros((n, n), dtype=np.complex128)
+def _similar_to_blocks(spec: ProblemSpec, entries):
+    """``(rng, D, P, P D P^{-1})``: ``D`` holds the diagonal runs and
+    Jordan blocks of ``entries`` (``spec.spectrum`` reordered); ``P`` is
+    the first draw of ``rng``, seeded with ``spec.seed``."""
+    D = np.zeros((spec.dim, spec.dim), dtype=np.complex128)
     pos = 0
-    for e in items:
+    for e in entries:
         m = e.multiplicity
         D[pos:pos + m, pos:pos + m] = e.value * np.eye(m)
         if not e.semisimple and m > 1:
             D[pos:pos + m - 1, pos + 1:pos + m] += np.eye(m - 1)
         pos += m
-    return D
+    rng = np.random.default_rng(spec.seed)
+    P = conditioned_similarity(spec.dim, spec.cond, rng)
+    return rng, D, P, _solve_right(P @ D, P)
 
 
 def make_known_sqrt_problem(spec: ProblemSpec):
@@ -141,12 +151,8 @@ def make_known_sqrt_problem(spec: ProblemSpec):
         elif e.value.real <= 0:
             raise InvalidSpectrumError(
                 f"eigenvalue {e.value} lies outside the open right half-plane")
-    rng = np.random.default_rng(spec.seed)
-    D = _blocks_matrix(spec.spectrum)
-    P = conditioned_similarity(spec.dim, spec.cond, rng)
-    X = _solve_right(P @ D, P)
-    S = X @ X
-    return S, X
+    *_, X = _similar_to_blocks(spec, spec.spectrum)
+    return X @ X, X
 
 
 def _classify(value: complex):
@@ -183,11 +189,8 @@ def make_pencil_problem(spec: ProblemSpec, random_b: bool = False) -> PencilProb
             rest.append(e)
             if cls != "anti":
                 tags.append(cls)
-    rng = np.random.default_rng(spec.seed)
-    D = _blocks_matrix(stable + rest)
+    rng, D, P, M = _similar_to_blocks(spec, stable + rest)
     m = sum(e.multiplicity for e in stable)
-    P = conditioned_similarity(spec.dim, spec.cond, rng)
-    M = _solve_right(P @ D, P)
     if random_b:
         B = conditioned_similarity(spec.dim, min(spec.cond, 10.0), rng)
         A = B @ M
@@ -195,8 +198,7 @@ def make_pencil_problem(spec: ProblemSpec, random_b: bool = False) -> PencilProb
         B = np.eye(spec.dim, dtype=np.complex128)
         A = M
     U, R = np.linalg.qr(P[:, :m])
-    D_s = D[:m, :m]
-    Lam = _solve_right(R @ D_s, R) if m else np.zeros((0, 0), np.complex128)
+    Lam = _solve_right(R @ D[:m, :m], R) if m else np.zeros((0, 0), np.complex128)
     basis = SubspaceBasis(U)
     defect = np.linalg.norm(A @ U - B @ U @ Lam, "fro")
     scale = max(1.0, np.linalg.norm(A, "fro"))

@@ -21,9 +21,9 @@ from .errors import DimensionMismatchError, SingularMatrixError
 
 EPS = float(np.finfo(np.float64).eps)
 
-#: Default relative rank cutoff |r_jj| < rank_tol * |r_11| on the diagonal
-#: of a pivoted QR (|r_11| lies in [sigma_max / sqrt(n), sigma_max]); sits
-#: between iteration tolerances and machine precision.
+#: Rank cutoff |r_jj| < DEFAULT_RANK_TOL * (ref or |r_11|) on the diagonal
+#: of a pivoted QR (see ``null_space_basis``); sits between iteration
+#: tolerances and machine precision.
 DEFAULT_RANK_TOL = 1e-8
 
 #: Safety factor on the relative pivot cutoff n*eps*max|A|.  The bare
@@ -149,18 +149,18 @@ def _lapack_basis(B: np.ndarray) -> SubspaceBasis:
     return basis
 
 
-def null_space_basis(A, rank_tol: float = DEFAULT_RANK_TOL) -> SubspaceBasis:
+def null_space_basis(A, ref: float = 0.0) -> SubspaceBasis:
     """Orthonormal basis of the right near-null space of ``A``.
 
     The rank ``r`` is read off the pivoted QR ``A^H P = Q R`` as LAPACK's
     rank-deciding least-squares routine ``xGELSY`` does: the length of the
-    leading run of ``|r_jj| >= rank_tol * |r_11|`` (0 for the zero matrix),
-    where ``|r_11|``, the largest row norm of ``A``, lies in
-    ``[sigma_max / sqrt(n_rows), sigma_max]``, for a finite complex128
-    ``A`` and a positive ``rank_tol``.  The basis spans the trailing
-    ``n_cols - r`` columns of Q and may be empty.
+    leading run of ``|r_jj| >= DEFAULT_RANK_TOL * (ref or |r_11|)`` (0 for
+    the zero matrix), for a finite complex128 ``A`` and a scale
+    ``ref >= 0``, where ``|r_11|``, the largest row norm of ``A``, lies in
+    ``[sigma_max / sqrt(n_rows), sigma_max]``.  The basis spans the
+    trailing ``n_cols - r`` columns of Q and may be empty.
     """
-    return _pivoted_qr_null_space(A, rank_tol=rank_tol)
+    return _pivoted_qr_null_space(A, ref=ref)
 
 
 def smallest_singular_subspace(A, dim: int) -> SubspaceBasis:
@@ -183,9 +183,9 @@ def smallest_singular_subspace(A, dim: int) -> SubspaceBasis:
 
 
 def _pivoted_qr_null_space(M: np.ndarray, dim: int | None = None,
-                           rank_tol: float = DEFAULT_RANK_TOL) -> SubspaceBasis:
+                           ref: float = 0.0) -> SubspaceBasis:
     """The trailing ``dim`` columns of Q in ``M^H P = Q R`` (LAPACK
-    ``zgeqp3``), or without ``dim`` those the threshold rank leaves.
+    ``zgeqp3``), or without ``dim`` those ``null_space_basis``'s cut leaves.
 
     With ``r`` leading columns dropped, the basis is the first ``r``
     reflectors (all if fewer) applied to ``I[:, r:]`` (``zunmqr``): the
@@ -198,8 +198,8 @@ def _pivoted_qr_null_space(M: np.ndarray, dim: int | None = None,
     qr, _, tau, _, _ = zgeqp3(M.conj().T, overwrite_a=True)
     if dim is None:
         diag = np.abs(qr.diagonal())
-        keep = (diag >= rank_tol * diag[0]) & (diag > 0.0)   # none when R = 0
-        r = int(np.argmin(np.append(keep, False)))
+        keep = (diag >= DEFAULT_RANK_TOL * (ref or diag[0])) & (diag > 0.0)
+        r = int(np.argmin(np.append(keep, False)))     # 0 when R = 0
     basis = np.eye(n_cols, n_cols - r, -r, dtype=np.complex128, order="F")
     if r > 0:   # qr[:, :r] has as many columns as tau[:r] has reflectors
         basis = zunmqr("L", "N", qr[:, :r], tau[:r], basis,

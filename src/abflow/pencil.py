@@ -23,7 +23,6 @@ import numpy as np
 
 from .errors import BreakdownError, DimensionMismatchError, SingularMatrixError
 from .linalg import (
-    DEFAULT_RANK_TOL,
     SubspaceBasis,
     _as_square,
     _norm,
@@ -167,10 +166,8 @@ def breakdown_check(eigenvalues, kmax: int):
     within ``BREAKDOWN_TOL`` of the set up to ``kmax``.  Producing chain
     element k+1 is what fails when this returns k.
     """
-    if _integer("kmax", kmax) < 1:
-        raise ValueError("kmax must be at least 1")
-    lams = [complex(v) for v in eigenvalues]
-    lams = [z for z in lams if not cmath.isinf(z)]
+    _check_kmax(kmax)
+    lams = [z for z in map(complex, eigenvalues) if not cmath.isinf(z)]
     for k in range(1, kmax + 1):
         p = k + 1
         roots = [cmath.exp(2j * math.pi * q / p) for q in range(1, p)]
@@ -253,16 +250,21 @@ def _integer(name: str, value) -> int:
         raise ValueError(f"{name} must be an integer, got {value!r}") from None
 
 
-def _check_settings(order: int, tol: float, kmax: int, kmax_min: int) -> None:
+def _check_kmax(kmax: int) -> None:
+    """The one kmax floor: an integer of at least 1 (element 1 alone)."""
+    if _integer("kmax", kmax) < 1:
+        raise ValueError(f"kmax must be at least 1, got {kmax!r}")
+
+
+def _check_settings(order: int, tol: float, kmax: int) -> None:
     """Run settings of both solvers: an integer ``order`` in 1..MAX_ORDER,
-    ``tol`` positive (NaN fails), an integer ``kmax`` of at least ``kmax_min``."""
+    ``tol`` positive (NaN fails), and ``kmax`` as ``_check_kmax`` asks."""
     if not 1 <= _integer("order", order) <= MAX_ORDER:
         raise ValueError(
             f"order must be between 1 and {MAX_ORDER}, got {order!r}")
     if not tol > 0:
         raise ValueError(f"tol must be positive, got {tol!r}")
-    if _integer("kmax", kmax) < kmax_min:
-        raise ValueError(f"kmax must be at least {kmax_min}")
+    _check_kmax(kmax)
 
 
 @dataclass(frozen=True)
@@ -281,7 +283,7 @@ class AccelConfig:
     expected_dim: int | None = None
 
     def __post_init__(self):
-        _check_settings(self.order, self.tol, self.kmax, 2)
+        _check_settings(self.order, self.tol, self.kmax)
         if (self.expected_dim is not None
                 and _integer("expected_dim", self.expected_dim) < 0):
             raise ValueError("expected_dim must be nonnegative")
@@ -301,12 +303,14 @@ def modified_ab_run(initial: Pencil, cfg: AccelConfig,
     r**(k-1).  Order 1 is the plain chain and advances by ``ab_step``;
     order r >= 2 advances by ``accel_step``.  Every order shares the
     extraction and the stopping rule described under ``ab_run``; the
-    threshold cutoff's ``ref`` (the largest row norm of D = A_1 - B_1 =
-    A_k - B_k) is the scale A_k tends to on unstable directions, as it
-    tends to 0 on stable ones.  ``observer(iterate, basis)`` is invoked
-    per outer iterate (including the first); ``iterate.k`` is the
-    plain-chain index.  An ``expected_dim`` above n raises
-    ``DimensionMismatchError`` before element 1 is observed.
+    ``ref`` that threshold mode passes to ``null_space_basis`` (the
+    largest row norm of D = A_1 - B_1 = A_k - B_k) is the scale A_k
+    tends to on unstable directions, as it tends to 0 on stable ones;
+    ``kmax = 1`` returns element 1's basis as MAX_ITERATIONS.
+    ``observer(iterate, basis)`` is invoked per outer iterate (including
+    the first); ``iterate.k`` is the plain-chain index.  An
+    ``expected_dim`` above n raises ``DimensionMismatchError`` before
+    element 1 is observed.
 
     Returns
     -------
@@ -323,14 +327,11 @@ def modified_ab_run(initial: Pencil, cfg: AccelConfig,
     def extract(it):
         if expected_dim is not None:
             return it, smallest_singular_subspace(it.A_k, expected_dim)
-        top = float(_norm(it.A_k, axis=1).max(initial=0.0))
-        return it, null_space_basis(
-            it.A_k, DEFAULT_RANK_TOL * (ref / top if ref and top else 1.0))
+        return it, null_space_basis(it.A_k, ref)
 
     def advance(x):     # both steps are module globals, read at each call
-        it = x[0]
-        return extract(ab_step(initial, it) if order == 1
-                       else accel_step(it, order))
+        return extract(ab_step(initial, x[0]) if order == 1
+                       else accel_step(x[0], order))
 
     def metric(prev, new):
         if new[1].dim == 0 and expected_dim is None and initial.n:
@@ -358,17 +359,16 @@ def ab_run(initial: Pencil, tol: float, kmax: int,
     extraction, a rank-revealing pivoted QR ``A_k^H P = Q R``
     (Bai-Demmel-Gu, see ``smallest_singular_subspace``), which keeps
     ``expected_dim`` directions or, without it, those past the threshold
-    rank: the leading run of ``|r_jj| >= DEFAULT_RANK_TOL * ref``, with
-    ``ref`` the largest row norm of ``A_1 - B_1`` (``|r_11|`` when that
-    is 0).  A threshold step with an empty basis counts as distance 1
-    unless n = 0, so with no eigenvalue stable threshold mode keeps the
-    correct empty basis but runs to ``kmax`` (MAX_ITERATIONS).  With
-    widely spread stable eigenvalue magnitudes it can also settle on the
-    fastest-decaying directions before slower ones cross the cutoff, a
-    genuine deflating pair of smaller dimension.  Supply ``expected_dim``
-    when the stable dimension is known.  A run that reaches ``kmax``
-    returns the basis of smallest step distance (the later on a tie),
-    not the last one.
+    rank of ``null_space_basis(A_k, ref)``, with ``ref`` the largest row
+    norm of ``A_1 - B_1``.  A threshold step with an empty basis counts
+    as distance 1 unless n = 0, so with no eigenvalue stable threshold
+    mode keeps the correct empty basis but runs to ``kmax``
+    (MAX_ITERATIONS).  With widely spread stable eigenvalue magnitudes it
+    can also settle on the fastest-decaying directions before slower ones
+    cross the cutoff, a genuine deflating pair of smaller dimension.
+    Supply ``expected_dim`` when the stable dimension is known.  A run
+    that reaches ``kmax`` returns the basis of smallest step distance
+    (the later on a tie), not the last one.
 
     Parameters
     ----------
@@ -376,7 +376,7 @@ def ab_run(initial: Pencil, tol: float, kmax: int,
     tol : float
         Subspace-distance stopping tolerance, positive.
     kmax : int
-        Largest chain index to produce, at least 2.
+        Largest chain index to produce, at least 1 (element 1 alone).
     expected_dim : int, optional
         Known dimension of the stable subspace.
     observer : callable, optional

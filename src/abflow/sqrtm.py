@@ -47,7 +47,7 @@ class SqrtProblem:
         if not 0 < self.gamma < math.inf:   # NaN fails every check
             raise ValueError(
                 f"gamma must be finite and positive, got {self.gamma!r}")
-        _check_settings(self.order, self.tol, self.kmax, 1)
+        _check_settings(self.order, self.tol, self.kmax)
 
 
 @dataclass(frozen=True)
@@ -65,13 +65,12 @@ class SqrtResult:
 
 
 def q_step(Q, S, partner) -> np.ndarray:
-    """One rational merge ``(S + partner Q)(partner + Q)^{-1}``.
+    """Merge two elements of one Q-chain:
+    ``(S + partner Q)(partner + Q)^{-1}``.
 
-    With ``partner = gamma*I`` this is the plain chain step; inside the
-    accelerated iteration the partner is the current outer iterate.  A
-    scalar partner is promoted to a multiple of the identity.
-
-    Q, S and a matrix partner are trusted square complex arrays.
+    With element 1, ``partner = gamma*I``, this is the plain chain step;
+    inside the accelerated iteration the partner is the current outer
+    iterate.  Q, S and partner are trusted square complex arrays.
 
     Raises
     ------
@@ -82,8 +81,6 @@ def q_step(Q, S, partner) -> np.ndarray:
     ValueError
         If the new iterate, checked here where it is made, is not finite.
     """
-    if np.isscalar(partner):
-        partner = complex(partner) * np.eye(Q.shape[0], dtype=np.complex128)
     try:
         f = lu_factor(partner, Q)
     except SingularMatrixError as exc:
@@ -115,15 +112,15 @@ def accelerated_step(Q, S, order: int) -> np.ndarray:
 def sqrtm_ab(prob: SqrtProblem, observer=None) -> SqrtResult:
     """Principal square root of ``prob.S`` by the order-r iteration.
 
-    The chain starts from ``gamma*I``.  At order 1 outer iterate k is
-    plain-chain element k (each step merges with ``gamma*I``); at order
-    r >= 2 it is plain-chain element r**(k-1) (each step is
-    ``accelerated_step``).  The run is the subspace runs' loop
-    (``pencil._drive``) with the relative successive difference
-    ``||Q_k - Q_{k-1}||_F / ||Q_k||_F`` as its metric (the true error is
-    unavailable): it stops when the difference drops below ``prob.tol``,
-    on breakdown, or after ``kmax`` outer iterates; the returned residual
-    certifies the answer independently.
+    The chain starts from element 1, ``gamma*I``.  At order 1 outer
+    iterate k is plain-chain element k (each step merges with element 1,
+    as ``pencil.ab_step`` does); at order r >= 2 it is plain-chain
+    element r**(k-1) (each step is ``accelerated_step``).  The run is the
+    subspace runs' loop (``pencil._drive``) with the relative successive
+    difference ``||Q_k - Q_{k-1}||_F / ||Q_k||_F`` as its metric (the
+    true error is unavailable): it stops when the difference drops below
+    ``prob.tol``, on breakdown, or after ``kmax`` outer iterates; the
+    returned residual certifies the answer independently.
 
     The underlying rational iteration (Newton's method at order 2) is
     not self-correcting: once the rounding floor is reached, errors can
@@ -155,10 +152,10 @@ def sqrtm_ab(prob: SqrtProblem, observer=None) -> SqrtResult:
         resids.append(residual(Q))
         return _norm(Q - P) / (_norm(Q) or 1.0)
 
+    Q1 = gamma * np.eye(S.shape[0], dtype=np.complex128)
     status, _, best_k, X, diffs, secs = _drive(
-        gamma * np.eye(S.shape[0], dtype=np.complex128),
-        lambda Q: (q_step(Q, S, gamma) if order == 1
-                   else accelerated_step(Q, S, order)),
+        Q1, lambda Q: (q_step(Q, S, Q1) if order == 1
+                       else accelerated_step(Q, S, order)),
         rel_diff, prob.tol, prob.kmax, observer, STAGNATION_DIFF)
     trace = ConvergenceTrace(tuple(range(2, len(diffs) + 2)), tuple(diffs),
                              tuple(resids), tuple(secs), status.value)

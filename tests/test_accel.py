@@ -28,8 +28,8 @@ def test_config_validation():
         AccelConfig(order=17, tol=1e-10, kmax=10)
     with pytest.raises(ValueError):
         AccelConfig(order=2, tol=0.0, kmax=10)
-    with pytest.raises(ValueError):
-        AccelConfig(order=2, tol=1e-10, kmax=1)
+    with pytest.raises(ValueError, match="kmax"):
+        AccelConfig(order=2, tol=1e-10, kmax=0)
     for bad in (float("nan"), -float("inf")):
         with pytest.raises(ValueError, match="tol"):
             AccelConfig(order=2, tol=bad, kmax=10)

@@ -269,6 +269,17 @@ def test_cli_pencil_order_one_is_the_default(tmp_path, capsys, dim):
     assert not outs[2].exists()
 
 
+def test_cli_pencil_kmax_one_stops_at_element_one(tmp_path):
+    a = write(tmp_path / "a.txt", "0.5 0\n0 2\n")
+    b = write(tmp_path / "b.txt", "1 0\n0 1\n")
+    out = str(tmp_path / "U.json")
+    assert main(["pencil", "--a", a, "--b", b, "--kmax", "1", "--dim", "1",
+                 "--out", out]) == 3
+    doc = read_json(out)
+    assert (doc["status"], doc["iterations"]) == ("max_iterations", 1)
+    assert doc["U"]["cols"] == 1
+
+
 def test_cli_pencil_empty_expected_subspace_exits_zero(tmp_path):
     a = write(tmp_path / "a.txt", "2 0\n0 3\n")
     b = write(tmp_path / "b.txt", "1 0\n0 1\n")
@@ -344,6 +355,20 @@ def test_cli_bench_rejects_bad_lists(tmp_path, capsys, flag, value, message):
     args = {"--spectrum": "2,3", "--orders": "2", flag: value}
     out_dir = tmp_path / "D"
     assert main(["bench", "--kind", "sqrt", *sum(args.items(), ()),
+                 "--out-dir", str(out_dir)]) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not out_dir.exists()
+
+
+@pytest.mark.parametrize("args, message", [
+    (["--spectrum", "nan,2"], "eigenvalue (nan+0j) is not finite"),
+    (["--spectrum", "2,3", "--cond", "nan"],
+     "cond must be at least 1 and finite, got nan"),
+    (["--spectrum", "2,3", "--seed", "-1"], "seed must be nonnegative"),
+], ids=["spectrum-nan", "cond-nan", "seed-negative"])
+def test_cli_bench_rejects_bad_problem(tmp_path, capsys, args, message):
+    out_dir = tmp_path / "D"
+    assert main(["bench", "--kind", "sqrt", *args,
                  "--out-dir", str(out_dir)]) == 1
     assert capsys.readouterr().err == f"error: {message}\n"
     assert not out_dir.exists()

@@ -188,6 +188,33 @@ def test_generator_inputs_are_checked(make, message):
         make()
 
 
+@pytest.mark.parametrize("make, message", [
+    (lambda: SpectrumEntry(math.nan), "eigenvalue .* is not finite"),
+    (lambda: ProblemSpec((math.nan, 2.0)), "eigenvalue .* is not finite"),
+    (lambda: ProblemSpec((complex(2.0, math.inf),)), "eigenvalue .* is not finite"),
+    (lambda: SpectrumEntry(2.0, multiplicity=2.0), "multiplicity must be an integer"),
+    (lambda: ProblemSpec((2.0,), seed=1.5), "seed must be an integer"),
+    (lambda: ProblemSpec((2.0,), seed=-1), "seed must be nonnegative"),
+    (lambda: ProblemSpec((2.0,), cond=math.nan), "cond must be at least 1 and finite"),
+    (lambda: ProblemSpec((2.0,), cond=math.inf), "cond must be at least 1 and finite"),
+    (lambda: conditioned_similarity(3, math.nan, np.random.default_rng(0)),
+     "cond must be at least 1 and finite"),
+    (lambda: conditioned_similarity(3, math.inf, np.random.default_rng(0)),
+     "cond must be at least 1 and finite"),
+], ids=["value-nan", "spec-value-nan", "value-inf", "multiplicity-float",
+        "seed-float", "seed-negative", "spec-cond-nan", "spec-cond-inf",
+        "similarity-cond-nan", "similarity-cond-inf"])
+def test_generator_inputs_are_checked_where_they_enter(make, message):
+    with pytest.raises(ValueError, match=message):
+        make()
+
+
+def test_generator_inputs_accept_numpy_integers():
+    spec = ProblemSpec((SpectrumEntry(2.0, np.int64(2)), 3.0), seed=np.int32(4))
+    S, X = make_known_sqrt_problem(spec)
+    assert S.shape == (3, 3) and np.all(np.isfinite(X))
+
+
 def test_pencil_generator_self_consistency():
     for seed in range(20):
         rng = np.random.default_rng(2000 + seed)

@@ -99,6 +99,15 @@ def test_null_space_rank_one_symmetric():
     assert subspace_distance(basis.basis, expected) <= 1e-12
 
 
+@pytest.mark.parametrize("ref, dim", [(0.0, 1), (1e6, 2), (1e-3, 0)])
+def test_null_space_cut_is_relative_to_ref(ref, dim):
+    # |r_jj| >= DEFAULT_RANK_TOL * (ref or |r_11|): without ref the cut
+    # (1e-8) falls between 1e-3 and 1e-9; ref = 1e6 lifts it above 1e-3,
+    # ref = 1e-3 drops it below 1e-9
+    A = np.diag([1.0, 1e-3, 1e-9]).astype(complex)
+    assert null_space_basis(A, ref).dim == dim
+
+
 def test_null_space_recovers_constructed_dimension():
     rng = np.random.default_rng(4)
     for n, m in [(3, 0), (5, 1), (8, 2), (6, 2)]:

@@ -376,8 +376,8 @@ def test_ab_run_rejects_bad_parameters():
     p = Pencil(np.eye(2, dtype=complex), np.eye(2, dtype=complex))
     with pytest.raises(ValueError):
         ab_run(p, 0.0, 10)
-    with pytest.raises(ValueError):
-        ab_run(p, 1e-8, 1)
+    with pytest.raises(ValueError, match="kmax"):
+        ab_run(p, 1e-8, 0)
     for bad in (float("nan"), -float("inf")):
         with pytest.raises(ValueError, match="tol"):
             ab_run(p, bad, 10)

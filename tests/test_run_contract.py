@@ -116,6 +116,25 @@ _S = np.eye(2, dtype=complex)
 _P = Pencil(np.diag([0.5 + 0j, 2.0]), np.eye(2, dtype=complex))
 
 
+@pytest.mark.parametrize("order", [1, 2])
+@pytest.mark.parametrize("dim", [None, 1], ids=["threshold", "dim"])
+def test_kmax_one_returns_element_one(order, dim):
+    """kmax >= 1 is the one floor: with kmax = 1 a subspace run stops at
+    element 1 with its basis, as ``sqrtm_ab`` stops at gamma*I."""
+    seen = []
+    res = modified_ab_run(_P, AccelConfig(order, 1e-10, 1, dim),
+                          observer=lambda it, b: seen.append(b))
+    assert (res.status, res.iterations, len(seen)) == (MAX_ITERATIONS, 1, 1)
+    assert res.U.dim == (0 if dim is None else 1)
+    assert np.array_equal(res.U.basis, seen[0].basis)
+    plain = ab_run(_P, 1e-10, 1, expected_dim=dim)
+    assert (plain.status, plain.iterations) == (MAX_ITERATIONS, 1)
+    assert np.array_equal(plain.U.basis, res.U.basis)
+    root = sqrtm_ab(SqrtProblem(_S, gamma=2.0, order=order, kmax=1))
+    assert (root.status, root.trace.steps) == (MAX_ITERATIONS, ())
+    assert np.array_equal(root.X, 2.0 * _S)
+
+
 @pytest.mark.parametrize("make, name", [
     (lambda: AccelConfig(order=2.0, tol=1e-10, kmax=30), "order"),
     (lambda: AccelConfig(order=2, tol=1e-10, kmax=30.0), "kmax"),

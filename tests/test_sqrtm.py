@@ -107,30 +107,23 @@ def test_block_structure_invariant_under_generic_chain():
 # ----------------------------- q_step -----------------------------
 
 def test_q_step_scalar_values():
-    S = np.array([[4.0 + 0j]])
-    assert q_step(np.array([[1.0 + 0j]]), S, 1.0)[0, 0] == pytest.approx(2.5, abs=1e-12)
-    assert q_step(np.array([[2.5 + 0j]]), S, 1.0)[0, 0] == pytest.approx(6.5 / 3.5, abs=1e-12)
+    S, one = np.array([[4.0 + 0j]]), np.eye(1, dtype=complex)
+    assert q_step(np.array([[1.0 + 0j]]), S, one)[0, 0] == pytest.approx(2.5, abs=1e-12)
+    assert q_step(np.array([[2.5 + 0j]]), S, one)[0, 0] == pytest.approx(6.5 / 3.5, abs=1e-12)
 
 
 def test_q_step_fixed_point():
     rng = np.random.default_rng(11)
     S, X = normal_sqrt_problem(3)
-    stepped = q_step(X, S, rng.random() + 0.5)
+    g = rng.random() + 0.5
+    stepped = q_step(X, S, g * np.eye(X.shape[0], dtype=complex))
     assert rel_err(stepped, X) <= 1e-12
-
-
-def test_q_step_matrix_partner_equals_scalar_partner():
-    S, _ = normal_sqrt_problem(4, n=3)
-    Q = 1.7 * np.eye(3, dtype=complex)
-    a = q_step(Q, S, 2.0)
-    b = q_step(Q, S, 2.0 * np.eye(3, dtype=complex))
-    assert np.allclose(a, b, atol=1e-15)
 
 
 def test_q_step_breakdown_on_singular_sum():
     S = np.array([[1.0 + 0j]])
     with pytest.raises(BreakdownError):
-        q_step(np.array([[-1.0 + 0j]]), S, 1.0)
+        q_step(np.array([[-1.0 + 0j]]), S, np.eye(1, dtype=complex))
 
 
 def test_q_step_breakdown_on_sum_cancelled_to_rounding_error():
@@ -401,10 +394,10 @@ def test_plain_chain_q_linear_bound():
         C = cayley_factor(X, 1.0)
         c = induced_norm2(C)
         assert c < 1.0
-        Q = np.eye(n, dtype=complex)
+        Q1 = Q = np.eye(n, dtype=complex)
         prev = induced_norm2(Q - X)
         for k in range(1, 20):
-            Q = q_step(Q, S, 1.0)
+            Q = q_step(Q, S, Q1)
             cur = induced_norm2(Q - X)
             if prev <= 1e-13:
                 break
