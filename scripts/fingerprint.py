@@ -22,6 +22,11 @@ without ``expected_dim`` (threshold mode), at r = 2;
 1-4; then breakdown runs (an eigenvalue at a primitive 2nd, 3rd or 6th
 root of unity, plus two pencils whose sums cancel to rounding error) and
 ``expected_dim=0`` runs, which report status and iteration count only.
+
+``scripts/status_baseline.txt`` keeps each line's name tokens with its
+``status=`` and ``dim=`` fields, which unlike the hashes are meant to
+hold across BLAS builds; CI regenerates them from this script's output
+and diffs the two.
 """
 
 import dataclasses

@@ -12,6 +12,7 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass
+from functools import partial
 from typing import NamedTuple
 
 import numpy as np
@@ -22,6 +23,7 @@ from .pencil import (
     BREAKDOWN_TOL,
     AccelConfig,
     Pencil,
+    _check_positive,
     _integer,
     breakdown_check,
     modified_ab_run,
@@ -220,7 +222,7 @@ def run_experiment(kind: str, spec: ProblemSpec, *, order: int = 2,
     order : int
         Acceleration order; ``order=1`` drives the plain chain.
     gamma : float
-        Shift for square-root runs.
+        Shift for square-root runs, checked for either kind.
     tol, kmax :
         Solver stopping parameters (relative successive difference for
         sqrt, subspace distance for pencil).  Pencil runs use B = I.
@@ -228,48 +230,45 @@ def run_experiment(kind: str, spec: ProblemSpec, *, order: int = 2,
     Returns
     -------
     ConvergenceTrace
-        Errors are true errors against the constructed answer; order
-        estimates use only pre-saturation entries (relative error above
-        ``1e2 * eps``).  Deterministic for a fixed ``spec``, apart from
-        the wall-time column.
+        One row per observed element, element 1 included: the observer's
+        index (``iterate.k`` for pencil, k for sqrt), the true error
+        against the constructed answer, the residual, and the solver's
+        wall seconds since the previous observation (or its start), this
+        recording left out.  Deterministic for a fixed ``spec``, apart
+        from the wall-time column.
     """
+    _check_positive("gamma", gamma)
     if kind == "sqrt":
-        return _sqrt_experiment(spec, order, gamma, tol, kmax)
-    if kind == "pencil":
-        return _pencil_experiment(spec, order, tol, kmax)
-    raise ValueError(f"unknown experiment kind {kind!r}")
+        S, X = make_known_sqrt_problem(spec)
+        xnorm = float(np.linalg.norm(X, "fro")) or 1.0
+        residual = _residual_of(S)
 
+        def measure(k, Q):
+            return k, float(np.linalg.norm(Q - X, "fro")) / xnorm, residual(Q)
 
-def _sqrt_experiment(spec, order, gamma, tol, kmax):
-    S, X = make_known_sqrt_problem(spec)
-    xnorm = float(np.linalg.norm(X, "fro")) or 1.0
-    errors = []
-    prob = SqrtProblem(S, gamma=gamma, order=order, tol=tol, kmax=kmax)
-    t = sqrtm_ab(prob, observer=lambda k, Q: errors.append(
-        float(np.linalg.norm(Q - X, "fro")) / xnorm)).trace
-    # the solver's trace holds every step after gamma*I
-    resid1 = _residual_of(S)(gamma * np.eye(S.shape[0], dtype=np.complex128))
-    return ConvergenceTrace((1,) + t.steps, tuple(errors),
-                            (resid1,) + t.residuals, (0.0,) + t.seconds,
-                            t.status)
+        solve = partial(sqrtm_ab, SqrtProblem(S, gamma=gamma, order=order,
+                                              tol=tol, kmax=kmax))
+    elif kind == "pencil":
+        prob = make_pencil_problem(spec)
+        target = prob.basis
 
+        def measure(it, basis):
+            aknorm = float(np.linalg.norm(it.A_k, "fro")) or 1.0
+            return (it.k, subspace_distance(basis, target),
+                    float(np.linalg.norm(it.A_k @ target.basis, "fro")) / aknorm)
 
-def _pencil_experiment(spec, order, tol, kmax):
-    prob = make_pencil_problem(spec)
-    target = prob.basis
-    steps, errors, resids, secs = [], [], [], []
+        solve = partial(modified_ab_run, prob.pencil,
+                        AccelConfig(order, tol, kmax, target.dim))
+    else:
+        raise ValueError(f"unknown experiment kind {kind!r}")
+    rows = []
     last = time.perf_counter()
 
-    def record(it, basis):     # times the solver only, not this call
+    def record(*element):     # times the solver only, not this call
         nonlocal last
-        secs.append(time.perf_counter() - last)
-        steps.append(it.k)
-        errors.append(subspace_distance(basis, target))
-        aknorm = float(np.linalg.norm(it.A_k, "fro")) or 1.0
-        resids.append(float(np.linalg.norm(it.A_k @ target.basis, "fro")) / aknorm)
+        seconds = time.perf_counter() - last
+        rows.append((*measure(*element), seconds))
         last = time.perf_counter()
 
-    cfg = AccelConfig(order, tol, kmax, target.dim)
-    result = modified_ab_run(prob.pencil, cfg, observer=record)
-    return ConvergenceTrace(tuple(steps), tuple(errors), tuple(resids),
-                            tuple(secs), result.status.value)
+    status = solve(observer=record).status
+    return ConvergenceTrace(*zip(*rows), status.value)

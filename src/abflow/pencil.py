@@ -210,20 +210,22 @@ def _drive(x, advance, metric, tol: float, kmax: int, observe,
            floor: float = 0.0):
     """The run loop of both solvers from chain element 1, ``x``.
 
-    Step k times ``new = advance(x)``, calls ``observe(k, new)`` and
-    records ``metric(x, new)``.  Stops CONVERGED when the metric drops
-    below ``tol`` or, once the best one lies below ``floor``, rises twice
-    in a row or jumps tenfold; BREAKDOWN with the error's index;
-    MAX_ITERATIONS at ``kmax``.  Returns ``(status, index, best_k, best,
-    metrics, seconds)``: ``best`` is element ``best_k``, the one of
-    smallest metric (the later on a tie; element 1 while none has one).
+    Step k runs ``new = advance(x)``, calls ``observe(k, new)`` and
+    records ``metric(x, new)``; its seconds (the previous metric and the
+    advance, never the observer) run from the previous ``observe``.  Stops
+    CONVERGED when the metric drops below ``tol`` or, once the best one
+    lies below ``floor``, rises twice in a row or jumps tenfold; BREAKDOWN
+    with the error's index; MAX_ITERATIONS at ``kmax``.  Returns
+    ``(status, index, best_k, best, metrics, seconds)``: ``best`` is
+    element ``best_k``, the one of smallest metric (the later on a tie;
+    element 1 while none has one).
     """
     if observe is not None:
         observe(1, x)
     best_k, best, best_m = 1, x, math.inf
     metrics, secs, rising = [], [], 0
+    t0 = time.perf_counter()
     for k in range(2, kmax + 1):
-        t0 = time.perf_counter()
         try:
             new = advance(x)
         except BreakdownError as exc:
@@ -231,6 +233,7 @@ def _drive(x, advance, metric, tol: float, kmax: int, observe,
         secs.append(time.perf_counter() - t0)
         if observe is not None:
             observe(k, new)
+        t0 = time.perf_counter()
         m = metric(x, new)
         rising = rising + 1 if metrics and m > metrics[-1] else 0
         metrics.append(m)
@@ -256,14 +259,19 @@ def _check_kmax(kmax: int) -> None:
         raise ValueError(f"kmax must be at least 1, got {kmax!r}")
 
 
+def _check_positive(name: str, value: float) -> None:
+    """The one float rule, for ``tol`` and ``gamma``: finite and positive."""
+    if not 0 < value < math.inf:    # NaN fails every check
+        raise ValueError(f"{name} must be finite and positive, got {value!r}")
+
+
 def _check_settings(order: int, tol: float, kmax: int) -> None:
     """Run settings of both solvers: an integer ``order`` in 1..MAX_ORDER,
-    ``tol`` positive (NaN fails), and ``kmax`` as ``_check_kmax`` asks."""
+    ``tol`` finite and positive, and ``kmax`` as ``_check_kmax`` asks."""
     if not 1 <= _integer("order", order) <= MAX_ORDER:
         raise ValueError(
             f"order must be between 1 and {MAX_ORDER}, got {order!r}")
-    if not tol > 0:
-        raise ValueError(f"tol must be positive, got {tol!r}")
+    _check_positive("tol", tol)
     _check_kmax(kmax)
 
 
@@ -374,7 +382,7 @@ def ab_run(initial: Pencil, tol: float, kmax: int,
     ----------
     initial : Pencil
     tol : float
-        Subspace-distance stopping tolerance, positive.
+        Subspace-distance stopping tolerance, finite and positive.
     kmax : int
         Largest chain index to produce, at least 1 (element 1 alone).
     expected_dim : int, optional

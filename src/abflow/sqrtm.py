@@ -17,7 +17,8 @@ import numpy as np
 
 from .errors import BreakdownError, InvalidBoundsError, SingularMatrixError
 from .linalg import EPS, _as_square, _norm, lu_factor
-from .pencil import SolveStatus, _check_settings, _drive, _outer_step
+from .pencil import (SolveStatus, _check_positive, _check_settings, _drive,
+                     _outer_step)
 # unused estimate_order stays bound for perfbench/test_counts.py's tracer
 from .trace import ConvergenceTrace, estimate_order  # noqa: F401
 
@@ -30,9 +31,9 @@ STAGNATION_DIFF = math.sqrt(EPS)
 class SqrtProblem:
     """Inputs for one square-root solve.
 
-    ``S`` must not have eigenvalues on the open negative real axis
-    (semisimple zeros are tolerated); this is the caller's contract and
-    is signalled at runtime through breakdown, not verified eagerly.
+    ``S`` must have no eigenvalue on the closed negative real axis, zero
+    included (a singular S ends in BREAKDOWN or MAX_ITERATIONS); this is
+    the caller's contract, signalled at runtime, not verified eagerly.
     ``order`` is r in 1..MAX_ORDER; r = 1 is the plain chain from gamma*I.
     """
 
@@ -44,9 +45,7 @@ class SqrtProblem:
 
     def __post_init__(self):
         object.__setattr__(self, "S", _as_square(self.S, "S"))
-        if not 0 < self.gamma < math.inf:   # NaN fails every check
-            raise ValueError(
-                f"gamma must be finite and positive, got {self.gamma!r}")
+        _check_positive("gamma", self.gamma)
         _check_settings(self.order, self.tol, self.kmax)
 
 
@@ -141,8 +140,9 @@ def sqrtm_ab(prob: SqrtProblem, observer=None) -> SqrtResult:
     Returns
     -------
     SqrtResult
-        The trace records one row per outer update (step index, relative
-        successive difference, residual, wall seconds).
+        The trace records one row per outer update k: k, the relative
+        successive difference, the residual, and the wall seconds of
+        difference k-1 and update k (``pencil._drive``'s clock).
     """
     S, gamma, order = prob.S, prob.gamma, prob.order
     residual = _residual_of(S)

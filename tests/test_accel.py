@@ -30,7 +30,7 @@ def test_config_validation():
         AccelConfig(order=2, tol=0.0, kmax=10)
     with pytest.raises(ValueError, match="kmax"):
         AccelConfig(order=2, tol=1e-10, kmax=0)
-    for bad in (float("nan"), -float("inf")):
+    for bad in (float("nan"), float("inf"), -float("inf")):
         with pytest.raises(ValueError, match="tol"):
             AccelConfig(order=2, tol=bad, kmax=10)
 

@@ -27,6 +27,14 @@ def read_json(path):
         return json.load(fh)
 
 
+def read_strict_json(path):
+    """``read_json`` that rejects the non-JSON tokens NaN and Infinity."""
+    def reject(token):
+        raise ValueError(f"{path} holds {token}")
+    with open(path, encoding="utf-8") as fh:
+        return json.load(fh, parse_constant=reject)
+
+
 # ----------------------------- parsing -----------------------------
 
 def test_parse_txt_diagonal(tmp_path):
@@ -335,6 +343,8 @@ def test_cli_bench_multiple_orders(tmp_path):
     assert code == 0
     for r in (1, 2, 3):
         assert os.path.exists(os.path.join(out_dir, f"bench_sqrt_r{r}.csv"))
+        doc = read_strict_json(os.path.join(out_dir, f"bench_sqrt_r{r}.json"))
+        assert doc["header"]["order"] == r
 
 
 @pytest.mark.parametrize("orders", ["2,17", "0,2", "1,-3"])
@@ -343,7 +353,7 @@ def test_cli_bench_rejects_orders_before_any_run(tmp_path, capsys, orders):
     assert main(["bench", "--kind", "sqrt", "--spectrum", "2,3",
                  "--orders", orders, "--out-dir", str(out_dir)]) == 1
     assert "order must be between 1 and 16" in capsys.readouterr().err
-    assert not out_dir.exists() or not any(out_dir.iterdir())
+    assert not out_dir.exists()
 
 
 @pytest.mark.parametrize("flag, value, message", [
@@ -381,6 +391,8 @@ def test_cli_bench_pencil_kind(tmp_path):
                  "--out-dir", out_dir])
     assert code == 0
     assert os.path.exists(os.path.join(out_dir, "bench_pencil_r2.csv"))
+    doc = read_strict_json(os.path.join(out_dir, "bench_pencil_r2.json"))
+    assert doc["header"]["gamma"] == 1.0
 
 
 # ----------------------------- error handling -----------------------------
@@ -432,16 +444,33 @@ def test_cli_non_finite_parameter_exits_one(tmp_path, capsys, args, name):
 
 @pytest.mark.parametrize("args, name", [
     (["--tol", "nan"], "tol"),
+    (["--tol", "inf"], "tol"),
     (["--gamma", "inf"], "gamma"),
+    (["--gamma", "-5"], "gamma"),
     (["--kmax", "0"], "kmax"),
-], ids=["tol-nan", "gamma-inf", "kmax-0"])
+], ids=["tol-nan", "tol-inf", "gamma-inf", "gamma-negative", "kmax-0"])
 def test_cli_bench_plain_sqrt_checks_parameters(tmp_path, capsys, args, name):
     out_dir = tmp_path / "D"
     assert main(["bench", "--kind", "sqrt", "--spectrum", "2,3", "--orders", "1",
                  *args, "--out-dir", str(out_dir)]) == 1
     err = capsys.readouterr().err
     assert err.startswith(f"error: {name} must be")
-    assert not (out_dir / "bench_sqrt_r1.csv").exists()
+    assert not out_dir.exists()
+
+
+@pytest.mark.parametrize("args, name", [
+    (["--gamma", "nan"], "gamma"),
+    (["--gamma", "0"], "gamma"),
+    (["--tol", "inf"], "tol"),
+], ids=["gamma-nan", "gamma-zero", "tol-inf"])
+def test_cli_bench_pencil_checks_float_parameters(tmp_path, capsys, args, name):
+    """The header of a pencil trace holds gamma too, so it is checked
+    though the pencil run never reads it."""
+    out_dir = tmp_path / "D"
+    assert main(["bench", "--kind", "pencil", "--spectrum", "0.5,2",
+                 "--orders", "2", *args, "--out-dir", str(out_dir)]) == 1
+    assert capsys.readouterr().err.startswith(f"error: {name} must be")
+    assert not out_dir.exists()
 
 
 def test_cli_out_dir_env_rebases_default_names(tmp_path, monkeypatch):

@@ -342,10 +342,11 @@ def test_pencil_experiment_accelerated_matches_status():
     assert tr.steps[:4] == (1, 2, 4, 8)
 
 
-def test_pencil_experiment_seconds_leave_out_the_recording(monkeypatch):
-    """The ``seconds`` column times the solver, not the observer's own
-    error and residual work: a ``subspace_distance`` that takes 1000 s
-    on a fake clock shows in no entry."""
+@pytest.mark.parametrize("kind", ["pencil", "sqrt"])
+def test_experiment_seconds_leave_out_the_recording(monkeypatch, kind):
+    """The ``seconds`` column times the solver, not the recorder's own
+    error and residual work: a recorded true error (pencil) or residual
+    (sqrt) that takes 1000 s on a fake clock shows in no entry."""
     import abflow.lab as lab
 
     class Clock:
@@ -354,15 +355,21 @@ def test_pencil_experiment_seconds_leave_out_the_recording(monkeypatch):
         def perf_counter(self):
             return self.now
 
-    clock, distance = Clock(), lab.subspace_distance
+    clock = Clock()
 
-    def slow_distance(U, V):
-        clock.now += 1000.0
-        return distance(U, V)
+    def slow(f):
+        def g(*args):
+            clock.now += 1000.0
+            return f(*args)
+        return g
 
     monkeypatch.setattr(lab, "time", clock)
-    monkeypatch.setattr(lab, "subspace_distance", slow_distance)
-    tr = run_experiment("pencil", ProblemSpec(spectrum=(0.3, 0.6, 1.5), seed=1),
+    if kind == "pencil":
+        monkeypatch.setattr(lab, "subspace_distance", slow(lab.subspace_distance))
+    else:
+        residual_of = lab._residual_of
+        monkeypatch.setattr(lab, "_residual_of", lambda S: slow(residual_of(S)))
+    tr = run_experiment(kind, ProblemSpec(spectrum=(0.3, 0.6, 1.5), seed=1),
                         order=2, tol=1e-10, kmax=12)
     assert len(tr.seconds) >= 3
     assert all(s < 1000.0 for s in tr.seconds)

@@ -92,6 +92,42 @@ def test_sqrt_run_contract(status):
     assert res.residual == trace.residuals[best]
 
 
+def test_sqrt_trace_seconds_cover_the_metric_and_the_advance(monkeypatch):
+    """A ``sqrtm_ab`` trace row k holds, on ``pencil._drive``'s clock,
+    the difference of step k-1 and the update to iterate k, but not the
+    observer: on a fake clock where an update takes 1 s, a difference
+    (through its residual) 10 s and the observer 1000 s, row 2 reads 1
+    and every later row 11."""
+    import abflow.pencil as pencil
+    import abflow.sqrtm as sqrtm
+
+    class Clock:
+        now = 0.0
+
+        def perf_counter(self):
+            return self.now
+
+    clock = Clock()
+
+    def ticking(seconds, f):
+        def g(*args):
+            clock.now += seconds
+            return f(*args)
+        return g
+
+    residual_of = sqrtm._residual_of
+    monkeypatch.setattr(pencil, "time", clock)
+    monkeypatch.setattr(sqrtm, "accelerated_step",
+                        ticking(1.0, sqrtm.accelerated_step))
+    monkeypatch.setattr(sqrtm, "_residual_of",
+                        lambda S: ticking(10.0, residual_of(S)))
+    S, _ = make_known_sqrt_problem(ProblemSpec((1.0, 4.0, 9.0 + 1j), seed=3))
+    trace = sqrtm_ab(SqrtProblem(S, gamma=1.0),
+                     observer=ticking(1000.0, lambda k, Q: None)).trace
+    assert len(trace.seconds) >= 3
+    assert trace.seconds == (1.0,) + (11.0,) * (len(trace.seconds) - 1)
+
+
 def test_max_iterations_returns_the_basis_of_smallest_metric():
     """A threshold run cut off at the step where a second direction
     crosses the rank cutoff returns the settled one-dimensional basis of

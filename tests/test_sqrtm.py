@@ -182,7 +182,7 @@ def test_sqrtm_rejects_bad_problem():
     for bad in (float("nan"), float("inf"), -float("inf")):
         with pytest.raises(ValueError, match="gamma"):
             SqrtProblem(np.eye(2, dtype=complex), gamma=bad)
-    for bad in (float("nan"), -float("inf")):
+    for bad in (float("nan"), float("inf"), -float("inf")):
         with pytest.raises(ValueError, match="tol"):
             SqrtProblem(np.eye(2, dtype=complex), tol=bad)
 
