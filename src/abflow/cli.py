@@ -98,12 +98,14 @@ def _parse_json(text: str, path: str) -> np.ndarray:
         raise ShapeError(
             f"data has {len(data) if isinstance(data, list) else '?'} "
             f"entries, expected {rows * cols}", path=path)
+    # numpy folds JSON true/false into numbers: a text with a "u" (true) or
+    # an "f" (false, Infinity) goes to the scan; one-character tests are fast
     try:
-        pairs = np.array(data)
+        pairs = None if "u" in text or "f" in text else np.array(data)
     except (ValueError, OverflowError):  # ragged, nested, or out of range
         pairs = None
     if (pairs is None or pairs.shape != (rows * cols, 2)
-            or pairs.dtype.kind not in "biuf"):
+            or pairs.dtype.kind not in "iuf"):
         pairs = _scan_pairs(data, path)
     # row-major [re, im] float64 pairs are exactly the complex128 layout
     return (np.ascontiguousarray(pairs, dtype=np.float64)
@@ -115,14 +117,16 @@ def _is_count(v) -> bool:
 
 
 def _scan_pairs(data: list, path: str) -> np.ndarray:
-    """Per-entry validation for documents the one-shot conversion rejects:
-    raises for the first bad entry, or returns the (n, 2) float pairs (e.g.
-    integers too large for a machine integer but within double range)."""
+    """Per-entry validation for documents the one-shot conversion rejects
+    or that may hold a JSON true/false: raises for the first bad entry (a
+    bool is no number), or returns the (n, 2) float pairs (e.g. integers
+    too large for a machine integer but within double range)."""
     out = np.empty((len(data), 2), dtype=np.float64)
     for i, pair in enumerate(data):
         if (not isinstance(pair, list) or len(pair) != 2
-                or not all(isinstance(v, (int, float)) for v in pair)):
-            raise ParseError(f"entry {i} is not a [re, im] pair", path=path)
+                or not all(type(v) in (int, float) for v in pair)):
+            raise ParseError(f"entry {i} is not a [re, im] pair of numbers",
+                             path=path)
         try:
             out[i] = pair
         except OverflowError as exc:

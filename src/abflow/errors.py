@@ -7,10 +7,6 @@ class ABFlowError(Exception):
     """Base class for all abflow errors."""
 
 
-class SingularMatrixError(ABFlowError):
-    """A solve target is numerically singular (pivot below the cutoff)."""
-
-
 class DimensionMismatchError(ABFlowError, ValueError):
     """Operands live in incompatible spaces."""
 
@@ -18,11 +14,14 @@ class DimensionMismatchError(ABFlowError, ValueError):
 class BreakdownError(ABFlowError):
     """An iteration step required inverting a numerically singular sum.
 
+    ``linalg.lu_factor`` raises it (index None) when a pivot falls below
+    its cutoff; ``pencil.combine`` stamps the index of its element.
+
     Attributes
     ----------
     index : int or None
         Plain-chain index of the pencil element that could not be
-        produced; None for square-root steps.
+        produced; None for square-root steps and bare factorizations.
     """
 
     def __init__(self, message: str, index: int | None = None):

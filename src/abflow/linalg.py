@@ -17,7 +17,7 @@ from functools import cached_property
 import numpy as np
 from scipy.linalg.lapack import zgeqp3, zgetrf, zgetrs, zunmqr
 
-from .errors import DimensionMismatchError, SingularMatrixError
+from .errors import BreakdownError, DimensionMismatchError
 
 EPS = float(np.finfo(np.float64).eps)
 
@@ -86,11 +86,11 @@ def lu_factor(A, B=None) -> LUFactorization:
     """Factor ``M = A`` or ``M = A + B`` (finite square complex128 arrays
     of one shape) as ``P M = L U`` with partial pivoting.
 
-    Raises ``SingularMatrixError`` when a pivot magnitude falls below
-    ``PIVOT_SAFETY * n * eps * max(max|M|, max|A|, max|B|)``, so a sum that
-    cancels to rounding error of its terms is singular (inside either chain
-    this is a breakdown), and ``ValueError`` when ``max|M|`` overflows,
-    where no pivot test can judge ``M``.
+    Raises ``BreakdownError`` (index None), the one signal of a singular
+    sum in either chain, when a pivot falls below ``PIVOT_SAFETY * n * eps
+    * max(max|M|, max|A|, max|B|)``, so a sum that cancels to rounding
+    error of its terms is singular; ``ValueError`` when ``max|M|``
+    overflows, where no pivot test can judge ``M``.
     """
     term_max = 0.0
     if B is not None:
@@ -102,7 +102,7 @@ def lu_factor(A, B=None) -> LUFactorization:
         return LUFactorization(A.copy(), np.empty(0, dtype=np.int32), 0.0)
     a_max = float(np.abs(A).max())
     if a_max == 0.0:
-        raise SingularMatrixError("matrix is identically zero")
+        raise BreakdownError("matrix is identically zero")
     if a_max == math.inf:
         raise ValueError("matrix entries overflow")
     # exact zero pivots (info > 0) are flagged below through the cutoff check
@@ -110,8 +110,7 @@ def lu_factor(A, B=None) -> LUFactorization:
     pivot = float(np.abs(lu.diagonal()).min())
     cutoff = PIVOT_SAFETY * n * EPS * max(term_max, a_max)
     if pivot < cutoff:
-        raise SingularMatrixError(
-            f"pivot {pivot:.3e} below cutoff {cutoff:.3e}")
+        raise BreakdownError(f"pivot {pivot:.3e} below cutoff {cutoff:.3e}")
     return LUFactorization(lu, piv, a_max)
 
 
@@ -207,27 +206,24 @@ def _pivoted_qr_null_space(M: np.ndarray, dim: int | None = None,
     return _lapack_basis(basis)
 
 
-def _basis_array(U) -> np.ndarray:
-    if isinstance(U, SubspaceBasis):
-        return U.basis
-    return as_matrix(U, "basis")
-
-
 def subspace_distance(U, V) -> float:
     """Distance ``||P_U - P_V||_2`` between two spanned subspaces.
 
     Equals the sine of the largest principal angle when the dimensions
     match, computed as ``||V - U (U^H V)||_2`` from n-by-m products, never
     the n-by-n projectors; returns 1.0 when the dimensions differ
-    (maximal by convention).  Inputs are orthonormal bases
-    (``SubspaceBasis`` or arrays).
+    (maximal by convention).  Inputs are ``SubspaceBasis`` objects or
+    arrays, and an array goes through ``SubspaceBasis`` and its checks.
 
     Raises
     ------
+    ValueError
+        If an array's columns are not orthonormal.
     DimensionMismatchError
         If the ambient dimensions differ.
     """
-    Bu, Bv = _basis_array(U), _basis_array(V)
+    Bu, Bv = ((W if isinstance(W, SubspaceBasis) else SubspaceBasis(W)).basis
+              for W in (U, V))
     if Bu.shape[0] != Bv.shape[0]:
         raise DimensionMismatchError(
             f"ambient dimensions differ: {Bu.shape[0]} vs {Bv.shape[0]}")

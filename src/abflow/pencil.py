@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import BreakdownError, DimensionMismatchError, SingularMatrixError
+from .errors import BreakdownError, DimensionMismatchError
 from .linalg import (
     SubspaceBasis,
     _as_square,
@@ -129,8 +129,10 @@ def combine(it_i: ABIterate, it_j: ABIterate) -> ABIterate:
     ``B_j (A_i + B_j)^{-1} B_i`` too, but is taken from the constant
     difference as ``A_{i+j} + B_i - A_i``, so a merge is one factorization,
     one solve and one product.  Both iterates must come from the same
-    chain.  ``lu_factor`` judges the sum by its terms, so a sum that
-    cancels to rounding error is a breakdown.  Each element after the
+    chain.  ``lu_factor`` judges the sum by its terms and raises the
+    ``BreakdownError`` for a sum that cancels to rounding error; the one
+    job left here is to stamp it with ``i+j``, the plain-chain index of
+    the element that could not be produced.  Each element after the
     first is made here and checked once, for ``ValueError`` when it is
     not finite: a NaN or Inf in ``A_{i+j}`` carries into ``B_{i+j}``.
     """
@@ -138,10 +140,9 @@ def combine(it_i: ABIterate, it_j: ABIterate) -> ABIterate:
     A_i = it_i.A_k
     try:
         f = lu_factor(A_i, it_j.B_k)
-    except SingularMatrixError as exc:
-        raise BreakdownError(
-            f"singular sum producing chain element {target}",
-            index=target) from exc
+    except BreakdownError as exc:
+        exc.index = target
+        raise
     A_new = A_i @ f.solve(it_j.A_k)
     B_new = A_new + it_i.B_k - A_i
     if not np.isfinite(B_new).all():
@@ -246,8 +247,11 @@ def _drive(x, advance, metric, tol: float, kmax: int, observe,
 
 
 def _integer(name: str, value) -> int:
-    """``operator.index(value)``, or a ``ValueError`` naming ``name``."""
+    """``operator.index(value)``, or a ``ValueError`` naming ``name``; a
+    ``bool`` is no integer here, as in the CLI's JSON counts."""
     try:
+        if isinstance(value, bool):
+            raise TypeError
         return operator.index(value)
     except TypeError:
         raise ValueError(f"{name} must be an integer, got {value!r}") from None

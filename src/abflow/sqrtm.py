@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import BreakdownError, InvalidBoundsError, SingularMatrixError
+from .errors import InvalidBoundsError
 from .linalg import EPS, _as_square, _norm, lu_factor
 from .pencil import (SolveStatus, _check_positive, _check_settings, _drive,
                      _outer_step)
@@ -74,17 +74,13 @@ def q_step(Q, S, partner) -> np.ndarray:
     Raises
     ------
     BreakdownError
-        If ``partner + Q`` is numerically singular, the runtime signal
-        for spectrum on the negative real axis; as in ``pencil.combine``,
-        a sum that cancels to rounding error of its terms counts.
+        Straight from ``lu_factor`` (index None) if ``partner + Q`` is
+        numerically singular, the runtime signal for spectrum on the
+        negative real axis, a sum cancelled to rounding error included.
     ValueError
         If the new iterate, checked here where it is made, is not finite.
     """
-    try:
-        f = lu_factor(partner, Q)
-    except SingularMatrixError as exc:
-        raise BreakdownError("singular partner sum in square-root step") from exc
-    X = f.solve((S + partner @ Q).T, trans=True).T
+    X = lu_factor(partner, Q).solve((S + partner @ Q).T, trans=True).T
     if not np.isfinite(X).all():
         raise ValueError("square-root iterate is not finite")
     return X

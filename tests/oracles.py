@@ -11,7 +11,6 @@ import math
 import numpy as np
 
 from abflow import ABFlowError, DimensionMismatchError, Pencil
-from abflow.errors import SingularMatrixError
 from abflow.linalg import _as_square, as_matrix, lu_factor
 from abflow.pencil import ABIterate
 
@@ -21,10 +20,6 @@ INFINITY = complex(math.inf, 0.0)
 
 class PoleEncounteredError(ABFlowError, ArithmeticError):
     """An eigenvalue map was evaluated at a pole of its rational form."""
-
-
-class SingularDenominatorError(SingularMatrixError):
-    """The denominator sum of a rational matrix update is singular."""
 
 
 # ----------------------------- linear algebra -----------------------------
@@ -79,7 +74,7 @@ def closed_form_iterate(A1, k):
     """Chain element k in closed form, for an initial pencil with B_1 = I.
 
     Returns ``(A_1^k P^{-1}, P^{-1}, k)`` with ``P = I + A_1 + ... +
-    A_1^{k-1}``; raises ``SingularMatrixError`` when P is singular (some
+    A_1^{k-1}``; raises ``BreakdownError`` when P is singular (some
     eigenvalue of A_1 is a k-th root of unity other than 1).
     """
     M = _as_square(A1, "A1")
@@ -139,7 +134,7 @@ def binomial_step(Q, S, order):
 
     Returns ``N @ inv(D)`` with ``N = sum_j C(r,2j) Q^{r-2j} S^j`` and
     ``D = sum_j C(r,2j+1) Q^{r-2j-1} S^j`` (exact integer coefficients);
-    raises ``SingularDenominatorError`` when D is numerically singular.
+    raises ``BreakdownError`` when D is numerically singular.
     """
     if not 2 <= order <= 16:
         raise ValueError("order must be between 2 and 16")
@@ -158,10 +153,7 @@ def binomial_step(Q, S, order):
     den = np.zeros((n, n), dtype=np.complex128)
     for j in range((order - 1) // 2 + 1):
         den += math.comb(order, 2 * j + 1) * (q_pow[order - 2 * j - 1] @ s_pow[j])
-    try:
-        return solve_right(num, den)
-    except SingularMatrixError as exc:
-        raise SingularDenominatorError(str(exc)) from exc
+    return solve_right(num, den)
 
 
 def newton_step(Q, S):

@@ -96,8 +96,11 @@ def _doc(rows, cols, data):
     ([[1, 0], [2, 0], 3, 4], ParseError, 2),                      # bare number
     ([[1, 0], [2, 0], [3, 0]], ShapeError, None),                 # wrong count
     ([[1, 0], [2, 0], [3, 10 ** 400], [4, 0]], ParseError, 2),    # beyond double
+    ([[1, 0], [2, 0], [True, False], [1, 0]], ParseError, 2),     # bools alone
+    ([[1, 0], [2, 0], [True, 0.5], [1, 0]], ParseError, 2),       # bool and float
 ], ids=["string", "null", "short-pair", "long-pair", "nested-pair", "ragged",
-        "object", "bare-number", "wrong-count", "beyond-double"])
+        "object", "bare-number", "wrong-count", "beyond-double", "bools",
+        "bool-and-float"])
 def test_parse_json_malformed_data_names_first_bad_entry(tmp_path, data, exc, index):
     with pytest.raises(exc) as info:
         parse_matrix_file(write(tmp_path / "m.json", _doc(2, 2, data)))
@@ -114,7 +117,7 @@ def _per_entry_reference(data, rows, cols):
     _doc(2, 2, [[1, 2], [-3, 4], [0, 0], [7, -8]]),
     _doc(2, 1, [[1, 2.5], [9007199254740993, -0.25]]),
     _doc(1, 3, [[-0.0, 0.0], [0.0, -0.0], [-0.0, -0.0]]),
-    _doc(1, 2, [[True, 0], [1e308, -1e-308]]),
+    _doc(1, 2, [[1.5, 0], [1e308, -1e-308]]),
     '{"rows": 2, "cols": 2, "data": [[NaN, 1], [Infinity, -Infinity], '
     '[2, NaN], [-0.0, Infinity]]}',
     _doc(1, 2, [[10 ** 30, 1], [2 ** 64, -1]]),     # beyond int64, within double
@@ -417,7 +420,13 @@ def test_cli_parse_error_exits_one(tmp_path, capsys):
     ('{"rows": 1, "cols": 1, "data": [[1' + "0" * 400 + ', 0]]}',
      "entry 0 is outside double range"),
     ('[{"rows": 1, "cols": 1, "data": [[1, 0]]}]', "top level must be an object"),
-], ids=["bool-shape", "huge-integer", "not-an-object"])
+    # numpy alone would read these as [[1+0j, 1+0j]] and [[1+0.5j, 1+0j]]
+    ('{"rows": 1, "cols": 2, "data": [[true, false], [1, 0]]}',
+     "entry 0 is not a [re, im] pair of numbers"),
+    ('{"rows": 1, "cols": 2, "data": [[true, 0.5], [1, 0]]}',
+     "entry 0 is not a [re, im] pair of numbers"),
+], ids=["bool-shape", "huge-integer", "not-an-object", "bool-entries",
+        "bool-and-float-entry"])
 def test_cli_bad_json_document_exits_one(tmp_path, capsys, text, message):
     bad = write(tmp_path / "bad.json", text)
     assert main(["sqrt", "--input", bad, "--out", str(tmp_path / "X.json")]) == 1

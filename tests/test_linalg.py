@@ -12,7 +12,7 @@ from abflow import (
     modified_ab_run,
     subspace_distance,
 )
-from abflow.errors import SingularMatrixError
+from abflow.errors import BreakdownError
 from abflow.lab import conditioned_similarity, random_unitary
 from abflow.linalg import lu_factor, null_space_basis, smallest_singular_subspace
 
@@ -69,15 +69,17 @@ def test_lu_solve_transpose_mode():
 
 
 def test_lu_factor_rejects_singular():
-    with pytest.raises(SingularMatrixError):
+    # the breakdown signal itself, with no chain index to stamp
+    with pytest.raises(BreakdownError) as info:
         lu_factor(np.array([[1.0, 1.0], [1.0, 1.0]], dtype=complex))
-    with pytest.raises(SingularMatrixError):
+    assert info.value.index is None
+    with pytest.raises(BreakdownError):
         lu_factor(np.zeros((3, 3), dtype=complex))
     # a sum that cancels to rounding error of its unit-sized terms
     tiny = np.array([[1e-15]], dtype=complex)
     ones = np.ones((1, 1), dtype=complex)
     assert lu_factor(tiny).n == 1    # regular against its own scale
-    with pytest.raises(SingularMatrixError):
+    with pytest.raises(BreakdownError):
         lu_factor(ones, tiny - ones)
 
 
@@ -127,6 +129,14 @@ def test_subspace_distance_examples():
     assert subspace_distance(e1, e1) == 0.0
     assert subspace_distance(e1, e2) == pytest.approx(1.0, abs=1e-12)
     assert subspace_distance(e1, diag) == pytest.approx(0.70710678, abs=1e-8)
+
+
+def test_subspace_distance_checks_arrays_like_a_basis():
+    # 2*e1 spans e1's line but is no orthonormal basis of it
+    e1 = np.array([[1.0], [0.0]], dtype=complex)
+    for U, V in ((2 * e1, e1), (e1, 2 * e1)):
+        with pytest.raises(ValueError, match="orthonormal"):
+            subspace_distance(U, V)
 
 
 def test_subspace_distance_properties():

@@ -15,7 +15,7 @@ from abflow import (
     modified_ab_run,
     subspace_distance,
 )
-from abflow.errors import BreakdownError, SingularMatrixError
+from abflow.errors import BreakdownError
 from abflow.lab import make_pencil_problem, ProblemSpec, random_unitary
 from abflow.pencil import ab_step, combine, first_iterate
 
@@ -174,7 +174,7 @@ def test_closed_form_nilpotent():
 
 def test_closed_form_singular_power_sum():
     # -1 makes I + A singular at k = 2
-    with pytest.raises(SingularMatrixError):
+    with pytest.raises(BreakdownError):
         closed_form_iterate(np.array([[-1.0 + 0j]]), 2)
 
 

@@ -15,7 +15,8 @@ from abflow import (
     run_experiment,
     sqrtm_ab,
 )
-from abflow.lab import ProblemSpec, make_known_sqrt_problem, make_pencil_problem
+from abflow.lab import (ProblemSpec, SpectrumEntry, make_known_sqrt_problem,
+                        make_pencil_problem)
 from abflow.pencil import _basis_change
 
 CONVERGED = SolveStatus.CONVERGED
@@ -181,8 +182,16 @@ def test_kmax_one_returns_element_one(order, dim):
     (lambda: breakdown_check([-1.0], 20.0), "kmax"),
     (lambda: run_experiment("sqrt", ProblemSpec((2.0, 3.0)), order=2.0),
      "order"),
+    # a bool is no integer either, as in the CLI's JSON counts
+    (lambda: AccelConfig(order=True, tol=1e-12, kmax=True), "order"),
+    (lambda: SqrtProblem(_S, order=True, kmax=True), "order"),
+    (lambda: SpectrumEntry(2.0, multiplicity=True), "multiplicity"),
+    (lambda: ProblemSpec((0.5,), seed=True), "seed"),
+    (lambda: breakdown_check([-1], True), "kmax"),
 ], ids=["accel-order", "accel-kmax", "accel-dim", "sqrt-order", "sqrt-kmax",
-        "ab_run-kmax", "breakdown_check-kmax", "experiment-order"])
+        "ab_run-kmax", "breakdown_check-kmax", "experiment-order",
+        "accel-bool", "sqrt-bool", "spectrum-entry-bool", "problem-spec-bool",
+        "breakdown_check-bool"])
 def test_integer_settings_are_checked_at_the_entry(make, name):
     with pytest.raises(ValueError, match=f"^{name} must be an integer"):
         make()
