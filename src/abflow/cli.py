@@ -13,6 +13,7 @@ import argparse
 import json
 import math
 import os
+import re
 import sys
 
 import numpy as np
@@ -32,6 +33,9 @@ _EXIT_BY_STATUS = {
 
 OUT_DIR_ENV = "ABFLOW_OUT_DIR"
 
+#: A txt entry: ASCII decimal only (Python's float also takes 1_0, inf).
+_TXT_NUMBER = re.compile(r"[+-]?([0-9]+\.?[0-9]*|\.[0-9]+)([eE][+-]?[0-9]+)?")
+
 
 # ----------------------------- matrix files -----------------------------
 
@@ -39,7 +43,7 @@ def parse_matrix_file(path) -> np.ndarray:
     """Load a matrix from a txt or json file; the suffix picks the format
     (".json" means json, anything else txt).
 
-    txt: whitespace-separated real entries, one matrix row per line.
+    txt: whitespace-separated decimal numbers, one matrix row per line.
     json: object with "rows", "cols", and "data", a row-major array of
     [re, im] pairs.
     """
@@ -63,11 +67,10 @@ def _parse_txt(text: str, path: str) -> np.ndarray:
             continue
         row = []
         for offset, tok in enumerate(tokens):
-            try:
-                row.append(float(tok))
-            except ValueError as exc:
+            if not _TXT_NUMBER.fullmatch(tok):
                 raise ParseError(f"bad entry {tok!r}", path=path,
-                                 line=lineno, offset=offset) from exc
+                                 line=lineno, offset=offset)
+            row.append(float(tok))
         if width is None:
             width = len(row)
         elif len(row) != width:

@@ -18,7 +18,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import InvalidSpectrumError
-from .linalg import SubspaceBasis, subspace_distance
+from .linalg import SubspaceBasis, _norm, lu_factor, subspace_distance
 from .pencil import (
     BREAKDOWN_TOL,
     AccelConfig,
@@ -112,10 +112,6 @@ def conditioned_similarity(n: int, cond: float,
     return (U * s) @ V.conj().T
 
 
-def _solve_right(B: np.ndarray, M: np.ndarray) -> np.ndarray:
-    return np.linalg.solve(M.T, B.T).T
-
-
 def _similar_to_blocks(spec: ProblemSpec, entries):
     """``(rng, D, P, P D P^{-1})``: ``D`` holds the diagonal runs and
     Jordan blocks of ``entries`` (``spec.spectrum`` reordered); ``P`` is
@@ -130,7 +126,7 @@ def _similar_to_blocks(spec: ProblemSpec, entries):
         pos += m
     rng = np.random.default_rng(spec.seed)
     P = conditioned_similarity(spec.dim, spec.cond, rng)
-    return rng, D, P, _solve_right(P @ D, P)
+    return rng, D, P, lu_factor(P.T).solve((P @ D).T).T
 
 
 def make_known_sqrt_problem(spec: ProblemSpec):
@@ -144,13 +140,13 @@ def make_known_sqrt_problem(spec: ProblemSpec):
     InvalidSpectrumError
         For eigenvalues with nonpositive real part other than semisimple
         zeros.
+    BreakdownError
+        When ``lu_factor`` finds the similarity ``P`` numerically singular.
     """
     for e in spec.spectrum:
-        if e.value == 0:
-            if not e.semisimple:
-                raise InvalidSpectrumError(
-                    "zero eigenvalues must be semisimple")
-        elif e.value.real <= 0:
+        if e.value == 0 and not e.semisimple:
+            raise InvalidSpectrumError("zero eigenvalues must be semisimple")
+        if e.value != 0 and e.value.real <= 0:
             raise InvalidSpectrumError(
                 f"eigenvalue {e.value} lies outside the open right half-plane")
     *_, X = _similar_to_blocks(spec, spec.spectrum)
@@ -177,7 +173,8 @@ def make_pencil_problem(spec: ProblemSpec, random_b: bool = False) -> PencilProb
     span and ``stable_block`` the matching coupling block.  Unit-circle
     eigenvalues are accepted only when they sit on a root of unity, in
     which case ``expected_breakdown`` carries the first breaking chain
-    step; anything else on the circle is rejected.
+    step; anything else on the circle is rejected.  A numerically
+    singular similarity raises ``BreakdownError``.
 
     With ``random_b`` the second pencil matrix is a conditioned random
     matrix absorbed into the first (otherwise it is the identity).
@@ -200,13 +197,11 @@ def make_pencil_problem(spec: ProblemSpec, random_b: bool = False) -> PencilProb
         B = np.eye(spec.dim, dtype=np.complex128)
         A = M
     U, R = np.linalg.qr(P[:, :m])
-    Lam = _solve_right(R @ D[:m, :m], R) if m else np.zeros((0, 0), np.complex128)
-    basis = SubspaceBasis(U)
-    defect = np.linalg.norm(A @ U - B @ U @ Lam, "fro")
-    scale = max(1.0, np.linalg.norm(A, "fro"))
-    if defect > 1e-11 * scale:
+    Lam = lu_factor(R.T).solve((R @ D[:m, :m]).T).T
+    defect = _norm(A @ U - B @ U @ Lam)
+    if defect > 1e-11 * max(1.0, _norm(A)):
         raise RuntimeError(f"generator self-check failed: defect {defect:.2e}")
-    return PencilProblem(Pencil(A, B), basis, Lam,
+    return PencilProblem(Pencil(A, B), SubspaceBasis(U), Lam,
                          min(tags) if tags else None)
 
 
@@ -240,11 +235,11 @@ def run_experiment(kind: str, spec: ProblemSpec, *, order: int = 2,
     _check_positive("gamma", gamma)
     if kind == "sqrt":
         S, X = make_known_sqrt_problem(spec)
-        xnorm = float(np.linalg.norm(X, "fro")) or 1.0
+        xnorm = _norm(X) or 1.0
         residual = _residual_of(S)
 
         def measure(k, Q):
-            return k, float(np.linalg.norm(Q - X, "fro")) / xnorm, residual(Q)
+            return k, _norm(Q - X) / xnorm, residual(Q)
 
         solve = partial(sqrtm_ab, SqrtProblem(S, gamma=gamma, order=order,
                                               tol=tol, kmax=kmax))
@@ -253,9 +248,9 @@ def run_experiment(kind: str, spec: ProblemSpec, *, order: int = 2,
         target = prob.basis
 
         def measure(it, basis):
-            aknorm = float(np.linalg.norm(it.A_k, "fro")) or 1.0
+            aknorm = _norm(it.A_k) or 1.0
             return (it.k, subspace_distance(basis, target),
-                    float(np.linalg.norm(it.A_k @ target.basis, "fro")) / aknorm)
+                    _norm(it.A_k @ target.basis) / aknorm)
 
         solve = partial(modified_ab_run, prob.pencil,
                         AccelConfig(order, tol, kmax, target.dim))

@@ -334,7 +334,8 @@ def modified_ab_run(initial: Pencil, cfg: AccelConfig,
     if expected_dim is not None and expected_dim > initial.n:
         raise DimensionMismatchError(
             f"requested dim {expected_dim} outside 0..{initial.n}")
-    ref = float(_norm(initial.A - initial.B, axis=1).max(initial=0.0))
+    if expected_dim is None:      # only threshold mode reads the scale
+        ref = float(_norm(initial.A - initial.B, axis=1).max(initial=0.0))
 
     def extract(it):
         if expected_dim is not None:

@@ -20,6 +20,7 @@ from abflow import (
     Pencil,
     SolveStatus,
     SqrtProblem,
+    breakdown_check,
     modified_ab_run,
     sqrtm_ab,
     subspace_distance,
@@ -134,3 +135,18 @@ def test_singular_square_root_converges(order):
     res = sqrtm_ab(SqrtProblem(S, gamma=2.0, order=order, tol=TOL, kmax=KMAX))
     assert res.status is SolveStatus.CONVERGED
     assert np.linalg.norm(res.X - X) <= 1e-8 * np.linalg.norm(X)
+
+
+@pytest.mark.xfail(strict=True, raises=AssertionError,
+                   reason="ROADMAP item 4: the normwise pivot cutoff of "
+                   "lu_factor judges the pivot 1.5 against the 1e14 scale "
+                   "and reports BREAKDOWN at element 2")
+@pytest.mark.parametrize("dim", [1, None], ids=["expected_dim", "threshold"])
+@pytest.mark.parametrize("order", [1, 2, 4])
+def test_widely_scaled_moduli_are_not_a_breakdown(order, dim):
+    assert breakdown_check([0.5, 1e14], KMAX) is None   # no sum is singular
+    pencil = Pencil(np.diag([0.5, 1e14]), np.eye(2))
+    res = modified_ab_run(pencil, AccelConfig(order, TOL, KMAX, dim))
+    assert res.status is SolveStatus.CONVERGED
+    assert res.U.dim == 1
+    assert subspace_distance(res.U, np.eye(2)[:, :1]) <= 1e-8

@@ -54,10 +54,17 @@ def test_parse_txt_ragged_rows(tmp_path):
 
 
 def test_parse_txt_bad_token_reports_position(tmp_path):
-    with pytest.raises(ParseError) as info:
-        parse_matrix_file(write(tmp_path / "m.txt", "1 2\n3 x\n"))
-    assert info.value.line == 2
-    assert info.value.offset == 1
+    # Python's float takes 1_0, the Arabic-Indic one, inf and nan too
+    for tok in ("x", "1_0", "\u0661", "inf", "nan", "1e", "--1", "0x1"):
+        with pytest.raises(ParseError, match="bad entry") as info:
+            parse_matrix_file(write(tmp_path / "m.txt", f"1 2\n3 {tok}\n"))
+        assert info.value.line == 2
+        assert info.value.offset == 1
+
+
+def test_parse_txt_accepts_decimal_spellings(tmp_path):
+    M = parse_matrix_file(write(tmp_path / "m.txt", "1. .5 +1\n-0 1e-3 2E+2\n"))
+    assert np.array_equal(M, np.array([[1, 0.5, 1], [0, 1e-3, 200]], dtype=complex))
 
 
 def test_parse_txt_empty_file(tmp_path):
@@ -384,6 +391,15 @@ def test_cli_bench_rejects_bad_problem(tmp_path, capsys, args, message):
     assert main(["bench", "--kind", "sqrt", *args,
                  "--out-dir", str(out_dir)]) == 1
     assert capsys.readouterr().err == f"error: {message}\n"
+    assert not out_dir.exists()
+
+
+@pytest.mark.parametrize("kind", ["sqrt", "pencil"])
+def test_cli_bench_singular_similarity_exits_one(tmp_path, capsys, kind):
+    out_dir = tmp_path / "D"
+    assert main(["bench", "--kind", kind, "--spectrum", "0.5,1.5,2,3",
+                 "--cond", "1e16", "--out-dir", str(out_dir)]) == 1
+    assert capsys.readouterr().err.startswith("error: pivot ")
     assert not out_dir.exists()
 
 

@@ -23,6 +23,7 @@ from abflow import (
     write_trace_csv,
     write_trace_json,
 )
+from abflow.errors import BreakdownError
 from abflow.lab import conditioned_similarity
 from abflow.sqrtm import SqrtProblem, sqrtm_ab
 from abflow.trace import SATURATION_GUARD, atomic_write_text
@@ -260,6 +261,29 @@ def test_generator_determinism():
     S1, X1 = make_known_sqrt_problem(spec)
     S2, X2 = make_known_sqrt_problem(spec)
     assert np.array_equal(S1, S2) and np.array_equal(X1, X2)
+
+
+_FOUR = (0.5, 1.5, 2.0, 3.0)
+
+
+@pytest.mark.parametrize("make", [make_known_sqrt_problem, make_pencil_problem],
+                         ids=["sqrt", "pencil"])
+def test_generators_reject_a_numerically_singular_similarity(make):
+    with pytest.raises(BreakdownError, match="pivot"):
+        make(ProblemSpec(_FOUR, cond=1e16, seed=0))
+
+
+@pytest.mark.xfail(strict=True, raises=AssertionError,
+                   reason="ROADMAP item 11: below the BreakdownError cutoff, "
+                   "a similarity of cond 1e12 still yields an X far from the "
+                   "requested spectrum")
+def test_sqrt_generator_keeps_the_spectrum_or_raises():
+    try:
+        _, X = make_known_sqrt_problem(ProblemSpec(_FOUR, cond=1e12, seed=0))
+    except BreakdownError:
+        return
+    got = np.sort_complex(np.linalg.eigvals(X))
+    assert np.abs(got - np.array(_FOUR)).max() <= 1e-6
 
 
 # ----------------------------- run_experiment -----------------------------
