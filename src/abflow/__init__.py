@@ -13,17 +13,13 @@ traces and errors.  Input is validated once, where it enters (``Pencil``,
 (``lu_factor``, ``null_space_basis``, ``combine``, ``q_step`` and the
 like) are internal and trust their callers; each chain element is
 checked once, where ``combine`` or ``q_step`` makes it.
+
+Bad input raises ``ValueError`` naming the input; an unreadable matrix
+file raises ``ParseError`` with its position; a singular sum raises the
+internal ``BreakdownError``.  ``ABFlowError`` is the base of the last two.
 """
 
-from .errors import (
-    ABFlowError,
-    DimensionMismatchError,
-    InsufficientDataError,
-    InvalidBoundsError,
-    InvalidSpectrumError,
-    ParseError,
-    ShapeError,
-)
+from .errors import ABFlowError, ParseError
 from .lab import (
     PencilProblem,
     ProblemSpec,
@@ -34,11 +30,7 @@ from .lab import (
     random_unitary,
     run_experiment,
 )
-from .linalg import (
-    DEFAULT_RANK_TOL,
-    SubspaceBasis,
-    subspace_distance,
-)
+from .linalg import DEFAULT_RANK_TOL, SubspaceBasis, subspace_distance
 from .pencil import (
     BREAKDOWN_TOL,
     AccelConfig,
@@ -61,11 +53,9 @@ __version__ = "0.1.0"
 
 __all__ = [
     "ABFlowError", "AccelConfig", "BREAKDOWN_TOL", "ConvergenceTrace",
-    "DEFAULT_RANK_TOL", "DimensionMismatchError", "InsufficientDataError",
-    "InvalidBoundsError", "InvalidSpectrumError", "ParseError", "Pencil",
-    "PencilProblem", "ProblemSpec", "ShapeError", "SolveStatus",
-    "SpectrumEntry", "SqrtProblem", "SqrtResult", "SubspaceBasis",
-    "SubspaceResult",
+    "DEFAULT_RANK_TOL", "ParseError", "Pencil", "PencilProblem",
+    "ProblemSpec", "SolveStatus", "SpectrumEntry", "SqrtProblem",
+    "SqrtResult", "SubspaceBasis", "SubspaceResult",
     "ab_run", "breakdown_check", "conditioned_similarity",
     "estimate_order", "gamma_heuristic", "make_known_sqrt_problem",
     "make_pencil_problem", "modified_ab_run", "random_unitary",

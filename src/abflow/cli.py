@@ -18,7 +18,7 @@ import sys
 
 import numpy as np
 
-from .errors import ABFlowError, InvalidSpectrumError, ParseError, ShapeError
+from .errors import ABFlowError, ParseError
 from .lab import ProblemSpec, run_experiment
 from .linalg import as_matrix
 from .pencil import AccelConfig, Pencil, SolveStatus, modified_ab_run
@@ -67,16 +67,16 @@ def _parse_txt(text: str, path: str) -> np.ndarray:
             continue
         row = []
         for offset, tok in enumerate(tokens):
-            if not _TXT_NUMBER.fullmatch(tok):
+            value = float(tok) if _TXT_NUMBER.fullmatch(tok) else math.nan
+            if not math.isfinite(value):        # 1e999 reads as inf
                 raise ParseError(f"bad entry {tok!r}", path=path,
                                  line=lineno, offset=offset)
-            row.append(float(tok))
+            row.append(value)
         if width is None:
             width = len(row)
         elif len(row) != width:
-            raise ShapeError(
-                f"row has {len(row)} entries, expected {width}",
-                path=path, line=lineno)
+            raise ParseError(f"row has {len(row)} entries, expected {width}",
+                             path=path, line=lineno)
         rows.append(row)
     if not rows:
         raise ParseError("file contains no matrix rows", path=path)
@@ -84,8 +84,11 @@ def _parse_txt(text: str, path: str) -> np.ndarray:
 
 
 def _parse_json(text: str, path: str) -> np.ndarray:
+    def reject(name):       # Python's json reads NaN and +-Infinity
+        raise ParseError(f"{name} is not a finite number", path=path)
+
     try:
-        doc = json.loads(text)
+        doc = json.loads(text, parse_constant=reject)
     except json.JSONDecodeError as exc:
         raise ParseError(exc.msg, path=path, line=exc.lineno,
                          offset=exc.colno) from exc
@@ -96,13 +99,13 @@ def _parse_json(text: str, path: str) -> np.ndarray:
     except KeyError as exc:
         raise ParseError(f"missing key {exc.args[0]!r}", path=path) from exc
     if not (_is_count(rows) and _is_count(cols)):
-        raise ShapeError(f"bad shape {rows!r} x {cols!r}", path=path)
+        raise ParseError(f"bad shape {rows!r} x {cols!r}", path=path)
     if not isinstance(data, list) or len(data) != rows * cols:
-        raise ShapeError(
+        raise ParseError(
             f"data has {len(data) if isinstance(data, list) else '?'} "
             f"entries, expected {rows * cols}", path=path)
     # numpy folds JSON true/false into numbers: a text with a "u" (true) or
-    # an "f" (false, Infinity) goes to the scan; one-character tests are fast
+    # an "f" (false) goes to the scan; one-character tests are fast
     try:
         pairs = None if "u" in text or "f" in text else np.array(data)
     except (ValueError, OverflowError):  # ragged, nested, or out of range
@@ -110,9 +113,13 @@ def _parse_json(text: str, path: str) -> np.ndarray:
     if (pairs is None or pairs.shape != (rows * cols, 2)
             or pairs.dtype.kind not in "iuf"):
         pairs = _scan_pairs(data, path)
+    pairs = np.ascontiguousarray(pairs, dtype=np.float64)
+    finite = np.isfinite(pairs).all(axis=1)     # 1e999 parses to inf
+    if not finite.all():
+        raise ParseError(f"entry {int(finite.argmin())} is outside double "
+                         "range", path=path)
     # row-major [re, im] float64 pairs are exactly the complex128 layout
-    return (np.ascontiguousarray(pairs, dtype=np.float64)
-            .view(np.complex128).reshape(rows, cols))
+    return pairs.view(np.complex128).reshape(rows, cols)
 
 
 def _is_count(v) -> bool:
@@ -173,9 +180,9 @@ def _parse_spectrum(text: str):
         try:
             values.append(complex(tok))
         except ValueError as exc:
-            raise InvalidSpectrumError(f"bad eigenvalue {tok!r}") from exc
+            raise ValueError(f"bad eigenvalue {tok!r}") from exc
     if not values:
-        raise InvalidSpectrumError("spectrum is empty")
+        raise ValueError("spectrum is empty")
     return values
 
 
@@ -322,7 +329,7 @@ def main(argv=None) -> int:
     except _UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 1
-    except (ParseError, ABFlowError, ValueError, OSError) as exc:
+    except (ABFlowError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -1,14 +1,15 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package.
+
+Bad input raises ``ValueError`` naming the input; an unreadable matrix
+file raises ``ParseError`` with its position; a singular sum raises the
+internal ``BreakdownError``.  ``ABFlowError`` is the base of the last two.
+"""
 
 from __future__ import annotations
 
 
 class ABFlowError(Exception):
-    """Base class for all abflow errors."""
-
-
-class DimensionMismatchError(ABFlowError, ValueError):
-    """Operands live in incompatible spaces."""
+    """Base class of ``BreakdownError`` and ``ParseError``."""
 
 
 class BreakdownError(ABFlowError):
@@ -29,20 +30,8 @@ class BreakdownError(ABFlowError):
         self.index = index
 
 
-class InvalidBoundsError(ABFlowError, ValueError):
-    """Interval bounds are empty, unordered, or nonpositive."""
-
-
-class InvalidSpectrumError(ABFlowError, ValueError):
-    """A requested spectrum violates the generator's preconditions."""
-
-
-class InsufficientDataError(ABFlowError, ValueError):
-    """Too few samples to compute the requested estimate."""
-
-
 class ParseError(ABFlowError):
-    """A matrix file is malformed; carries position information."""
+    """A matrix file is malformed or unreadable; carries its position."""
 
     def __init__(self, message: str, path: str | None = None,
                  line: int | None = None, offset: int | None = None):
@@ -57,7 +46,3 @@ class ParseError(ABFlowError):
         self.path = path
         self.line = line
         self.offset = offset
-
-
-class ShapeError(ParseError):
-    """Matrix file rows have inconsistent lengths or impossible shape."""

@@ -17,7 +17,6 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import InvalidSpectrumError
 from .linalg import SubspaceBasis, _norm, lu_factor, subspace_distance
 from .pencil import (
     BREAKDOWN_TOL,
@@ -52,9 +51,9 @@ class SpectrumEntry:
     def __post_init__(self):
         object.__setattr__(self, "value", complex(self.value))
         if not np.isfinite(self.value):
-            raise InvalidSpectrumError(f"eigenvalue {self.value} is not finite")
+            raise ValueError(f"eigenvalue {self.value} is not finite")
         if _integer("multiplicity", self.multiplicity) < 1:
-            raise InvalidSpectrumError("multiplicity must be positive")
+            raise ValueError("multiplicity must be positive")
 
 
 @dataclass(frozen=True)
@@ -70,11 +69,11 @@ class ProblemSpec:
             e if isinstance(e, SpectrumEntry) else SpectrumEntry(e)
             for e in self.spectrum)
         if not entries:
-            raise InvalidSpectrumError("spectrum must be nonempty")
+            raise ValueError("spectrum must be nonempty")
         object.__setattr__(self, "spectrum", entries)
         _check_cond(self.cond)
         if _integer("seed", self.seed) < 0:
-            raise InvalidSpectrumError("seed must be nonnegative")
+            raise ValueError("seed must be nonnegative")
 
     @property
     def dim(self) -> int:
@@ -99,7 +98,7 @@ def random_unitary(n: int, rng: np.random.Generator) -> np.ndarray:
 
 def _check_cond(cond: float) -> None:
     if not 1 <= cond < math.inf:    # NaN fails every check
-        raise InvalidSpectrumError(f"cond must be at least 1 and finite, got {cond}")
+        raise ValueError(f"cond must be at least 1 and finite, got {cond}")
 
 
 def conditioned_similarity(n: int, cond: float,
@@ -137,7 +136,7 @@ def make_known_sqrt_problem(spec: ProblemSpec):
 
     Raises
     ------
-    InvalidSpectrumError
+    ValueError
         For eigenvalues with nonpositive real part other than semisimple
         zeros.
     BreakdownError
@@ -145,9 +144,9 @@ def make_known_sqrt_problem(spec: ProblemSpec):
     """
     for e in spec.spectrum:
         if e.value == 0 and not e.semisimple:
-            raise InvalidSpectrumError("zero eigenvalues must be semisimple")
+            raise ValueError("zero eigenvalues must be semisimple")
         if e.value != 0 and e.value.real <= 0:
-            raise InvalidSpectrumError(
+            raise ValueError(
                 f"eigenvalue {e.value} lies outside the open right half-plane")
     *_, X = _similar_to_blocks(spec, spec.spectrum)
     return X @ X, X
@@ -159,7 +158,7 @@ def _classify(value: complex):
     if abs(r - 1.0) <= BREAKDOWN_TOL:
         k = breakdown_check([value], _BREAKDOWN_SCAN)
         if k is None:
-            raise InvalidSpectrumError(
+            raise ValueError(
                 f"unit-circle eigenvalue {value} is not a root of unity")
         return k
     return "stable" if r < 1.0 else "anti"
@@ -227,10 +226,11 @@ def run_experiment(kind: str, spec: ProblemSpec, *, order: int = 2,
     ConvergenceTrace
         One row per observed element, element 1 included: the observer's
         index (``iterate.k`` for pencil, k for sqrt), the true error
-        against the constructed answer, the residual, and the solver's
-        wall seconds since the previous observation (or its start), this
-        recording left out.  Deterministic for a fixed ``spec``, apart
-        from the wall-time column.
+        against the constructed answer, the residual (for sqrt after
+        element 1, the solver trace's own), and the solver's wall seconds
+        since the previous observation (or its start), this recording
+        left out.  Deterministic for a fixed ``spec``, apart from the
+        wall-time column.
     """
     _check_positive("gamma", gamma)
     if kind == "sqrt":
@@ -238,8 +238,8 @@ def run_experiment(kind: str, spec: ProblemSpec, *, order: int = 2,
         xnorm = _norm(X) or 1.0
         residual = _residual_of(S)
 
-        def measure(k, Q):
-            return k, _norm(Q - X) / xnorm, residual(Q)
+        def measure(k, Q):    # later residuals come from the solver's trace
+            return k, _norm(Q - X) / xnorm, residual(Q) if k == 1 else None
 
         solve = partial(sqrtm_ab, SqrtProblem(S, gamma=gamma, order=order,
                                               tol=tol, kmax=kmax))
@@ -265,5 +265,8 @@ def run_experiment(kind: str, spec: ProblemSpec, *, order: int = 2,
         rows.append((*measure(*element), seconds))
         last = time.perf_counter()
 
-    status = solve(observer=record).status
-    return ConvergenceTrace(*zip(*rows), status.value)
+    result = solve(observer=record)
+    steps, errors, resids, seconds = zip(*rows)
+    if kind == "sqrt":
+        resids = resids[:1] + result.trace.residuals
+    return ConvergenceTrace(steps, errors, resids, seconds, result.status.value)

@@ -17,7 +17,7 @@ from functools import cached_property
 import numpy as np
 from scipy.linalg.lapack import zgeqp3, zgetrf, zgetrs, zunmqr
 
-from .errors import BreakdownError, DimensionMismatchError
+from .errors import BreakdownError
 
 EPS = float(np.finfo(np.float64).eps)
 
@@ -46,7 +46,7 @@ def as_matrix(a, name: str = "matrix") -> np.ndarray:
 def _as_square(a, name: str = "matrix") -> np.ndarray:
     M = as_matrix(a, name)
     if M.shape[0] != M.shape[1]:
-        raise DimensionMismatchError(f"{name} must be square, got {M.shape}")
+        raise ValueError(f"{name} must be square, got {M.shape}")
     return M
 
 
@@ -130,7 +130,7 @@ class SubspaceBasis:
         object.__setattr__(self, "basis", B)
         n, m = B.shape
         if m > n:
-            raise DimensionMismatchError(f"basis is {n}x{m} with m > n")
+            raise ValueError(f"basis is {n}x{m} with m > n")
         gram = B.conj().T @ B
         if np.linalg.norm(gram - np.eye(m), "fro") > 1e-12 * max(1, m):
             raise ValueError("basis columns are not orthonormal")
@@ -218,14 +218,13 @@ def subspace_distance(U, V) -> float:
     Raises
     ------
     ValueError
-        If an array's columns are not orthonormal.
-    DimensionMismatchError
-        If the ambient dimensions differ.
+        If an array's columns are not orthonormal, or the ambient
+        dimensions differ.
     """
     Bu, Bv = ((W if isinstance(W, SubspaceBasis) else SubspaceBasis(W)).basis
               for W in (U, V))
     if Bu.shape[0] != Bv.shape[0]:
-        raise DimensionMismatchError(
+        raise ValueError(
             f"ambient dimensions differ: {Bu.shape[0]} vs {Bv.shape[0]}")
     if Bu.shape[1] != Bv.shape[1]:
         return 1.0

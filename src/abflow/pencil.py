@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import BreakdownError, DimensionMismatchError
+from .errors import BreakdownError
 from .linalg import (
     SubspaceBasis,
     _as_square,
@@ -321,8 +321,8 @@ def modified_ab_run(initial: Pencil, cfg: AccelConfig,
     ``kmax = 1`` returns element 1's basis as MAX_ITERATIONS.
     ``observer(iterate, basis)`` is invoked per outer iterate (including
     the first); ``iterate.k`` is the plain-chain index.  An
-    ``expected_dim`` above n raises ``DimensionMismatchError`` before
-    element 1 is observed.
+    ``expected_dim`` above n raises ``ValueError`` before element 1 is
+    observed.
 
     Returns
     -------
@@ -332,7 +332,7 @@ def modified_ab_run(initial: Pencil, cfg: AccelConfig,
     """
     tol, order, expected_dim = cfg.tol, cfg.order, cfg.expected_dim
     if expected_dim is not None and expected_dim > initial.n:
-        raise DimensionMismatchError(
+        raise ValueError(
             f"requested dim {expected_dim} outside 0..{initial.n}")
     if expected_dim is None:      # only threshold mode reads the scale
         ref = float(_norm(initial.A - initial.B, axis=1).max(initial=0.0))

@@ -15,7 +15,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidBoundsError
 from .linalg import EPS, _as_square, _norm, lu_factor
 from .pencil import (SolveStatus, _check_positive, _check_settings, _drive,
                      _outer_step)
@@ -168,5 +167,5 @@ def gamma_heuristic(sqrt_spectrum_bounds) -> float:
     """
     a, b = sqrt_spectrum_bounds
     if not (0 < a <= b) or not (math.isfinite(a) and math.isfinite(b)):
-        raise InvalidBoundsError(f"need 0 < a <= b, got ({a}, {b})")
+        raise ValueError(f"need 0 < a <= b, got ({a}, {b})")
     return math.sqrt(a * b)

@@ -9,7 +9,6 @@ import os
 import tempfile
 from dataclasses import dataclass
 
-from .errors import InsufficientDataError
 from .linalg import EPS
 
 #: Skip an order estimate when the reference log-ratio is this small.
@@ -80,12 +79,12 @@ def estimate_order(errors) -> list:
 
     Raises
     ------
-    InsufficientDataError
+    ValueError
         When fewer than three positive entries are supplied.
     """
     vals = [float(e) for e in errors]
     if sum(1 for e in vals if e > 0) < 3:
-        raise InsufficientDataError(
+        raise ValueError(
             "order estimation needs at least three positive errors")
     return [est for _, est in _log_ratios(vals)]
 

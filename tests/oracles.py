@@ -10,7 +10,7 @@ import math
 
 import numpy as np
 
-from abflow import ABFlowError, DimensionMismatchError, Pencil
+from abflow import ABFlowError, Pencil
 from abflow.linalg import _as_square, as_matrix, lu_factor
 from abflow.pencil import ABIterate
 
@@ -36,16 +36,6 @@ def lu_perm(piv):
     for i, p in enumerate(piv):
         perm[i], perm[p] = perm[p], perm[i]
     return perm
-
-
-def solve_right(B, M):
-    """Return ``B @ inv(M)`` as a factored transpose solve."""
-    f = lu_factor(M)
-    Bm = as_matrix(B, "B")
-    if Bm.shape[1] != f.n:
-        raise DimensionMismatchError(
-            f"B has {Bm.shape[1]} columns, expected {f.n}")
-    return f.solve(Bm.T, trans=True).T
 
 
 def induced_norm2(A):
@@ -153,14 +143,14 @@ def binomial_step(Q, S, order):
     den = np.zeros((n, n), dtype=np.complex128)
     for j in range((order - 1) // 2 + 1):
         den += math.comb(order, 2 * j + 1) * (q_pow[order - 2 * j - 1] @ s_pow[j])
-    return solve_right(num, den)
+    return lu_factor(den).solve(num.T, trans=True).T
 
 
 def newton_step(Q, S):
     """One Newton update ``(Q + S Q^{-1}) / 2``."""
     Qm = _as_square(Q, "Q")
     Sm = _as_square(S, "S")
-    return 0.5 * (Qm + solve_right(Sm, Qm))
+    return 0.5 * (Qm + lu_factor(Qm).solve(Sm.T, trans=True).T)
 
 
 def cayley_factor(M, gamma):
@@ -171,11 +161,11 @@ def cayley_factor(M, gamma):
     """
     Mm = _as_square(M, "M")
     g = gamma * np.eye(Mm.shape[0], dtype=np.complex128)
-    return solve_right(g - Mm, g + Mm)
+    return lu_factor(g + Mm).solve((g - Mm).T, trans=True).T
 
 
 def cayley_residual(Q, X_true):
     """Cayley error measure ``||(X - Q)(X + Q)^{-1}||_2`` against a known root."""
     Qm = _as_square(Q, "Q")
     Xm = _as_square(X_true, "X_true")
-    return induced_norm2(solve_right(Xm - Qm, Xm + Qm))
+    return induced_norm2(lu_factor(Xm + Qm).solve((Xm - Qm).T, trans=True).T)

@@ -11,7 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from abflow import AccelConfig, ParseError, Pencil, ShapeError, modified_ab_run
+from abflow import AccelConfig, ParseError, Pencil, modified_ab_run
 from abflow.cli import main, matrix_to_json, parse_matrix_file, write_matrix_json
 from abflow.lab import ProblemSpec, make_known_sqrt_problem, make_pencil_problem
 from abflow.linalg import EPS
@@ -49,8 +49,9 @@ def test_parse_json_scalar(tmp_path):
 
 
 def test_parse_txt_ragged_rows(tmp_path):
-    with pytest.raises(ShapeError):
+    with pytest.raises(ParseError, match="row has 1 entries, expected 2") as info:
         parse_matrix_file(write(tmp_path / "m.txt", "1 2\n3\n"))
+    assert info.value.line == 2
 
 
 def test_parse_txt_bad_token_reports_position(tmp_path):
@@ -60,6 +61,31 @@ def test_parse_txt_bad_token_reports_position(tmp_path):
             parse_matrix_file(write(tmp_path / "m.txt", f"1 2\n3 {tok}\n"))
         assert info.value.line == 2
         assert info.value.offset == 1
+
+
+@pytest.mark.parametrize("name, text, message", [
+    ("m.txt", "1 2\n3 -1e999\n", "bad entry '-1e999'"),
+    ("m.json", '{"rows":1,"cols":2,"data":[[1,0],[0,1e999]]}',
+     "entry 1 is outside double range"),
+    # an "f" anywhere sends the document through the per-entry scan
+    ("m.json", '{"rows":1,"cols":2,"data":[[1,0],[1e999,0]],"of":0}',
+     "entry 1 is outside double range"),
+    ("m.json", '{"rows":1,"cols":1,"data":[[NaN,0]]}',
+     "NaN is not a finite number"),
+    ("m.json", '{"rows":1,"cols":1,"data":[[Infinity,0]]}',
+     "Infinity is not a finite number"),
+    ("m.json", '{"rows":1,"cols":1,"data":[[0,-Infinity]]}',
+     "-Infinity is not a finite number"),
+], ids=["txt-1e999", "json-1e999", "json-scan-1e999", "json-NaN",
+        "json-Infinity", "json-minus-Infinity"])
+def test_parse_rejects_non_finite_entries(tmp_path, name, text, message):
+    path = write(tmp_path / name, text)
+    with pytest.raises(ParseError, match=message) as info:
+        parse_matrix_file(path)
+    if name.endswith(".txt"):
+        assert (info.value.line, info.value.offset) == (2, 1)
+    assert main(["sqrt", "--input", str(path),
+                 "--out", str(tmp_path / "X.json")]) == 1
 
 
 def test_parse_txt_accepts_decimal_spellings(tmp_path):
@@ -77,13 +103,13 @@ def test_parse_json_bad_documents(tmp_path):
         parse_matrix_file(write(tmp_path / "m.json", "[1, 2"))
     with pytest.raises(ParseError):
         parse_matrix_file(write(tmp_path / "m.json", '{"rows":1,"cols":1}'))
-    with pytest.raises(ShapeError):
+    with pytest.raises(ParseError, match="data has 1 entries, expected 2"):
         parse_matrix_file(write(
             tmp_path / "m.json", '{"rows":2,"cols":1,"data":[[1,0]]}'))
     with pytest.raises(ParseError):
         parse_matrix_file(write(
             tmp_path / "m.json", '{"rows":1,"cols":1,"data":[[1]]}'))
-    with pytest.raises(ShapeError):
+    with pytest.raises(ParseError, match="bad shape True x True"):
         parse_matrix_file(write(
             tmp_path / "m.json", '{"rows":true,"cols":true,"data":[[1,0]]}'))
 
@@ -92,28 +118,27 @@ def _doc(rows, cols, data):
     return json.dumps({"rows": rows, "cols": cols, "data": data})
 
 
-@pytest.mark.parametrize("data, exc, index", [
-    ([[1, 0], [2, 0], ["3", 0], ["4", 0]], ParseError, 2),        # string entry
-    ([[1, 0], [2, 0], [None, 0], [None, 0]], ParseError, 2),      # null
-    ([[1, 0], [2, 0], [3], [4]], ParseError, 2),                  # 1-element pair
-    ([[1, 0], [2, 0], [3, 0, 0], [4, 0, 0]], ParseError, 2),      # 3-element pair
-    ([[1, 0], [2, 0], [3, [0]], [4, [0]]], ParseError, 2),        # nested pair
-    ([[1, 0], [2, 0], [3, 0], [4]], ParseError, 3),               # ragged rows
-    ([[1, 0], [2, 0], {"re": 3}, {"re": 4}], ParseError, 2),      # object entry
-    ([[1, 0], [2, 0], 3, 4], ParseError, 2),                      # bare number
-    ([[1, 0], [2, 0], [3, 0]], ShapeError, None),                 # wrong count
-    ([[1, 0], [2, 0], [3, 10 ** 400], [4, 0]], ParseError, 2),    # beyond double
-    ([[1, 0], [2, 0], [True, False], [1, 0]], ParseError, 2),     # bools alone
-    ([[1, 0], [2, 0], [True, 0.5], [1, 0]], ParseError, 2),       # bool and float
+@pytest.mark.parametrize("data, needle", [
+    ([[1, 0], [2, 0], ["3", 0], ["4", 0]], "entry 2 "),        # string entry
+    ([[1, 0], [2, 0], [None, 0], [None, 0]], "entry 2 "),      # null
+    ([[1, 0], [2, 0], [3], [4]], "entry 2 "),                  # 1-element pair
+    ([[1, 0], [2, 0], [3, 0, 0], [4, 0, 0]], "entry 2 "),      # 3-element pair
+    ([[1, 0], [2, 0], [3, [0]], [4, [0]]], "entry 2 "),        # nested pair
+    ([[1, 0], [2, 0], [3, 0], [4]], "entry 3 "),               # ragged rows
+    ([[1, 0], [2, 0], {"re": 3}, {"re": 4}], "entry 2 "),      # object entry
+    ([[1, 0], [2, 0], 3, 4], "entry 2 "),                      # bare number
+    ([[1, 0], [2, 0], [3, 0]], "data has 3 entries"),          # wrong count
+    ([[1, 0], [2, 0], [3, 10 ** 400], [4, 0]], "entry 2 "),    # beyond double
+    ([[1, 0], [2, 0], [True, False], [1, 0]], "entry 2 "),     # bools alone
+    ([[1, 0], [2, 0], [True, 0.5], [1, 0]], "entry 2 "),       # bool and float
 ], ids=["string", "null", "short-pair", "long-pair", "nested-pair", "ragged",
         "object", "bare-number", "wrong-count", "beyond-double", "bools",
         "bool-and-float"])
-def test_parse_json_malformed_data_names_first_bad_entry(tmp_path, data, exc, index):
-    with pytest.raises(exc) as info:
+def test_parse_json_malformed_data_names_first_bad_entry(tmp_path, data, needle):
+    with pytest.raises(ParseError) as info:
         parse_matrix_file(write(tmp_path / "m.json", _doc(2, 2, data)))
-    assert type(info.value) is exc
-    if index is not None:
-        assert f"entry {index} " in str(info.value)
+    assert type(info.value) is ParseError
+    assert needle in str(info.value)
 
 
 def _per_entry_reference(data, rows, cols):
@@ -125,8 +150,6 @@ def _per_entry_reference(data, rows, cols):
     _doc(2, 1, [[1, 2.5], [9007199254740993, -0.25]]),
     _doc(1, 3, [[-0.0, 0.0], [0.0, -0.0], [-0.0, -0.0]]),
     _doc(1, 2, [[1.5, 0], [1e308, -1e-308]]),
-    '{"rows": 2, "cols": 2, "data": [[NaN, 1], [Infinity, -Infinity], '
-    '[2, NaN], [-0.0, Infinity]]}',
     _doc(1, 2, [[10 ** 30, 1], [2 ** 64, -1]]),     # beyond int64, within double
 ])
 def test_parse_json_matches_per_entry_reference(tmp_path, text):
@@ -161,7 +184,7 @@ def test_json_roundtrip_bit_exact(tmp_path):
 
 def test_parse_json_rejects_negative_counts(tmp_path):
     for rows, cols in ((-1, 0), (0, -2), (-1, -1)):
-        with pytest.raises(ShapeError, match="bad shape"):
+        with pytest.raises(ParseError, match="bad shape"):
             parse_matrix_file(write(tmp_path / "m.json", _doc(rows, cols, [])))
 
 

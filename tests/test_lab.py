@@ -11,8 +11,6 @@ from hypothesis import given, settings, strategies as st
 
 from abflow import (
     ConvergenceTrace,
-    InsufficientDataError,
-    InvalidSpectrumError,
     ProblemSpec,
     SpectrumEntry,
     estimate_order,
@@ -52,9 +50,9 @@ def test_estimate_order_skips_flat_and_nonpositive():
 
 
 def test_estimate_order_insufficient_data():
-    with pytest.raises(InsufficientDataError):
+    with pytest.raises(ValueError, match="at least three positive errors"):
         estimate_order([1e-1, 1e-2])
-    with pytest.raises(InsufficientDataError):
+    with pytest.raises(ValueError, match="at least three positive errors"):
         estimate_order([1e-1, 0.0, 0.0])
 
 
@@ -169,11 +167,11 @@ def test_sqrt_generator_jordan_block():
 
 
 def test_sqrt_generator_rejects_bad_spectra():
-    with pytest.raises(InvalidSpectrumError):
+    with pytest.raises(ValueError, match=r"eigenvalue \(-1\+0j\) lies outside"):
         make_known_sqrt_problem(ProblemSpec(spectrum=(-1.0, 2.0)))
-    with pytest.raises(InvalidSpectrumError):
+    with pytest.raises(ValueError, match=r"eigenvalue 1j lies outside"):
         make_known_sqrt_problem(ProblemSpec(spectrum=(1j, 2.0)))
-    with pytest.raises(InvalidSpectrumError):
+    with pytest.raises(ValueError, match="zero eigenvalues must be semisimple"):
         make_known_sqrt_problem(ProblemSpec(spectrum=(SpectrumEntry(0.0, semisimple=False), 1.0)))
 
 
@@ -252,7 +250,7 @@ def test_pencil_generator_tags_breakdown():
 
 def test_pencil_generator_rejects_non_root_of_unity_circle():
     z = np.exp(1j * 0.5)  # modulus one, irrational angle
-    with pytest.raises(InvalidSpectrumError):
+    with pytest.raises(ValueError, match="is not a root of unity"):
         make_pencil_problem(ProblemSpec(spectrum=(z, 0.5)))
 
 
@@ -343,6 +341,25 @@ def test_sqrt_experiment_residuals_are_the_solver_trace(order):
     Q1 = gamma * np.eye(S.shape[0])
     assert tr.residuals[0] == pytest.approx(
         np.linalg.norm(Q1 @ Q1 - S) / np.linalg.norm(S), rel=1e-14)
+
+
+def test_sqrt_experiment_forms_each_residual_once(monkeypatch):
+    """One ``Q @ Q - S`` per row: rows after element 1 reuse the solver's
+    trace instead of forming the residual again."""
+    from abflow import lab, sqrtm
+
+    calls, residual_of = [], sqrtm._residual_of
+
+    def counting_residual_of(S):
+        residual = residual_of(S)
+        return lambda Q: calls.append(None) or residual(Q)
+
+    for module in (lab, sqrtm):
+        monkeypatch.setattr(module, "_residual_of", counting_residual_of)
+    tr = run_experiment("sqrt", ProblemSpec((2, 3, 0.5 + 0.2j, 7), seed=9),
+                        order=2)
+    assert len(tr.steps) == 11
+    assert len(calls) == len(tr.steps)
 
 
 def test_pencil_experiment_true_error_decays():
