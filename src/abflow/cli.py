@@ -23,7 +23,8 @@ from .lab import ProblemSpec, run_experiment
 from .linalg import as_matrix
 from .pencil import AccelConfig, Pencil, SolveStatus, modified_ab_run
 from .sqrtm import SqrtProblem, sqrtm_ab
-from .trace import atomic_write_text, write_trace_csv, write_trace_json
+from .trace import (_finite_or_none, atomic_write_text, write_trace_csv,
+                    write_trace_json)
 
 _EXIT_BY_STATUS = {
     SolveStatus.CONVERGED: 0,
@@ -162,13 +163,9 @@ def write_matrix_json(M, path) -> None:
 
 # ----------------------------- helpers -----------------------------
 
-def _default_path(name: str) -> str:
-    base = os.environ.get(OUT_DIR_ENV, "")
-    return os.path.join(base, name) if base else name
-
-
 def _resolve_out(explicit, default_name: str) -> str:
-    return os.fspath(explicit) if explicit is not None else _default_path(default_name)
+    default = os.path.join(os.environ.get(OUT_DIR_ENV, ""), default_name)
+    return default if explicit is None else os.fspath(explicit)
 
 
 def _parse_spectrum(text: str):
@@ -231,7 +228,7 @@ def _cmd_pencil(ns) -> int:
     doc = {
         "status": result.status.value,
         "iterations": result.iterations,
-        "residual": result.residual if math.isfinite(result.residual) else None,
+        "residual": _finite_or_none(result.residual),
         "U": _matrix_doc(result.U.basis),
         "Lambda": _matrix_doc(result.Lambda),
     }
@@ -287,6 +284,7 @@ def build_parser() -> argparse.ArgumentParser:
     sq.add_argument("--out", help="Output json for the root "
                                   "(default sqrt_result.json).")
     sq.add_argument("--trace", help="Optional CSV convergence trace.")
+    sq.set_defaults(run=_cmd_sqrt)
 
     pc = sub.add_parser("pencil", help="Compute the stable deflating "
                                        "subspace of A - lambda B.")
@@ -299,6 +297,7 @@ def build_parser() -> argparse.ArgumentParser:
                     help="Order r >= 1; 1 is the plain chain (default 1).")
     pc.add_argument("--out", help="Output json with U, Lambda, residual "
                                   "(default pencil_result.json).")
+    pc.set_defaults(run=_cmd_pencil)
 
     be = sub.add_parser("bench", help="Run convergence experiments and "
                                       "emit one trace per order.")
@@ -314,18 +313,14 @@ def build_parser() -> argparse.ArgumentParser:
     be.add_argument("--tol", type=float, default=1e-12)
     be.add_argument("--kmax", type=int, default=40)
     be.add_argument("--out-dir", help="Trace directory (default traces/).")
+    be.set_defaults(run=_cmd_bench)
     return p
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        ns = parser.parse_args(argv)
-        if ns.cmd == "sqrt":
-            return _cmd_sqrt(ns)
-        if ns.cmd == "pencil":
-            return _cmd_pencil(ns)
-        return _cmd_bench(ns)
+        ns = build_parser().parse_args(argv)
+        return ns.run(ns)
     except _UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 1

@@ -152,18 +152,6 @@ def make_known_sqrt_problem(spec: ProblemSpec):
     return X @ X, X
 
 
-def _classify(value: complex):
-    """'stable', 'anti', or the breakdown index for unit-circle values."""
-    r = abs(value)
-    if abs(r - 1.0) <= BREAKDOWN_TOL:
-        k = breakdown_check([value], _BREAKDOWN_SCAN)
-        if k is None:
-            raise ValueError(
-                f"unit-circle eigenvalue {value} is not a root of unity")
-        return k
-    return "stable" if r < 1.0 else "anti"
-
-
 def make_pencil_problem(spec: ProblemSpec, random_b: bool = False) -> PencilProblem:
     """Construct a pencil with a known stable deflating subspace.
 
@@ -178,15 +166,16 @@ def make_pencil_problem(spec: ProblemSpec, random_b: bool = False) -> PencilProb
     With ``random_b`` the second pencil matrix is a conditioned random
     matrix absorbed into the first (otherwise it is the identity).
     """
-    stable, rest, tags = [], [], []
+    stable, rest, circle = [], [], []
     for e in spec.spectrum:
-        cls = _classify(e.value)
-        if cls == "stable":
-            stable.append(e)
-        else:
-            rest.append(e)
-            if cls != "anti":
-                tags.append(cls)
+        r = abs(e.value)
+        on_circle = abs(r - 1.0) <= BREAKDOWN_TOL
+        if on_circle:
+            if breakdown_check([e.value], _BREAKDOWN_SCAN) is None:
+                raise ValueError(
+                    f"unit-circle eigenvalue {e.value} is not a root of unity")
+            circle.append(e.value)
+        (stable if r < 1.0 and not on_circle else rest).append(e)
     rng, D, P, M = _similar_to_blocks(spec, stable + rest)
     m = sum(e.multiplicity for e in stable)
     if random_b:
@@ -201,7 +190,7 @@ def make_pencil_problem(spec: ProblemSpec, random_b: bool = False) -> PencilProb
     if defect > 1e-11 * max(1.0, _norm(A)):
         raise RuntimeError(f"generator self-check failed: defect {defect:.2e}")
     return PencilProblem(Pencil(A, B), SubspaceBasis(U), Lam,
-                         min(tags) if tags else None)
+                         breakdown_check(circle, _BREAKDOWN_SCAN))
 
 
 def run_experiment(kind: str, spec: ProblemSpec, *, order: int = 2,

@@ -234,15 +234,19 @@ def subspace_distance(U, V) -> float:
     return min(1.0, max(_residual_norm(Bu, Bv), _residual_norm(Bv, Bu)))
 
 
-def _norm(M: np.ndarray, axis=None):
-    """``np.linalg.norm(M, axis=axis)`` (the Frobenius norm, or the row
-    2-norms with ``axis=1``) free of overflow and underflow.  It is taken
-    of ``M * 2**-e``, whose largest real or imaginary part lies near 1,
-    and scaled back by ``2**e``; both scalings are exact, so in-range
-    norms keep numpy's bits."""
+def _exponent(M: np.ndarray) -> int:
+    """The e (|e| <= 1023) that puts M * 2**-e's largest |Re|, |Im| near 1."""
     v = np.ravel(M, order="K").view(np.float64)
     e = math.frexp(max(v.max(initial=0.0), -v.min(initial=0.0)))[1]
-    e = min(max(e, -1023), 1023)    # keep 2**e and 2**-e finite
+    return min(max(e, -1023), 1023)
+
+
+def _norm(M: np.ndarray, axis=None):
+    """``np.linalg.norm(M, axis=axis)`` (the Frobenius norm, or the row
+    2-norms with ``axis=1``) free of overflow and underflow: that of
+    ``M * 2**-e`` (``e = _exponent(M)``) scaled back by ``2**e``; both
+    scalings are exact, so in-range norms keep numpy's bits."""
+    e = _exponent(M)
     N = np.linalg.norm(M * math.ldexp(1.0, -e), axis=axis)
     return (float(N) if axis is None else N) * math.ldexp(1.0, e)
 

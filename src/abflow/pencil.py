@@ -163,18 +163,17 @@ def breakdown_check(eigenvalues, kmax: int):
     """Smallest k <= kmax whose breakdown set meets the given spectrum.
 
     The breakdown set for step k collects all p-th roots of unity except
-    1 itself, for p = 2..k+1.  Returns ``None`` when no eigenvalue comes
-    within ``BREAKDOWN_TOL`` of the set up to ``kmax``.  Producing chain
-    element k+1 is what fails when this returns k.
+    1 itself, for p = 2..k+1.  Returns ``None`` when no finite eigenvalue
+    comes within ``BREAKDOWN_TOL`` of the set up to ``kmax``.  Producing
+    chain element k+1 is what fails when this returns k.
     """
     _check_kmax(kmax)
-    lams = [z for z in map(complex, eigenvalues) if not cmath.isinf(z)]
-    for k in range(1, kmax + 1):
-        p = k + 1
-        roots = [cmath.exp(2j * math.pi * q / p) for q in range(1, p)]
-        for z in lams:
-            if any(abs(z - w) <= BREAKDOWN_TOL for w in roots):
-                return k
+    lams = [z for z in map(complex, eigenvalues) if cmath.isfinite(z)]
+    for p in range(2, kmax + 2):
+        for z in lams:      # of the p-th roots, the nearest by phase decides
+            q = round(p * cmath.phase(z) / (2 * math.pi)) % p
+            if q and abs(z - cmath.exp(2j * math.pi * q / p)) <= BREAKDOWN_TOL:
+                return p - 1
     return None
 
 

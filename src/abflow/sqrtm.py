@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import EPS, _as_square, _norm, lu_factor
+from .linalg import EPS, _as_square, _exponent, _norm, lu_factor
 from .pencil import (SolveStatus, _check_positive, _check_settings, _drive,
                      _outer_step)
 # unused estimate_order stays bound for perfbench/test_counts.py's tracer
@@ -86,10 +86,16 @@ def q_step(Q, S, partner) -> np.ndarray:
 
 
 def _residual_of(S):
-    """The certificate of a root Q of S, ``||Q^2 - S||_F / ||S||_F``
-    (over 1 when S = 0), with overflow-free norms."""
+    """Q's certificate ``||Q^2 - S||_F / (||S||_F or 1)``, overflow-free."""
     s_norm = _norm(S) or 1.0
-    return lambda Q: _norm(Q @ Q - S) / s_norm
+
+    def residual(Q):
+        e = _exponent(Q)
+        if 2 * e + Q.shape[0].bit_length() <= 1020:    # Q @ Q < 2**1021
+            return _norm(Q @ Q - S) / s_norm
+        c = math.ldexp(1.0, -e)     # exact scalings of Q and S
+        return _norm((c * Q) @ (c * Q) - c * (c * S)) / s_norm / c / c
+    return residual
 
 
 def accelerated_step(Q, S, order: int) -> np.ndarray:

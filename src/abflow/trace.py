@@ -93,14 +93,19 @@ def estimate_order(errors) -> list:
 _FIELDS = ("step", "error", "residual", "order_estimate", "elapsed_seconds")
 
 
+def _finite_or_none(x):
+    """``x``, or None (an empty CSV cell, a JSON null) if it is not finite."""
+    return x if x is not None and math.isfinite(x) else None
+
+
 def _rows(trace: ConvergenceTrace):
-    """The ``_FIELDS`` of each step; the order estimates are the trace's
-    ``orders``, each on the row of its newest error, else None."""
+    """The ``_FIELDS`` of each step, each cell through ``_finite_or_none``;
+    an order estimate (one of ``orders``) sits on its newest error's row."""
     orders = [None] * len(trace.errors)
     for k, est in _log_ratios(trace.errors, SATURATION_GUARD):
         orders[k + 1] = est
-    return zip(trace.steps, trace.errors, trace.residuals, orders,
-               trace.seconds)
+    return ([_finite_or_none(x) for x in row] for row in zip(
+        trace.steps, trace.errors, trace.residuals, orders, trace.seconds))
 
 
 def atomic_write_text(path, text: str) -> None:
@@ -119,15 +124,11 @@ def atomic_write_text(path, text: str) -> None:
         raise
 
 
-def _fmt(x) -> str:
-    return "" if x is None or math.isnan(x) else repr(float(x))
-
-
 def write_trace_csv(trace: ConvergenceTrace, path) -> None:
     """Emit one CSV row per step: step,error,residual,order,seconds."""
     lines = [",".join(_FIELDS)]
-    lines += [",".join([str(step)] + [_fmt(x) for x in rest])
-              for step, *rest in _rows(trace)]
+    lines += [",".join("" if x is None else repr(x) for x in row)
+              for row in _rows(trace)]
     atomic_write_text(path, "\n".join(lines) + "\n")
 
 
@@ -139,4 +140,4 @@ def write_trace_json(trace: ConvergenceTrace, path, header: dict | None = None) 
         "status": trace.status,
         "steps": records,
     }
-    atomic_write_text(path, json.dumps(doc, indent=2) + "\n")
+    atomic_write_text(path, json.dumps(doc, indent=2, allow_nan=False) + "\n")

@@ -12,7 +12,7 @@ import numpy as np
 
 from abflow import ABFlowError, Pencil
 from abflow.linalg import _as_square, as_matrix, lu_factor
-from abflow.pencil import ABIterate
+from abflow.pencil import BREAKDOWN_TOL, ABIterate
 
 #: Marker for the point at infinity in eigenvalue maps.
 INFINITY = complex(math.inf, 0.0)
@@ -99,6 +99,21 @@ def eigenvalue_map(lam, i, k):
         raise PoleEncounteredError(
             f"denominator sum vanishes at lambda={z} with i={i}")
     return z ** i * num / den
+
+
+def enumerated_breakdown(eigenvalues, kmax):
+    """``pencil.breakdown_check`` by enumeration: each step k tests every
+    eigenvalue but infinity against all p-th roots of unity except 1, for
+    p = k+1, and the first k with a root within ``BREAKDOWN_TOL`` is
+    returned (``None`` when there is none up to ``kmax``)."""
+    lams = [z for z in map(complex, eigenvalues) if not cmath.isinf(z)]
+    for k in range(1, kmax + 1):
+        p = k + 1
+        roots = [cmath.exp(2j * math.pi * q / p) for q in range(1, p)]
+        for z in lams:
+            if any(abs(z - w) <= BREAKDOWN_TOL for w in roots):
+                return k
+    return None
 
 
 # ----------------------------- square roots -----------------------------

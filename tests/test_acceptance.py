@@ -35,7 +35,7 @@ from abflow.lab import (
 )
 from abflow.linalg import EPS
 from abflow.pencil import ab_step, combine, first_iterate
-from abflow.sqrtm import accelerated_step, q_step
+from abflow.sqrtm import accelerated_step
 
 from oracles import (
     binomial_step,
@@ -46,20 +46,12 @@ from oracles import (
     embed_pencil,
     newton_step,
 )
-from util import chain, rel_err, stable_pencil
+from util import chain, q_chain, rel_err, stable_pencil
 
 
 def report(num, label, ok, detail=""):
     print(f"ACCEPTANCE {num:>2} {label}: {'PASS' if ok else 'FAIL'} {detail}")
     assert ok, f"criterion {num} ({label}) failed {detail}"
-
-
-def q_chain(S, gamma, kmax):
-    partner = gamma * np.eye(S.shape[0], dtype=complex)
-    qs = [partner.copy()]
-    for _ in range(kmax - 1):
-        qs.append(q_step(qs[-1], S, partner))
-    return qs
 
 
 def test_criterion_01_flow_property():

@@ -95,3 +95,13 @@ def test_bad_input_raises_plain_value_error(call, message):
     with pytest.raises(ValueError, match=message) as info:
         call()
     assert type(info.value) is ValueError
+
+
+def test_readme_library_example_runs():
+    """The README's Python block runs as written, and both of its solves
+    converge."""
+    text = README.read_text(encoding="utf-8")
+    (block,) = re.findall(r"^```python\n(.*?)^```$", text, re.M | re.S)
+    ns = {}
+    exec(compile(block, str(README), "exec"), ns)
+    assert ns["res"].status is ns["out"].status is abflow.SolveStatus.CONVERGED

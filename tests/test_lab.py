@@ -114,6 +114,25 @@ def test_trace_json_has_header_and_steps(tmp_path):
     assert doc["steps"][3]["order_estimate"] == pytest.approx(2.0)
 
 
+def test_non_finite_cells_are_empty_or_null(tmp_path):
+    """A NaN or infinite number is written as an empty CSV cell and a JSON
+    null, so the JSON loads with a parser that rejects NaN and Infinity."""
+    tr = ConvergenceTrace((1, 2, 3), (1e-1, 1e-2, 1e-3),
+                          (math.nan, math.inf, -math.inf), (0.0, 0.1, 0.1))
+    write_trace_csv(tr, tmp_path / "t.csv")
+    write_trace_json(tr, tmp_path / "t.json", header={"kind": "sqrt"})
+    with open(tmp_path / "t.csv", newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    assert [r["residual"] for r in rows] == ["", "", ""]
+
+    def reject(name):
+        raise ValueError(f"{name} in a written trace")
+
+    steps = json.loads((tmp_path / "t.json").read_text(),
+                       parse_constant=reject)["steps"]
+    assert [s["residual"] for s in steps] == [None, None, None]
+
+
 def test_written_order_cells_are_the_trace_orders(tmp_path):
     """Both writers show exactly ``trace.orders``, in order: no estimate
     read off the rounding floor that the trace itself drops."""

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from abflow import (
+    BREAKDOWN_TOL,
     AccelConfig,
     Pencil,
     SolveStatus,
@@ -24,6 +25,7 @@ from oracles import (
     PoleEncounteredError,
     closed_form_iterate,
     eigenvalue_map,
+    enumerated_breakdown,
     lu_solve,
 )
 from util import chain, rel_err, scalar_pencil, stable_pencil
@@ -246,6 +248,38 @@ def test_breakdown_check_examples():
     assert breakdown_check([cmath.exp(2j * math.pi / 3)], 20) == 2
     assert breakdown_check([1j], 20) == 3
     assert breakdown_check([INFINITY, 0.2], 20) is None
+
+
+def _breakdown_grid():
+    """Single eigenvalues at p-th roots of unity, p <= 70 (the first,
+    last and middle ones of each order, 1 included), each moved by 0 to
+    2*BREAKDOWN_TOL radially or along the circle; seeded points on and
+    near the circle; and the non-finite cases."""
+    for p in range(1, 71):
+        qs = {0, 1, 2, p // 2, (p + 1) // 2, p - 2, p - 1} & set(range(p))
+        for i, q in enumerate(sorted(qs)):
+            t = (0.0, 0.5, 1.0, 1.5, 2.0)[(p + i) % 5] * BREAKDOWN_TOL
+            d = (1, 1j, -1, -1j)[(p + i) // 5 % 4]
+            yield [cmath.exp(2j * math.pi * q / p) * (1 + d * t)]
+    rng = np.random.default_rng(0)
+    on = np.exp(2j * np.pi * rng.random(100))
+    yield from ([z] for z in on)
+    yield from ([z] for z in on * (1 + 1e-3 * rng.standard_normal(100)))
+    yield [INFINITY, 0.2]
+    yield [complex(math.nan, 0.0)]
+    yield [complex(math.nan, 0.0), -1.0]
+
+
+def test_breakdown_check_matches_enumeration():
+    """Testing only the root nearest each eigenvalue by phase gives the
+    answer of testing every root of every order."""
+    found = 0
+    for lams in _breakdown_grid():
+        for kmax in (1, 5, 20, 64):
+            k = breakdown_check(lams, kmax)
+            assert k == enumerated_breakdown(lams, kmax), (lams, kmax)
+            found += k is not None
+    assert found > 250     # the grid reaches both answers
 
 
 def test_breakdown_check_matches_run_failure():

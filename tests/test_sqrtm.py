@@ -1,6 +1,7 @@
 """Square-root solver: embedding, chains, oracles, convergence behaviour."""
 
 import warnings
+from decimal import Decimal, localcontext
 
 import numpy as np
 import pytest
@@ -31,17 +32,7 @@ from oracles import (
     induced_norm2,
     newton_step,
 )
-from util import rel_err
-
-
-def q_chain(S, gamma, kmax):
-    """Plain rational chain Q_1..Q_kmax from gamma*I."""
-    n = S.shape[0]
-    partner = gamma * np.eye(n, dtype=complex)
-    qs = [partner.copy()]
-    for _ in range(kmax - 1):
-        qs.append(q_step(qs[-1], S, partner))
-    return qs
+from util import q_chain, rel_err
 
 
 def normal_sqrt_problem(seed, n=None, re_range=(0.5, 4.0)):
@@ -231,6 +222,36 @@ def test_sqrtm_wide_diagonal_certificate_is_finite():
         res = sqrtm_ab(SqrtProblem(np.diag([1e150 + 0j, 1.0])))
     assert np.isfinite(res.residual)
     assert all(np.isfinite(res.trace.residuals))
+
+
+def _decimal_residual(Q, S):
+    """``||Q^2 - S||_F / ||S||_F`` of real Q and S in 40-digit decimals,
+    whose exponent range holds the square of any double."""
+    q, s = ([[Decimal(x) for x in row] for row in M.real.tolist()]
+            for M in (Q, S))
+    n = len(s)
+    with localcontext() as ctx:
+        ctx.prec = 40
+        num = sum((sum(q[i][k] * q[k][j] for k in range(n)) - s[i][j]) ** 2
+                  for i in range(n) for j in range(n))
+        return float((num / sum(x * x for row in s for x in row)).sqrt())
+
+
+def test_sqrtm_certificate_of_an_overflowing_square_is_finite():
+    """On diag(1e160, 4e160) the plain chain's Q_2 = (S + I)/2 has a
+    square beyond double range, yet its relative residual (about 1e160)
+    is a double: it comes back finite, with no RuntimeWarning, and equal
+    to the decimal value for every iterate."""
+    S = np.diag([1e160 + 0j, 4e160])
+    qs = []
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        res = sqrtm_ab(SqrtProblem(S, order=1, kmax=6),
+                       observer=lambda k, Q: qs.append(Q))
+    assert np.isfinite(res.residual)
+    assert not any(Q.imag.any() for Q in qs)
+    assert res.trace.residuals == pytest.approx(
+        [_decimal_residual(Q, S) for Q in qs[1:]], rel=1e-14)
 
 
 def test_sqrtm_trace_is_consistent():

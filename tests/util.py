@@ -5,6 +5,7 @@ import numpy as np
 from abflow import Pencil
 from abflow.lab import conditioned_similarity
 from abflow.pencil import ab_step, first_iterate
+from abflow.sqrtm import q_step
 
 
 def scalar_pencil(a, b):
@@ -31,6 +32,15 @@ def chain(pencil, kmax):
     for _ in range(kmax - 1):
         its.append(ab_step(pencil, its[-1]))
     return its
+
+
+def q_chain(S, gamma, kmax):
+    """Plain rational chain Q_1..Q_kmax from gamma*I."""
+    partner = gamma * np.eye(S.shape[0], dtype=complex)
+    qs = [partner.copy()]
+    for _ in range(kmax - 1):
+        qs.append(q_step(qs[-1], S, partner))
+    return qs
 
 
 def rel_err(X, Y):
