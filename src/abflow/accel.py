@@ -18,6 +18,7 @@ from .linalg import lu_factor, subspace_distance  # noqa: F401
 from .pencil import (  # noqa: F401
     ABIterate,
     AccelConfig,
+    _integer,
     accel_step,
     modified_ab_run,
 )
@@ -27,7 +28,5 @@ def inner_chain(hatA: np.ndarray, hatB: np.ndarray, order: int):
     """Chain element ``order - 1`` grown from element 1 ``(hatA, hatB)``:
     an outer step of ``order`` before its last merge.  For ``order=2`` the
     inputs come back unchanged.  No solver calls it."""
-    if order < 2:
-        raise ValueError("order must be at least 2")
-    it = accel_step(ABIterate(hatA, hatB, 1), order - 1)
+    it = accel_step(ABIterate(hatA, hatB, 1), _integer("order", order, 2) - 1)
     return it.A_k, it.B_k

@@ -21,7 +21,8 @@ import numpy as np
 from .errors import ABFlowError, ParseError
 from .lab import ProblemSpec, run_experiment
 from .linalg import as_matrix
-from .pencil import AccelConfig, Pencil, SolveStatus, modified_ab_run
+from .pencil import (AccelConfig, Pencil, SolveStatus, _integer,
+                     modified_ab_run)
 from .sqrtm import SqrtProblem, sqrtm_ab
 from .trace import (_finite_or_none, atomic_write_text, write_trace_csv,
                     write_trace_json)
@@ -99,19 +100,21 @@ def _parse_json(text: str, path: str) -> np.ndarray:
         rows, cols, data = doc["rows"], doc["cols"], doc["data"]
     except KeyError as exc:
         raise ParseError(f"missing key {exc.args[0]!r}", path=path) from exc
-    if not (_is_count(rows) and _is_count(cols)):
-        raise ParseError(f"bad shape {rows!r} x {cols!r}", path=path)
-    if not isinstance(data, list) or len(data) != rows * cols:
+    try:
+        size = _integer("rows", rows, 0) * _integer("cols", cols, 0)
+    except ValueError:
+        raise ParseError(f"bad shape {rows!r} x {cols!r}", path=path) from None
+    if not isinstance(data, list) or len(data) != size:
         raise ParseError(
             f"data has {len(data) if isinstance(data, list) else '?'} "
-            f"entries, expected {rows * cols}", path=path)
+            f"entries, expected {size}", path=path)
     # numpy folds JSON true/false into numbers: a text with a "u" (true) or
     # an "f" (false) goes to the scan; one-character tests are fast
     try:
         pairs = None if "u" in text or "f" in text else np.array(data)
     except (ValueError, OverflowError):  # ragged, nested, or out of range
         pairs = None
-    if (pairs is None or pairs.shape != (rows * cols, 2)
+    if (pairs is None or pairs.shape != (size, 2)
             or pairs.dtype.kind not in "iuf"):
         pairs = _scan_pairs(data, path)
     pairs = np.ascontiguousarray(pairs, dtype=np.float64)
@@ -121,10 +124,6 @@ def _parse_json(text: str, path: str) -> np.ndarray:
                          "range", path=path)
     # row-major [re, im] float64 pairs are exactly the complex128 layout
     return pairs.view(np.complex128).reshape(rows, cols)
-
-
-def _is_count(v) -> bool:
-    return isinstance(v, int) and not isinstance(v, bool) and v >= 0
 
 
 def _scan_pairs(data: list, path: str) -> np.ndarray:
@@ -168,29 +167,19 @@ def _resolve_out(explicit, default_name: str) -> str:
     return default if explicit is None else os.fspath(explicit)
 
 
-def _parse_spectrum(text: str):
+def _parse_list(text: str, convert, item: str, name: str) -> list:
+    """The nonblank comma-separated entries of ``text`` through
+    ``convert``; a ``ValueError`` names the first bad ``item``, or says
+    that ``name`` is empty."""
     values = []
-    for tok in text.split(","):
-        tok = tok.strip()
-        if not tok:
-            continue
+    for tok in filter(None, (t.strip() for t in text.split(","))):
         try:
-            values.append(complex(tok))
-        except ValueError as exc:
-            raise ValueError(f"bad eigenvalue {tok!r}") from exc
+            values.append(convert(tok))
+        except ValueError:
+            raise ValueError(f"bad {item} {tok!r}") from None
     if not values:
-        raise ValueError("spectrum is empty")
+        raise ValueError(f"{name} is empty")
     return values
-
-
-def _parse_orders(text: str):
-    try:
-        orders = [int(t) for t in text.split(",") if t.strip()]
-    except ValueError as exc:
-        raise ValueError(f"bad order list {text!r}") from exc
-    if not orders:
-        raise ValueError("order list is empty")
-    return orders
 
 
 class _UsageError(Exception):
@@ -239,8 +228,8 @@ def _cmd_pencil(ns) -> int:
 
 
 def _cmd_bench(ns) -> int:
-    values = _parse_spectrum(ns.spectrum)
-    orders = _parse_orders(ns.orders)
+    values = _parse_list(ns.spectrum, complex, "eigenvalue", "spectrum")
+    orders = _parse_list(ns.orders, int, "order", "order list")
     spec = ProblemSpec(spectrum=tuple(values), cond=ns.cond, seed=ns.seed)
     traces = [run_experiment(ns.kind, spec, order=r, gamma=ns.gamma,
                              tol=ns.tol, kmax=ns.kmax) for r in orders]

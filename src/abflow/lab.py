@@ -52,8 +52,7 @@ class SpectrumEntry:
         object.__setattr__(self, "value", complex(self.value))
         if not np.isfinite(self.value):
             raise ValueError(f"eigenvalue {self.value} is not finite")
-        if _integer("multiplicity", self.multiplicity) < 1:
-            raise ValueError("multiplicity must be positive")
+        _integer("multiplicity", self.multiplicity, 1)
 
 
 @dataclass(frozen=True)
@@ -72,8 +71,7 @@ class ProblemSpec:
             raise ValueError("spectrum must be nonempty")
         object.__setattr__(self, "spectrum", entries)
         _check_cond(self.cond)
-        if _integer("seed", self.seed) < 0:
-            raise ValueError("seed must be nonnegative")
+        _integer("seed", self.seed, 0)
 
     @property
     def dim(self) -> int:
@@ -90,6 +88,7 @@ class PencilProblem(NamedTuple):
 
 def random_unitary(n: int, rng: np.random.Generator) -> np.ndarray:
     """Haar-ish unitary from a complex Ginibre QR with fixed phases."""
+    n = _integer("n", n, 0)
     Z = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
     Q, R = np.linalg.qr(Z)
     d = np.diag(R)

@@ -57,12 +57,14 @@ class LUFactorization:
     ``lu`` holds the unit-lower and upper triangles combined and ``piv``
     the LAPACK pivot indices (row ``i`` was swapped with row ``piv[i]``);
     ``a_max`` is ``max|A|`` of the factored matrix, from which ``growth``
-    is computed when first read.
+    is computed when first read; that matrix is ``diag(row_scale) A`` when
+    ``lu_factor`` had to scale the rows of ``A``.
     """
 
     lu: np.ndarray
     piv: np.ndarray
     a_max: float
+    row_scale: np.ndarray | None = None
 
     @property
     def n(self) -> int:
@@ -79,7 +81,12 @@ class LUFactorization:
         """Solve ``A @ X = rhs`` (or ``A.T @ X = rhs`` when ``trans``)."""
         if self.n == 0 or rhs.shape[1] == 0:
             return np.zeros_like(rhs)
-        return zgetrs(self.lu, self.piv, rhs, trans=int(trans))[0]
+        s = self.row_scale
+        if s is None:
+            return zgetrs(self.lu, self.piv, rhs, trans=int(trans))[0]
+        if trans:       # A^T = (diag(s) A)^T diag(s)^-1
+            return s[:, None] * zgetrs(self.lu, self.piv, rhs, trans=1)[0]
+        return zgetrs(self.lu, self.piv, s[:, None] * rhs)[0]
 
 
 def lu_factor(A, B=None) -> LUFactorization:
@@ -88,30 +95,43 @@ def lu_factor(A, B=None) -> LUFactorization:
 
     Raises ``BreakdownError`` (index None), the one signal of a singular
     sum in either chain, when a pivot falls below ``PIVOT_SAFETY * n * eps
-    * max(max|M|, max|A|, max|B|)``, so a sum that cancels to rounding
-    error of its terms is singular; ``ValueError`` when ``max|M|``
-    overflows, where no pivot test can judge ``M``.
+    * max(max|M|, max|A|, max|B|)`` and, with row i of ``M`` scaled by
+    the exact ``2**-e_i`` (``e_i`` the exponent of the row's largest entry
+    in ``A``, ``B`` or ``M``; LAPACK's ``xGEEQU`` row equilibration), below
+    ``PIVOT_SAFETY * n * eps`` too: a sum that cancels to rounding error
+    of its terms is singular, and each row is judged on its own scale.
+    ``ValueError`` when ``max|M|`` overflows, where no pivot test can
+    judge ``M``.
     """
-    term_max = 0.0
+    M, term_max = A, 0.0
     if B is not None:
         term_max = max(float(np.abs(A).max(initial=0.0)),
                        float(np.abs(B).max(initial=0.0)))
-        A = A + B
-    n = A.shape[0]
+        M = A + B
+    n = M.shape[0]
     if n == 0:
-        return LUFactorization(A.copy(), np.empty(0, dtype=np.int32), 0.0)
-    a_max = float(np.abs(A).max())
+        return LUFactorization(M.copy(), np.empty(0, dtype=np.int32), 0.0)
+    a_max = float(np.abs(M).max())
     if a_max == 0.0:
         raise BreakdownError("matrix is identically zero")
     if a_max == math.inf:
         raise ValueError("matrix entries overflow")
     # exact zero pivots (info > 0) are flagged below through the cutoff check
-    lu, piv, _ = zgetrf(A)
+    lu, piv, _ = zgetrf(M)
     pivot = float(np.abs(lu.diagonal()).min())
     cutoff = PIVOT_SAFETY * n * EPS * max(term_max, a_max)
-    if pivot < cutoff:
-        raise BreakdownError(f"pivot {pivot:.3e} below cutoff {cutoff:.3e}")
-    return LUFactorization(lu, piv, a_max)
+    if pivot >= cutoff:
+        return LUFactorization(lu, piv, a_max)
+    rows = [np.abs(T).max(axis=1) for T in (A, B, M) if T is not None]
+    s = np.ldexp(1.0, -np.maximum(np.frexp(np.max(rows, 0))[1], -1023))
+    M = s[:, None] * M      # each row's largest term entry now in [0.5, 1)
+    lu, piv, _ = zgetrf(M)
+    scaled, least = float(np.abs(lu.diagonal()).min()), PIVOT_SAFETY * n * EPS
+    if scaled < least:
+        raise BreakdownError(
+            f"pivot {pivot:.3e} below cutoff {cutoff:.3e}, row-scaled "
+            f"pivot {scaled:.3e} below {least:.3e}")
+    return LUFactorization(lu, piv, float(np.abs(M).max()), s)
 
 
 @dataclass(frozen=True)

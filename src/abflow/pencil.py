@@ -167,7 +167,7 @@ def breakdown_check(eigenvalues, kmax: int):
     comes within ``BREAKDOWN_TOL`` of the set up to ``kmax``.  Producing
     chain element k+1 is what fails when this returns k.
     """
-    _check_kmax(kmax)
+    kmax = _integer("kmax", kmax, 1)
     lams = [z for z in map(complex, eigenvalues) if cmath.isfinite(z)]
     for p in range(2, kmax + 2):
         for z in lams:      # of the p-th roots, the nearest by phase decides
@@ -245,21 +245,21 @@ def _drive(x, advance, metric, tol: float, kmax: int, observe,
     return SolveStatus.MAX_ITERATIONS, kmax, best_k, best, metrics, secs
 
 
-def _integer(name: str, value) -> int:
-    """``operator.index(value)``, or a ``ValueError`` naming ``name``; a
-    ``bool`` is no integer here, as in the CLI's JSON counts."""
+def _integer(name: str, value, low: int, high: int | None = None) -> int:
+    """The one rule for a count: ``operator.index(value)`` in
+    ``low..high`` (no upper end without ``high``), or a ``ValueError``
+    naming ``name``; a ``bool`` is no integer here."""
     try:
         if isinstance(value, bool):
             raise TypeError
-        return operator.index(value)
+        count = operator.index(value)
     except TypeError:
         raise ValueError(f"{name} must be an integer, got {value!r}") from None
-
-
-def _check_kmax(kmax: int) -> None:
-    """The one kmax floor: an integer of at least 1 (element 1 alone)."""
-    if _integer("kmax", kmax) < 1:
-        raise ValueError(f"kmax must be at least 1, got {kmax!r}")
+    if count < low or high is not None and count > high:
+        bound = (f"at least {low}" if high is None
+                 else f"between {low} and {high}")
+        raise ValueError(f"{name} must be {bound}, got {value!r}")
+    return count
 
 
 def _check_positive(name: str, value: float) -> None:
@@ -270,12 +270,11 @@ def _check_positive(name: str, value: float) -> None:
 
 def _check_settings(order: int, tol: float, kmax: int) -> None:
     """Run settings of both solvers: an integer ``order`` in 1..MAX_ORDER,
-    ``tol`` finite and positive, and ``kmax`` as ``_check_kmax`` asks."""
-    if not 1 <= _integer("order", order) <= MAX_ORDER:
-        raise ValueError(
-            f"order must be between 1 and {MAX_ORDER}, got {order!r}")
+    ``tol`` finite and positive, and an integer ``kmax`` of at least 1
+    (element 1 alone)."""
+    _integer("order", order, 1, MAX_ORDER)
     _check_positive("tol", tol)
-    _check_kmax(kmax)
+    _integer("kmax", kmax, 1)
 
 
 @dataclass(frozen=True)
@@ -295,9 +294,8 @@ class AccelConfig:
 
     def __post_init__(self):
         _check_settings(self.order, self.tol, self.kmax)
-        if (self.expected_dim is not None
-                and _integer("expected_dim", self.expected_dim) < 0):
-            raise ValueError("expected_dim must be nonnegative")
+        if self.expected_dim is not None:
+            _integer("expected_dim", self.expected_dim, 0)
 
 
 def accel_step(it: ABIterate, order: int) -> ABIterate:

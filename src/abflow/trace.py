@@ -10,6 +10,7 @@ import tempfile
 from dataclasses import dataclass
 
 from .linalg import EPS
+from .pencil import _integer
 
 #: Skip an order estimate when the reference log-ratio is this small.
 _FLAT_RATIO_TOL = 1e-12
@@ -34,7 +35,8 @@ class ConvergenceTrace:
     status: str = "converged"
 
     def __post_init__(self):
-        object.__setattr__(self, "steps", tuple(int(s) for s in self.steps))
+        object.__setattr__(self, "steps",
+                           tuple(_integer("step", s, 0) for s in self.steps))
         for name in ("errors", "residuals", "seconds"):
             object.__setattr__(self, name,
                                tuple(float(v) for v in getattr(self, name)))
@@ -56,13 +58,13 @@ class ConvergenceTrace:
 
 def _log_ratios(errors, floor=None):
     """Yield ``(k, log(e[k+1]/e[k]) / log(e[k]/e[k-1]))`` for each interior
-    index k whose triple is positive with a non-vanishing reference ratio;
-    with a ``floor``, only among the errors before the first one at or
-    below it."""
+    index k whose triple is positive and finite with a non-vanishing
+    reference ratio; with a ``floor``, only among the errors before the
+    first one at or below it."""
     if floor is not None:
         errors = list(itertools.takewhile(lambda e: e > floor, errors))
     for k in range(1, len(errors) - 1):
-        if min(errors[k - 1:k + 2]) <= 0:
+        if not all(0 < e < math.inf for e in errors[k - 1:k + 2]):
             continue
         den = math.log(errors[k] / errors[k - 1])
         if abs(den) < _FLAT_RATIO_TOL:
@@ -75,7 +77,7 @@ def estimate_order(errors) -> list:
 
     For each interior index k the estimate is
     ``log(e[k+1]/e[k]) / log(e[k]/e[k-1])``; triples with a vanishing
-    reference ratio or nonpositive entries are omitted.
+    reference ratio or a nonpositive or non-finite entry are omitted.
 
     Raises
     ------

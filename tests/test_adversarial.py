@@ -137,10 +137,10 @@ def test_singular_square_root_converges(order):
     assert np.linalg.norm(res.X - X) <= 1e-8 * np.linalg.norm(X)
 
 
-@pytest.mark.xfail(strict=True, raises=AssertionError,
-                   reason="ROADMAP item 4: the normwise pivot cutoff of "
-                   "lu_factor judges the pivot 1.5 against the 1e14 scale "
-                   "and reports BREAKDOWN at element 2")
+# Rows of widely different scale: the pivot 1.5 of A_1 + B_1 on
+# diag(0.5, 1e14) lies below the normwise cutoff of about 2.8, so only
+# judging each row on its own scale tells a regular sum from a singular one.
+
 @pytest.mark.parametrize("dim", [1, None], ids=["expected_dim", "threshold"])
 @pytest.mark.parametrize("order", [1, 2, 4])
 def test_widely_scaled_moduli_are_not_a_breakdown(order, dim):
@@ -150,3 +150,33 @@ def test_widely_scaled_moduli_are_not_a_breakdown(order, dim):
     assert res.status is SolveStatus.CONVERGED
     assert res.U.dim == 1
     assert subspace_distance(res.U, np.eye(2)[:, :1]) <= 1e-8
+
+
+_THIRD_ROOT = np.exp(2j * np.pi / 3)
+
+
+@pytest.mark.parametrize("dim", [0, None], ids=["expected_dim", "threshold"])
+@pytest.mark.parametrize("value, order, element", [
+    (-1.0, 1, 2), (-1.0, 2, 2), (-1.0, 4, 2), (_THIRD_ROOT, 4, 3),
+], ids=["minus-one-r1", "minus-one-r2", "minus-one-r4", "third-root-r4"])
+def test_widely_scaled_root_of_unity_is_a_breakdown(value, order, element,
+                                                     dim):
+    """Beside a 1e14 row, a root of unity still breaks the chain, at the
+    element ``breakdown_check`` predicts (it returns the step before)."""
+    assert breakdown_check([value, 1e14], KMAX) == element - 1
+    pencil = Pencil(np.diag([value, 1e14]), np.eye(2))
+    res = modified_ab_run(pencil, AccelConfig(order, TOL, KMAX, dim))
+    assert (res.status, res.iterations) == (SolveStatus.BREAKDOWN, element)
+
+
+@pytest.mark.xfail(strict=True, raises=AssertionError,
+                   reason="ROADMAP item 6: threshold mode stops CONVERGED at "
+                   "element 2 with the unit-circle direction as its basis")
+def test_threshold_mode_keeps_a_widely_scaled_root_out():
+    """Nothing of diag(e^{2 pi i/3}, 1e14) is stable, so a CONVERGED run
+    must return the empty basis; orders 1 and 2 stop before element 3,
+    whose sum is singular, is formed."""
+    pencil = Pencil(np.diag([_THIRD_ROOT, 1e14]), np.eye(2))
+    for order in (1, 2):
+        res = modified_ab_run(pencil, AccelConfig(order, TOL, KMAX))
+        assert res.status is not SolveStatus.CONVERGED or res.U.dim == 0

@@ -76,8 +76,9 @@ def test_package_never_imports_the_oracles():
     (lambda: Pencil(np.ones((2, 3)), np.ones((2, 3))),
      r"A must be square, got \(2, 3\)"),
     (lambda: ProblemSpec((2.0,), cond=0.5), "cond must be at least 1"),
-    (lambda: ProblemSpec((2.0,), seed=-1), "seed must be nonnegative"),
-    (lambda: SpectrumEntry(2, multiplicity=0), "multiplicity must be positive"),
+    (lambda: ProblemSpec((2.0,), seed=-1), "^seed must be at least 0, got -1$"),
+    (lambda: SpectrumEntry(2, multiplicity=0),
+     "^multiplicity must be at least 1, got 0$"),
     (lambda: SpectrumEntry(math.inf), r"eigenvalue \(inf\+0j\) is not finite"),
     (lambda: gamma_heuristic((2, 1)), r"need 0 < a <= b, got \(2, 1\)"),
     (lambda: estimate_order([1, 0.5]), "at least three positive errors"),

@@ -391,9 +391,12 @@ def test_cli_bench_rejects_orders_before_any_run(tmp_path, capsys, orders):
 
 @pytest.mark.parametrize("flag, value, message", [
     ("--spectrum", ",", "spectrum is empty"),
-    ("--orders", "x", "bad order list 'x'"),
+    ("--spectrum", "2, 3x ,4", "bad eigenvalue '3x'"),
+    ("--orders", "x", "bad order 'x'"),
+    ("--orders", "2,x", "bad order 'x'"),
     ("--orders", ",", "order list is empty"),
-], ids=["empty-spectrum", "bad-orders", "empty-orders"])
+], ids=["empty-spectrum", "bad-eigenvalue", "bad-orders", "bad-order-entry",
+        "empty-orders"])
 def test_cli_bench_rejects_bad_lists(tmp_path, capsys, flag, value, message):
     args = {"--spectrum": "2,3", "--orders": "2", flag: value}
     out_dir = tmp_path / "D"
@@ -407,7 +410,7 @@ def test_cli_bench_rejects_bad_lists(tmp_path, capsys, flag, value, message):
     (["--spectrum", "nan,2"], "eigenvalue (nan+0j) is not finite"),
     (["--spectrum", "2,3", "--cond", "nan"],
      "cond must be at least 1 and finite, got nan"),
-    (["--spectrum", "2,3", "--seed", "-1"], "seed must be nonnegative"),
+    (["--spectrum", "2,3", "--seed", "-1"], "seed must be at least 0, got -1"),
 ], ids=["spectrum-nan", "cond-nan", "seed-negative"])
 def test_cli_bench_rejects_bad_problem(tmp_path, capsys, args, message):
     out_dir = tmp_path / "D"
@@ -456,6 +459,7 @@ def test_cli_parse_error_exits_one(tmp_path, capsys):
 
 @pytest.mark.parametrize("text, message", [
     ('{"rows": true, "cols": true, "data": [[1, 0]]}', "bad shape"),
+    ('{"rows": 1.0, "cols": "1", "data": [[1, 0]]}', "bad shape 1.0 x '1'"),
     ('{"rows": 1, "cols": 1, "data": [[1' + "0" * 400 + ', 0]]}',
      "entry 0 is outside double range"),
     ('[{"rows": 1, "cols": 1, "data": [[1, 0]]}]', "top level must be an object"),
@@ -464,7 +468,7 @@ def test_cli_parse_error_exits_one(tmp_path, capsys):
      "entry 0 is not a [re, im] pair of numbers"),
     ('{"rows": 1, "cols": 2, "data": [[true, 0.5], [1, 0]]}',
      "entry 0 is not a [re, im] pair of numbers"),
-], ids=["bool-shape", "huge-integer", "not-an-object", "bool-entries",
+], ids=["bool-shape", "float-shape", "huge-integer", "not-an-object", "bool-entries",
         "bool-and-float-entry"])
 def test_cli_bad_json_document_exits_one(tmp_path, capsys, text, message):
     bad = write(tmp_path / "bad.json", text)

@@ -133,6 +133,26 @@ def test_non_finite_cells_are_empty_or_null(tmp_path):
     assert [s["residual"] for s in steps] == [None, None, None]
 
 
+def test_an_infinite_error_gives_no_order_estimate(tmp_path):
+    """A triple that holds an infinite error gives no order estimate, in
+    ``orders``, ``estimate_order`` and both writers alike, and the error
+    itself is written as an empty cell and a null."""
+    errors = (0.1, math.inf, 1e-3)
+    tr = ConvergenceTrace((1, 2, 3), errors, (0.0, 0.0, 0.0), (0.0, 0.0, 0.0))
+    assert tr.orders == ()
+    assert estimate_order(list(errors)) == []
+    write_trace_csv(tr, tmp_path / "t.csv")
+    write_trace_json(tr, tmp_path / "t.json")
+    with open(tmp_path / "t.csv", newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    assert [r["error"] for r in rows] == ["0.1", "", "0.001"]
+    assert all(r["order_estimate"] == "" for r in rows)
+    steps = json.loads((tmp_path / "t.json").read_text(),
+                       parse_constant=lambda name: pytest.fail(name))["steps"]
+    assert [s["error"] for s in steps] == [0.1, None, 1e-3]
+    assert all(s["order_estimate"] is None for s in steps)
+
+
 def test_written_order_cells_are_the_trace_orders(tmp_path):
     """Both writers show exactly ``trace.orders``, in order: no estimate
     read off the rounding floor that the trace itself drops."""
@@ -195,7 +215,8 @@ def test_sqrt_generator_rejects_bad_spectra():
 
 
 @pytest.mark.parametrize("make, message", [
-    (lambda: SpectrumEntry(2.0, multiplicity=0), "multiplicity must be positive"),
+    (lambda: SpectrumEntry(2.0, multiplicity=0),
+     "^multiplicity must be at least 1, got 0$"),
     (lambda: ProblemSpec(()), "spectrum must be nonempty"),
     (lambda: ProblemSpec((2.0,), cond=0.5), "cond must be at least 1"),
     (lambda: conditioned_similarity(3, 0.5, np.random.default_rng(0)),
@@ -212,7 +233,7 @@ def test_generator_inputs_are_checked(make, message):
     (lambda: ProblemSpec((complex(2.0, math.inf),)), "eigenvalue .* is not finite"),
     (lambda: SpectrumEntry(2.0, multiplicity=2.0), "multiplicity must be an integer"),
     (lambda: ProblemSpec((2.0,), seed=1.5), "seed must be an integer"),
-    (lambda: ProblemSpec((2.0,), seed=-1), "seed must be nonnegative"),
+    (lambda: ProblemSpec((2.0,), seed=-1), "^seed must be at least 0, got -1$"),
     (lambda: ProblemSpec((2.0,), cond=math.nan), "cond must be at least 1 and finite"),
     (lambda: ProblemSpec((2.0,), cond=math.inf), "cond must be at least 1 and finite"),
     (lambda: conditioned_similarity(3, math.nan, np.random.default_rng(0)),

@@ -80,6 +80,29 @@ def test_lu_factor_rejects_singular():
     assert lu_factor(tiny).n == 1    # regular against its own scale
     with pytest.raises(BreakdownError):
         lu_factor(ones, tiny - ones)
+    # a row that cancels on its own scale fails both tests, named in turn
+    with pytest.raises(BreakdownError, match=r"^pivot \S+ below cutoff \S+, "
+                       r"row-scaled pivot \S+ below \S+$"):
+        lu_factor(np.diag([-1.0, 1e14]).astype(complex),
+                  np.eye(2, dtype=complex))
+
+
+@pytest.mark.parametrize("trans", [False, True])
+def test_lu_factor_judges_each_row_on_its_own_scale(trans):
+    """On a sum whose rows differ in scale by 1e14 the normwise cutoff
+    fails, and the row-scaled factorization decides and solves."""
+    rng = np.random.default_rng(4)
+    A = np.diag([0.5, 1e14]) + 1e-3 * rng.standard_normal((2, 2))
+    B = np.eye(2, dtype=complex)
+    f = lu_factor(A.astype(complex), B)
+    assert f.row_scale is not None and np.all(np.log2(f.row_scale) % 1 == 0)
+    assert f.a_max < 1.0        # the matrix factored is the scaled one
+    rhs = rng.standard_normal((2, 3)) + 1j * rng.standard_normal((2, 3))
+    M = A + B
+    X = f.solve(rhs, trans=trans)
+    expected = np.linalg.solve(M.T if trans else M, rhs)
+    assert np.linalg.norm(X - expected) <= 1e-14 * np.linalg.norm(expected)
+    assert lu_factor(np.eye(2, dtype=complex)).row_scale is None
 
 
 def test_null_space_full_rank_is_empty():

@@ -9,13 +9,17 @@ import pytest
 from abflow import (
     BREAKDOWN_TOL,
     AccelConfig,
+    ConvergenceTrace,
     Pencil,
     SolveStatus,
+    SqrtProblem,
+    SubspaceBasis,
     ab_run,
     breakdown_check,
     modified_ab_run,
     subspace_distance,
 )
+from abflow.accel import inner_chain
 from abflow.errors import BreakdownError
 from abflow.lab import make_pencil_problem, ProblemSpec, random_unitary
 from abflow.pencil import ab_step, combine, first_iterate
@@ -422,9 +426,29 @@ def test_ab_run_rejects_bad_parameters():
     (lambda: Pencil(np.ones(2), np.ones(2)), "A must be 2-D"),
     (lambda: Pencil(np.ones((2, 2, 2)), np.ones((2, 2, 2))), "A must be 2-D"),
     (lambda: AccelConfig(2, 1e-10, 10, expected_dim=-1),
-     "expected_dim must be nonnegative"),
+     "^expected_dim must be at least 0, got -1$"),
     (lambda: breakdown_check([-1.0], 0), "kmax must be at least 1"),
-], ids=["shapes-differ", "1-d", "3-d", "negative-dim", "kmax-0"])
+    (lambda: Pencil(np.diag([1.0, math.nan]), np.eye(2)),
+     "^A contains non-finite entries$"),
+    (lambda: Pencil(np.eye(2), np.diag([math.inf, 1.0])),
+     "^B contains non-finite entries$"),
+    (lambda: SqrtProblem(np.diag([4.0, math.nan])),
+     "^S contains non-finite entries$"),
+    (lambda: SqrtProblem(np.diag([4.0, -math.inf])),
+     "^S contains non-finite entries$"),
+    (lambda: SubspaceBasis(np.array([[1.0], [math.nan]])),
+     "^basis contains non-finite entries$"),
+    (lambda: SubspaceBasis(np.array([[math.inf], [0.0]])),
+     "^basis contains non-finite entries$"),
+    (lambda: inner_chain(np.eye(2), np.eye(2), 1),
+     "^order must be at least 2, got 1$"),
+    (lambda: random_unitary(-1, np.random.default_rng(0)),
+     "^n must be at least 0, got -1$"),
+    (lambda: ConvergenceTrace((-1,), (0.1,), (0.0,), (0.0,)),
+     "^step must be at least 0, got -1$"),
+], ids=["shapes-differ", "1-d", "3-d", "negative-dim", "kmax-0", "A-nan",
+        "B-inf", "S-nan", "S-inf", "basis-nan", "basis-inf",
+        "inner-chain-order-1", "random-unitary-n", "trace-step"])
 def test_entry_checks_reject(make, message):
     with pytest.raises(ValueError, match=message):
         make()

@@ -6,6 +6,7 @@ import pytest
 
 from abflow import (
     AccelConfig,
+    ConvergenceTrace,
     Pencil,
     SolveStatus,
     SqrtProblem,
@@ -15,8 +16,10 @@ from abflow import (
     run_experiment,
     sqrtm_ab,
 )
-from abflow.lab import (ProblemSpec, SpectrumEntry, make_known_sqrt_problem,
-                        make_pencil_problem)
+from abflow.accel import inner_chain
+from abflow.lab import (ProblemSpec, SpectrumEntry, conditioned_similarity,
+                        make_known_sqrt_problem, make_pencil_problem,
+                        random_unitary)
 from abflow.pencil import _basis_change
 
 CONVERGED = SolveStatus.CONVERGED
@@ -188,10 +191,17 @@ def test_kmax_one_returns_element_one(order, dim):
     (lambda: SpectrumEntry(2.0, multiplicity=True), "multiplicity"),
     (lambda: ProblemSpec((0.5,), seed=True), "seed"),
     (lambda: breakdown_check([-1], True), "kmax"),
+    # generator sizes, the inner chain's order and trace steps alike
+    (lambda: random_unitary(2.0, np.random.default_rng(0)), "n"),
+    (lambda: conditioned_similarity(True, 10.0, np.random.default_rng(0)),
+     "n"),
+    (lambda: inner_chain(_P.A, _P.B, 2.0), "order"),
+    (lambda: ConvergenceTrace((1.5,), (0.1,), (0.0,), (0.0,)), "step"),
 ], ids=["accel-order", "accel-kmax", "accel-dim", "sqrt-order", "sqrt-kmax",
         "ab_run-kmax", "breakdown_check-kmax", "experiment-order",
         "accel-bool", "sqrt-bool", "spectrum-entry-bool", "problem-spec-bool",
-        "breakdown_check-bool"])
+        "breakdown_check-bool", "random-unitary-n", "similarity-n-bool",
+        "inner-chain-order", "trace-step"])
 def test_integer_settings_are_checked_at_the_entry(make, name):
     with pytest.raises(ValueError, match=f"^{name} must be an integer"):
         make()
@@ -201,3 +211,9 @@ def test_integer_settings_accept_numpy_integers():
     cfg = AccelConfig(np.int64(2), 1e-10, np.int32(30), np.int8(1))
     assert modified_ab_run(_P, cfg).status is CONVERGED
     assert breakdown_check([-1.0], np.int64(3)) == 1
+    rng = np.random.default_rng(0)
+    assert random_unitary(np.int64(3), rng).shape == (3, 3)
+    assert conditioned_similarity(np.int64(3), 10.0, rng).shape == (3, 3)
+    assert np.array_equal(inner_chain(_P.A, _P.B, np.int64(2))[0], _P.A)
+    trace = ConvergenceTrace((np.int64(0),), (0.1,), (0.0,), (0.0,))
+    assert trace.steps == (0,) and type(trace.steps[0]) is int

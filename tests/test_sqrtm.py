@@ -183,9 +183,10 @@ def test_sqrtm_breakdown_on_negative_axis():
     assert res.status is SolveStatus.BREAKDOWN
 
 
-# Two overflow failures of the uncoupled Q-chain, pinned until the solver
-# reports divergence with a status of its own: every run should return a
-# finite residual and no BREAKDOWN, as no sum here is singular.
+# Two widely scaled inputs of the uncoupled Q-chain: every run should
+# return a finite residual and no BREAKDOWN, as no sum here is singular.
+# The overflow of 1e160*I is pinned until the solver reports divergence
+# with a status of its own.
 
 @pytest.mark.xfail(strict=True, reason="the Q-chain overflows and raises "
                                       "instead of returning a status")
@@ -195,12 +196,21 @@ def test_sqrtm_huge_scalar_matrix_returns_a_true_status():
     assert np.isfinite(res.residual) and np.all(np.isfinite(res.X))
 
 
-@pytest.mark.xfail(strict=True, reason="the Q-chain overflows into a false "
-                                      "BREAKDOWN with residual inf")
 def test_sqrtm_wide_diagonal_is_not_a_breakdown():
+    """``lu_factor`` judges each row of ``2Q`` on its own scale, so the
+    1e150 row does not hide the pivot of the unit one."""
     res = sqrtm_ab(SqrtProblem(np.diag([1e150 + 0j, 1.0])))
     assert res.status is not SolveStatus.BREAKDOWN
     assert np.isfinite(res.residual)
+
+
+@pytest.mark.xfail(strict=True, raises=AssertionError,
+                   reason="ROADMAP item 4: from gamma = 1 the chain returns "
+                   "MAX_ITERATIONS with a residual of about 2.5e90")
+def test_sqrtm_wide_diagonal_converges():
+    res = sqrtm_ab(SqrtProblem(np.diag([1e150 + 0j, 1.0])))
+    assert res.status is SolveStatus.CONVERGED
+    assert res.residual <= 1e-10
 
 
 def test_sqrtm_overflow_is_reported_where_the_iterate_is_made():
@@ -216,7 +226,7 @@ def test_sqrtm_wide_diagonal_certificate_is_finite():
     """The residual and step norms are overflow-free: on diag(1e150, 1)
     the entries of Q^2 fit in a double but the sum of their squares does
     not, and the residual still comes back finite with no RuntimeWarning
-    (the false BREAKDOWN is the xfail above)."""
+    (the useless answer is the xfail above)."""
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
         res = sqrtm_ab(SqrtProblem(np.diag([1e150 + 0j, 1.0])))
