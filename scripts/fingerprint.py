@@ -25,8 +25,8 @@ root of unity, plus two pencils whose sums cancel to rounding error) and
 
 ``scripts/status_baseline.txt`` keeps each line's name tokens with its
 ``status=`` and ``dim=`` fields, which unlike the hashes are meant to
-hold across BLAS builds; CI regenerates them from this script's output
-and diffs the two.
+hold across BLAS builds; ``scripts/check_fingerprint.py`` holds this
+script's output to that file and to the sine rule, in CI and locally.
 """
 
 import dataclasses

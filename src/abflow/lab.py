@@ -13,6 +13,7 @@ import math
 import time
 from dataclasses import dataclass
 from functools import partial
+from numbers import Number
 from typing import NamedTuple
 
 import numpy as np
@@ -22,8 +23,8 @@ from .pencil import (
     BREAKDOWN_TOL,
     AccelConfig,
     Pencil,
-    _check_positive,
     _integer,
+    _real,
     breakdown_check,
     modified_ab_run,
 )
@@ -49,6 +50,8 @@ class SpectrumEntry:
     semisimple: bool = True
 
     def __post_init__(self):
+        if isinstance(self.value, bool) or not isinstance(self.value, Number):
+            raise ValueError(f"eigenvalue {self.value!r} is not a number")
         object.__setattr__(self, "value", complex(self.value))
         if not np.isfinite(self.value):
             raise ValueError(f"eigenvalue {self.value} is not finite")
@@ -70,7 +73,7 @@ class ProblemSpec:
         if not entries:
             raise ValueError("spectrum must be nonempty")
         object.__setattr__(self, "spectrum", entries)
-        _check_cond(self.cond)
+        object.__setattr__(self, "cond", _real("cond", self.cond, 1))
         _integer("seed", self.seed, 0)
 
     @property
@@ -95,15 +98,10 @@ def random_unitary(n: int, rng: np.random.Generator) -> np.ndarray:
     return Q * (d / np.abs(d))
 
 
-def _check_cond(cond: float) -> None:
-    if not 1 <= cond < math.inf:    # NaN fails every check
-        raise ValueError(f"cond must be at least 1 and finite, got {cond}")
-
-
 def conditioned_similarity(n: int, cond: float,
                            rng: np.random.Generator) -> np.ndarray:
     """Random matrix with 2-norm condition number exactly ``cond``."""
-    _check_cond(cond)
+    cond = _real("cond", cond, 1)
     U = random_unitary(n, rng)
     V = random_unitary(n, rng)
     s = np.logspace(0.0, math.log10(cond), n) if n > 1 else np.ones(1)
@@ -220,7 +218,7 @@ def run_experiment(kind: str, spec: ProblemSpec, *, order: int = 2,
         left out.  Deterministic for a fixed ``spec``, apart from the
         wall-time column.
     """
-    _check_positive("gamma", gamma)
+    _real("gamma", gamma, 0)
     if kind == "sqrt":
         S, X = make_known_sqrt_problem(spec)
         xnorm = _norm(X) or 1.0

@@ -15,6 +15,7 @@ from __future__ import annotations
 import cmath
 import enum
 import math
+import numbers
 import operator
 import time
 from dataclasses import dataclass
@@ -262,19 +263,29 @@ def _integer(name: str, value, low: int, high: int | None = None) -> int:
     return count
 
 
-def _check_positive(name: str, value: float) -> None:
-    """The one float rule, for ``tol`` and ``gamma``: finite and positive."""
-    if not 0 < value < math.inf:    # NaN fails every check
-        raise ValueError(f"{name} must be finite and positive, got {value!r}")
+def _real(name: str, value, low: int) -> float:
+    """The one rule for a real setting: a finite positive ``numbers.Real``
+    (no bool) of at least ``low`` as a float, else a ValueError naming it."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise ValueError(f"{name} must be a real number, got {value!r}")
+    try:
+        x = float(value)
+    except OverflowError:       # an int or Fraction beyond double range
+        x = math.inf
+    if not (0 < x and low <= x < math.inf):     # NaN fails every check
+        bound = f"at least {low} and finite" if low else "finite and positive"
+        raise ValueError(f"{name} must be {bound}, got {value!r}")
+    return x
 
 
-def _check_settings(order: int, tol: float, kmax: int) -> None:
+def _check_settings(order: int, tol: float, kmax: int) -> float:
     """Run settings of both solvers: an integer ``order`` in 1..MAX_ORDER,
     ``tol`` finite and positive, and an integer ``kmax`` of at least 1
-    (element 1 alone)."""
+    (element 1 alone).  Returns ``tol`` as a float."""
     _integer("order", order, 1, MAX_ORDER)
-    _check_positive("tol", tol)
+    tol = _real("tol", tol, 0)
     _integer("kmax", kmax, 1)
+    return tol
 
 
 @dataclass(frozen=True)
@@ -293,7 +304,8 @@ class AccelConfig:
     expected_dim: int | None = None
 
     def __post_init__(self):
-        _check_settings(self.order, self.tol, self.kmax)
+        object.__setattr__(self, "tol", _check_settings(
+            self.order, self.tol, self.kmax))
         if self.expected_dim is not None:
             _integer("expected_dim", self.expected_dim, 0)
 

@@ -16,8 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .linalg import EPS, _as_square, _exponent, _norm, lu_factor
-from .pencil import (SolveStatus, _check_positive, _check_settings, _drive,
-                     _outer_step)
+from .pencil import SolveStatus, _check_settings, _drive, _outer_step, _real
 # unused estimate_order stays bound for perfbench/test_counts.py's tracer
 from .trace import ConvergenceTrace, estimate_order  # noqa: F401
 
@@ -44,8 +43,9 @@ class SqrtProblem:
 
     def __post_init__(self):
         object.__setattr__(self, "S", _as_square(self.S, "S"))
-        _check_positive("gamma", self.gamma)
-        _check_settings(self.order, self.tol, self.kmax)
+        object.__setattr__(self, "gamma", _real("gamma", self.gamma, 0))
+        object.__setattr__(self, "tol", _check_settings(
+            self.order, self.tol, self.kmax))
 
 
 @dataclass(frozen=True)
@@ -171,7 +171,8 @@ def gamma_heuristic(sqrt_spectrum_bounds) -> float:
     ``max |(x - g)/(x + g)|`` over ``x in [a, b]`` is ``sqrt(a*b)``
     (equioscillation at the endpoints).
     """
-    a, b = sqrt_spectrum_bounds
-    if not (0 < a <= b) or not (math.isfinite(a) and math.isfinite(b)):
-        raise ValueError(f"need 0 < a <= b, got ({a}, {b})")
+    lo, hi = sqrt_spectrum_bounds
+    a, b = _real("a", lo, 0), _real("b", hi, 0)
+    if a > b:
+        raise ValueError(f"need 0 < a <= b, got ({lo!r}, {hi!r})")
     return math.sqrt(a * b)

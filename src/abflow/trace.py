@@ -48,23 +48,18 @@ class ConvergenceTrace:
 
     @property
     def orders(self) -> tuple:
-        """The log-ratio convergence-order estimates (``estimate_order``)
-        of the errors before the first one at or below
-        ``SATURATION_GUARD``, where rounding sets the error; empty when
-        fewer than three come before it."""
-        return tuple(est for _, est in _log_ratios(self.errors,
-                                                   SATURATION_GUARD))
+        """``estimate_order`` of the errors."""
+        return tuple(estimate_order(self.errors))
 
 
-def _log_ratios(errors, floor=None):
+def _log_ratios(errors):
     """Yield ``(k, log(e[k+1]/e[k]) / log(e[k]/e[k-1]))`` for each interior
-    index k whose triple is positive and finite with a non-vanishing
-    reference ratio; with a ``floor``, only among the errors before the
-    first one at or below it."""
-    if floor is not None:
-        errors = list(itertools.takewhile(lambda e: e > floor, errors))
+    index k of the errors before the first one at or below
+    ``SATURATION_GUARD``, where rounding sets the error, whose triple is
+    finite with a non-vanishing reference ratio."""
+    errors = list(itertools.takewhile(lambda e: e > SATURATION_GUARD, errors))
     for k in range(1, len(errors) - 1):
-        if not all(0 < e < math.inf for e in errors[k - 1:k + 2]):
+        if not all(e < math.inf for e in errors[k - 1:k + 2]):
             continue
         den = math.log(errors[k] / errors[k - 1])
         if abs(den) < _FLAT_RATIO_TOL:
@@ -73,22 +68,16 @@ def _log_ratios(errors, floor=None):
 
 
 def estimate_order(errors) -> list:
-    """Log-ratio convergence-order estimates of a positive error sequence.
+    """Log-ratio convergence-order estimates of an error sequence, the
+    one rule behind ``ConvergenceTrace.orders`` too.
 
     For each interior index k the estimate is
-    ``log(e[k+1]/e[k]) / log(e[k]/e[k-1])``; triples with a vanishing
-    reference ratio or a nonpositive or non-finite entry are omitted.
-
-    Raises
-    ------
-    ValueError
-        When fewer than three positive entries are supplied.
+    ``log(e[k+1]/e[k]) / log(e[k]/e[k-1])``, taken only before the first
+    error at or below ``SATURATION_GUARD`` (a zero or a NaN included);
+    triples with a vanishing reference ratio or an infinite entry are
+    omitted, and fewer than three errors before that point give ``[]``.
     """
-    vals = [float(e) for e in errors]
-    if sum(1 for e in vals if e > 0) < 3:
-        raise ValueError(
-            "order estimation needs at least three positive errors")
-    return [est for _, est in _log_ratios(vals)]
+    return [est for _, est in _log_ratios([float(e) for e in errors])]
 
 
 #: The columns of a trace file, one row per step.
@@ -104,7 +93,7 @@ def _rows(trace: ConvergenceTrace):
     """The ``_FIELDS`` of each step, each cell through ``_finite_or_none``;
     an order estimate (one of ``orders``) sits on its newest error's row."""
     orders = [None] * len(trace.errors)
-    for k, est in _log_ratios(trace.errors, SATURATION_GUARD):
+    for k, est in _log_ratios(trace.errors):
         orders[k + 1] = est
     return ([_finite_or_none(x) for x in row] for row in zip(
         trace.steps, trace.errors, trace.residuals, orders, trace.seconds))

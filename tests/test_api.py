@@ -10,11 +10,11 @@ import pytest
 import abflow
 from abflow import (
     AccelConfig,
+    ConvergenceTrace,
     Pencil,
     ProblemSpec,
     SpectrumEntry,
     SubspaceBasis,
-    estimate_order,
     gamma_heuristic,
     modified_ab_run,
     subspace_distance,
@@ -81,7 +81,10 @@ def test_package_never_imports_the_oracles():
      "^multiplicity must be at least 1, got 0$"),
     (lambda: SpectrumEntry(math.inf), r"eigenvalue \(inf\+0j\) is not finite"),
     (lambda: gamma_heuristic((2, 1)), r"need 0 < a <= b, got \(2, 1\)"),
-    (lambda: estimate_order([1, 0.5]), "at least three positive errors"),
+    # too few errors give no order estimate, not an error; a negative
+    # error is the bad order data left
+    (lambda: ConvergenceTrace((1, 2, 3), (0.1, -0.5, 1e-3), (0, 0, 0),
+                              (0, 0, 0)), "^errors must be nonnegative$"),
     (lambda: SubspaceBasis(np.ones((2, 3))), "basis is 2x3 with m > n"),
     (lambda: subspace_distance(np.eye(2)[:, :1], np.eye(3)[:, :1]),
      "ambient dimensions differ: 2 vs 3"),

@@ -43,17 +43,24 @@ def test_estimate_order_cubic_pattern():
 
 
 def test_estimate_order_skips_flat_and_nonpositive():
+    """A flat triple is skipped; a zero, a negative error or one at the
+    rounding floor ends the estimates, as in ``ConvergenceTrace.orders``."""
     got = estimate_order([1e-1, 1e-1, 1e-2, 1e-4])
     assert len(got) == 1 and got[0] == pytest.approx(2.0, abs=1e-10)
-    got = estimate_order([1e-1, 1e-2, 0.0, 1e-4, 1e-5, 1e-7])
-    assert got == pytest.approx([2.0], abs=1e-10)
+    assert estimate_order([1e-1, 1e-2, 0.0, 1e-4, 1e-5, 1e-7]) == []
+    assert estimate_order([1e-1, 1e-2, 1e-3, -1e-4, 1e-5]) == \
+        pytest.approx([1.0], abs=1e-12)
+    floored = [1e-1, 1e-2, 1e-4, 1e-8, 1e-16, 1e-17]
+    assert estimate_order(floored) == pytest.approx([2.0, 2.0], abs=1e-12)
+    tr = ConvergenceTrace(range(6), floored, [0.0] * 6, [0.0] * 6)
+    assert estimate_order(floored) == list(tr.orders)
 
 
 def test_estimate_order_insufficient_data():
-    with pytest.raises(ValueError, match="at least three positive errors"):
-        estimate_order([1e-1, 1e-2])
-    with pytest.raises(ValueError, match="at least three positive errors"):
-        estimate_order([1e-1, 0.0, 0.0])
+    """Fewer than three usable errors give no estimate, not an error."""
+    assert estimate_order([1e-1, 1e-2]) == []
+    assert estimate_order([1e-1, 0.0, 0.0]) == []
+    assert estimate_order([]) == []
 
 
 # ----------------------------- trace container and files -----------------------------

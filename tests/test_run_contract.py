@@ -1,5 +1,7 @@
 """The run contract both solvers share: what the observer sees, the index
-a result reports, and the element it returns."""
+a result reports, the element it returns, and the settings it accepts."""
+
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -12,6 +14,7 @@ from abflow import (
     SqrtProblem,
     ab_run,
     breakdown_check,
+    gamma_heuristic,
     modified_ab_run,
     run_experiment,
     sqrtm_ab,
@@ -217,3 +220,75 @@ def test_integer_settings_accept_numpy_integers():
     assert np.array_equal(inner_chain(_P.A, _P.B, np.int64(2))[0], _P.A)
     trace = ConvergenceTrace((np.int64(0),), (0.1,), (0.0,), (0.0,))
     assert trace.steps == (0,) and type(trace.steps[0]) is int
+
+
+#: Every real setting a caller passes, as (name, call with one value).
+_REAL_SETTINGS = {
+    "accel-tol": ("tol", lambda v: AccelConfig(2, v, 30)),
+    "ab_run-tol": ("tol", lambda v: ab_run(_P, v, 30)),
+    "sqrt-tol": ("tol", lambda v: SqrtProblem(_S, tol=v)),
+    "sqrt-gamma": ("gamma", lambda v: SqrtProblem(_S, gamma=v)),
+    "experiment-tol": ("tol", lambda v: run_experiment(
+        "sqrt", ProblemSpec((2.0, 3.0)), tol=v, kmax=3)),
+    "experiment-gamma": ("gamma", lambda v: run_experiment(
+        "sqrt", ProblemSpec((2.0, 3.0)), gamma=v, kmax=3)),
+    "spec-cond": ("cond", lambda v: ProblemSpec((2.0,), cond=v)),
+    "similarity-cond": ("cond", lambda v: conditioned_similarity(
+        3, v, np.random.default_rng(0))),
+    "gamma-heuristic-a": ("a", lambda v: gamma_heuristic((v, 4.0))),
+    "gamma-heuristic-b": ("b", lambda v: gamma_heuristic((1.0, v))),
+}
+
+#: Values that are no real number: a bool is refused as in the counts.
+_NOT_REAL = {"none": None, "str": "1e-3", "bool": True, "complex": 1e-3 + 0j,
+             "array": np.array([1e-3, 1.0])}
+
+
+@pytest.mark.parametrize("value", _NOT_REAL.values(), ids=_NOT_REAL.keys())
+@pytest.mark.parametrize("setting", _REAL_SETTINGS.values(),
+                         ids=_REAL_SETTINGS.keys())
+def test_real_settings_are_checked_at_the_entry(setting, value):
+    """Each real setting raises ``ValueError`` itself, never a
+    ``TypeError`` from a comparison, and names the setting."""
+    name, make = setting
+    with pytest.raises(ValueError,
+                       match=f"^{name} must be a real number, got ") as info:
+        make(value)
+    assert type(info.value) is ValueError
+
+
+@pytest.mark.parametrize("value", [np.float32(2.0), np.int64(2),
+                                   Fraction(5, 2)],
+                         ids=["float32", "int64", "fraction"])
+@pytest.mark.parametrize("setting", _REAL_SETTINGS.values(),
+                         ids=_REAL_SETTINGS.keys())
+def test_real_settings_accept_numpy_and_fraction_values(setting, value):
+    _, make = setting
+    make(value)
+
+
+def test_real_settings_are_kept_as_floats():
+    assert type(AccelConfig(2, np.float32(1e-3), 30).tol) is float
+    prob = SqrtProblem(_S, gamma=Fraction(5, 2), tol=np.int64(1))
+    assert (prob.gamma, prob.tol) == (2.5, 1.0)
+    assert type(prob.gamma) is type(prob.tol) is float
+    assert type(ProblemSpec((2.0,), cond=np.int64(10)).cond) is float
+    assert gamma_heuristic((Fraction(1), np.int64(4))) == 2.0
+
+
+def test_a_real_beyond_double_range_is_not_finite():
+    """An int or a Fraction too large for a double is refused by the
+    range rule, not by the ``OverflowError`` of ``float()``."""
+    with pytest.raises(ValueError, match="^tol must be finite and positive"):
+        AccelConfig(2, 10 ** 400, 30)
+    with pytest.raises(ValueError, match="^cond must be at least 1 and finite"):
+        ProblemSpec((2.0,), cond=Fraction(10 ** 400, 3))
+
+
+@pytest.mark.parametrize("make", [
+    lambda: ProblemSpec("25"),      # read character by character
+    lambda: SpectrumEntry(True),
+], ids=["string-spectrum", "bool-eigenvalue"])
+def test_an_eigenvalue_must_be_a_number(make):
+    with pytest.raises(ValueError, match="^eigenvalue .* is not a number$"):
+        make()

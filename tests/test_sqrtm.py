@@ -488,6 +488,10 @@ def test_gamma_heuristic_equioscillation():
 
 
 def test_gamma_heuristic_rejects_bad_bounds():
-    for bounds in [(0.0, 1.0), (-1.0, 2.0), (3.0, 2.0), (1.0, float("inf"))]:
-        with pytest.raises(ValueError, match=r"need 0 < a <= b"):
+    for bounds, message in [
+            ((0.0, 1.0), r"^a must be finite and positive, got 0\.0$"),
+            ((-1.0, 2.0), r"^a must be finite and positive, got -1\.0$"),
+            ((3.0, 2.0), r"^need 0 < a <= b, got \(3\.0, 2\.0\)$"),
+            ((1.0, float("inf")), r"^b must be finite and positive, got inf$")]:
+        with pytest.raises(ValueError, match=message):
             gamma_heuristic(bounds)
