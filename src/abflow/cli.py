@@ -21,8 +21,8 @@ import numpy as np
 from .errors import ABFlowError, ParseError
 from .lab import ProblemSpec, run_experiment
 from .linalg import as_matrix
-from .pencil import (AccelConfig, Pencil, SolveStatus, _integer,
-                     modified_ab_run)
+from .pencil import (MAX_ORDER, AccelConfig, Pencil, SolveStatus,
+                     _check_settings, _integer, modified_ab_run)
 from .sqrtm import SqrtProblem, sqrtm_ab
 from .trace import (_finite_or_none, atomic_write_text, write_trace_csv,
                     write_trace_json)
@@ -34,6 +34,9 @@ _EXIT_BY_STATUS = {
 }
 
 OUT_DIR_ENV = "ABFLOW_OUT_DIR"
+
+_DEFAULT = "(default %(default)s)"     # argparse fills in the option's default
+_BENCH_KMAX = run_experiment.__kwdefaults__["kmax"]  # the function's own default
 
 #: A txt entry: ASCII decimal only (Python's float also takes 1_0, inf).
 _TXT_NUMBER = re.compile(r"[+-]?([0-9]+\.?[0-9]*|\.[0-9]+)([eE][+-]?[0-9]+)?")
@@ -194,10 +197,8 @@ class _Parser(argparse.ArgumentParser):
 # ----------------------------- subcommands -----------------------------
 
 def _cmd_sqrt(ns) -> int:
-    S = parse_matrix_file(ns.input)
-    prob = SqrtProblem(S, gamma=ns.gamma, order=ns.order,
-                       tol=ns.tol, kmax=ns.kmax)
-    result = sqrtm_ab(prob)
+    result = sqrtm_ab(SqrtProblem(parse_matrix_file(ns.input), gamma=ns.gamma,
+                                  order=ns.order, tol=ns.tol, kmax=ns.kmax))
     out = _resolve_out(ns.out, "sqrt_result.json")
     write_matrix_json(result.X, out)
     if ns.trace is not None:
@@ -208,11 +209,9 @@ def _cmd_sqrt(ns) -> int:
 
 
 def _cmd_pencil(ns) -> int:
-    A = parse_matrix_file(ns.a)
-    B = parse_matrix_file(ns.b)
-    pencil = Pencil(A, B)
-    result = modified_ab_run(pencil,
-                             AccelConfig(ns.order, ns.tol, ns.kmax, ns.dim))
+    config = AccelConfig(ns.order, ns.tol, ns.kmax, ns.dim)
+    pencil = Pencil(parse_matrix_file(ns.a), parse_matrix_file(ns.b))
+    result = modified_ab_run(pencil, config)
     out = _resolve_out(ns.out, "pencil_result.json")
     doc = {
         "status": result.status.value,
@@ -231,19 +230,16 @@ def _cmd_bench(ns) -> int:
     values = _parse_list(ns.spectrum, complex, "eigenvalue", "spectrum")
     orders = _parse_list(ns.orders, int, "order", "order list")
     spec = ProblemSpec(spectrum=tuple(values), cond=ns.cond, seed=ns.seed)
+    for r in orders:        # every order is checked before the first run
+        _check_settings(r, ns.tol, ns.kmax)
     traces = [run_experiment(ns.kind, spec, order=r, gamma=ns.gamma,
                              tol=ns.tol, kmax=ns.kmax) for r in orders]
     out_dir = _resolve_out(ns.out_dir, "traces")
     os.makedirs(out_dir, exist_ok=True)
-    header_base = {
-        "kind": ns.kind,
-        "spectrum": [[v.real, v.imag] for v in values],
-        "cond": ns.cond,
-        "seed": ns.seed,
-        "gamma": ns.gamma,
-        "tol": ns.tol,
-        "kmax": ns.kmax,
-    }
+    header_base = {"kind": ns.kind,
+                   "spectrum": [[v.real, v.imag] for v in values],
+                   **{k: getattr(ns, k)
+                      for k in ("cond", "seed", "gamma", "tol", "kmax")}}
     for r, trace in zip(orders, traces):     # every order ran: write
         stem = os.path.join(out_dir, f"bench_{ns.kind}_r{r}")
         write_trace_csv(trace, stem + ".csv")
@@ -263,13 +259,13 @@ def build_parser() -> argparse.ArgumentParser:
     sq = sub.add_parser("sqrt", help="Compute the principal square root "
                                      "of the matrix in --input.")
     sq.add_argument("--input", required=True, help="Matrix file (txt or json).")
-    sq.add_argument("--order", type=int, default=2,
-                    help="Convergence order r >= 1; 1 is the plain chain "
-                         "from gamma*I (default 2, Newton-equivalent).")
-    sq.add_argument("--gamma", type=float, default=1.0,
-                    help="Positive shift for the initial iterate (default 1).")
-    sq.add_argument("--tol", type=float, default=1e-12)
-    sq.add_argument("--kmax", type=int, default=100)
+    sq.add_argument("--order", type=int, default=SqrtProblem.order,
+                    help=f"Convergence order r in 1..{MAX_ORDER}; 1 is the "
+                         f"plain chain from gamma*I, 2 is Newton's {_DEFAULT}.")
+    sq.add_argument("--gamma", type=float, default=SqrtProblem.gamma,
+                    help=f"Positive shift for the initial iterate {_DEFAULT}.")
+    sq.add_argument("--tol", type=float, default=SqrtProblem.tol, help=_DEFAULT)
+    sq.add_argument("--kmax", type=int, default=SqrtProblem.kmax, help=_DEFAULT)
     sq.add_argument("--out", help="Output json for the root "
                                   "(default sqrt_result.json).")
     sq.add_argument("--trace", help="Optional CSV convergence trace.")
@@ -279,11 +275,12 @@ def build_parser() -> argparse.ArgumentParser:
                                        "subspace of A - lambda B.")
     pc.add_argument("--a", required=True, help="Matrix file for A.")
     pc.add_argument("--b", required=True, help="Matrix file for B.")
-    pc.add_argument("--tol", type=float, default=1e-12)
-    pc.add_argument("--kmax", type=int, default=100)
+    pc.add_argument("--tol", type=float, default=1e-12, help=_DEFAULT)
+    pc.add_argument("--kmax", type=int, default=100, help=_DEFAULT)
     pc.add_argument("--dim", type=int, help="Known subspace dimension.")
     pc.add_argument("--order", type=int, default=1,
-                    help="Order r >= 1; 1 is the plain chain (default 1).")
+                    help=f"Order r in 1..{MAX_ORDER}; 1 is the plain chain "
+                         f"{_DEFAULT}.")
     pc.add_argument("--out", help="Output json with U, Lambda, residual "
                                   "(default pencil_result.json).")
     pc.set_defaults(run=_cmd_pencil)
@@ -293,14 +290,16 @@ def build_parser() -> argparse.ArgumentParser:
     be.add_argument("--kind", choices=("sqrt", "pencil"), required=True)
     be.add_argument("--spectrum", required=True,
                     help="Comma-separated eigenvalues, e.g. '2,3' or '0.5,2+1j'.")
-    be.add_argument("--orders", default="2",
-                    help="Comma-separated orders; 1 means the plain chain.")
-    be.add_argument("--seed", type=int, default=0)
-    be.add_argument("--cond", type=float, default=10.0,
-                    help="Condition number of the similarity transform.")
-    be.add_argument("--gamma", type=float, default=1.0)
-    be.add_argument("--tol", type=float, default=1e-12)
-    be.add_argument("--kmax", type=int, default=40)
+    be.add_argument("--orders", default=str(SqrtProblem.order),
+                    help=f"Comma-separated orders in 1..{MAX_ORDER}; 1 means "
+                         f"the plain chain {_DEFAULT}.")
+    be.add_argument("--seed", type=int, default=ProblemSpec.seed, help=_DEFAULT)
+    be.add_argument("--cond", type=float, default=ProblemSpec.cond,
+                    help="Condition number of the similarity transform "
+                         f"{_DEFAULT}.")
+    be.add_argument("--gamma", type=float, default=SqrtProblem.gamma, help=_DEFAULT)
+    be.add_argument("--tol", type=float, default=SqrtProblem.tol, help=_DEFAULT)
+    be.add_argument("--kmax", type=int, default=_BENCH_KMAX, help=_DEFAULT)
     be.add_argument("--out-dir", help="Trace directory (default traces/).")
     be.set_defaults(run=_cmd_bench)
     return p

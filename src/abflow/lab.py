@@ -23,6 +23,7 @@ from .pencil import (
     BREAKDOWN_TOL,
     AccelConfig,
     Pencil,
+    _check_settings,
     _integer,
     _real,
     breakdown_check,
@@ -30,12 +31,6 @@ from .pencil import (
 )
 from .sqrtm import SqrtProblem, _residual_of, sqrtm_ab
 from .trace import ConvergenceTrace
-
-__all__ = [
-    "SpectrumEntry", "ProblemSpec", "PencilProblem",
-    "make_known_sqrt_problem", "make_pencil_problem", "run_experiment",
-    "random_unitary", "conditioned_similarity",
-]
 
 #: Largest chain index scanned when classifying unit-circle eigenvalues.
 _BREAKDOWN_SCAN = 64
@@ -190,8 +185,10 @@ def make_pencil_problem(spec: ProblemSpec, random_b: bool = False) -> PencilProb
                          breakdown_check(circle, _BREAKDOWN_SCAN))
 
 
-def run_experiment(kind: str, spec: ProblemSpec, *, order: int = 2,
-                   gamma: float = 1.0, tol: float = 1e-12,
+def run_experiment(kind: str, spec: ProblemSpec, *,
+                   order: int = SqrtProblem.order,
+                   gamma: float = SqrtProblem.gamma,
+                   tol: float = SqrtProblem.tol,
                    kmax: int = 40) -> ConvergenceTrace:
     """Generate a problem, run a solver, and record true-error decay.
 
@@ -206,6 +203,7 @@ def run_experiment(kind: str, spec: ProblemSpec, *, order: int = 2,
     tol, kmax :
         Solver stopping parameters (relative successive difference for
         sqrt, subspace distance for pencil).  Pencil runs use B = I.
+        All four settings are checked before the problem is generated.
 
     Returns
     -------
@@ -219,6 +217,7 @@ def run_experiment(kind: str, spec: ProblemSpec, *, order: int = 2,
         wall-time column.
     """
     _real("gamma", gamma, 0)
+    tol = _check_settings(order, tol, kmax)
     if kind == "sqrt":
         S, X = make_known_sqrt_problem(spec)
         xnorm = _norm(X) or 1.0

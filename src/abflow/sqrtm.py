@@ -175,4 +175,6 @@ def gamma_heuristic(sqrt_spectrum_bounds) -> float:
     a, b = _real("a", lo, 0), _real("b", hi, 0)
     if a > b:
         raise ValueError(f"need 0 < a <= b, got ({lo!r}, {hi!r})")
-    return math.sqrt(a * b)
+    i, j = math.frexp(a)[1] // 2, math.frexp(b)[1] // 2
+    return math.ldexp(math.sqrt(math.ldexp(a, -2 * i) * math.ldexp(b, -2 * j)),
+                      i + j)    # exact scalings: no overflow or underflow

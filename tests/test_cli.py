@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 
 from abflow import AccelConfig, ParseError, Pencil, modified_ab_run
+from abflow import cli
 from abflow.cli import main, matrix_to_json, parse_matrix_file, write_matrix_json
 from abflow.lab import ProblemSpec, make_known_sqrt_problem, make_pencil_problem
 from abflow.linalg import EPS
@@ -295,6 +296,14 @@ def test_cli_pencil_accelerated(tmp_path):
     assert doc["Lambda"]["data"][0][0] == pytest.approx(0.5, abs=1e-10)
 
 
+def test_cli_pencil_checks_its_settings_before_its_files(tmp_path, capsys):
+    missing = str(tmp_path / "missing.txt")
+    assert main(["pencil", "--a", missing, "--b", missing,
+                 "--order", "17"]) == 1
+    assert capsys.readouterr().err == \
+        "error: order must be between 1 and 16, got 17\n"
+
+
 @pytest.mark.parametrize("dim", [[], ["--dim", "1"]], ids=["threshold", "dim"])
 def test_cli_pencil_order_one_is_the_default(tmp_path, capsys, dim):
     a = write(tmp_path / "a.txt", "0.5 0.1\n0.2 2\n")
@@ -381,11 +390,19 @@ def test_cli_bench_multiple_orders(tmp_path):
 
 
 @pytest.mark.parametrize("orders", ["2,17", "0,2", "1,-3"])
-def test_cli_bench_rejects_orders_before_any_run(tmp_path, capsys, orders):
+def test_cli_bench_rejects_orders_before_any_run(tmp_path, capsys, monkeypatch,
+                                                 orders):
+    started, run = [], cli.run_experiment
+
+    def counted_run(*args, **kwargs):
+        started.append(kwargs["order"])
+        return run(*args, **kwargs)
+    monkeypatch.setattr(cli, "run_experiment", counted_run)
     out_dir = tmp_path / "D"
     assert main(["bench", "--kind", "sqrt", "--spectrum", "2,3",
                  "--orders", orders, "--out-dir", str(out_dir)]) == 1
     assert "order must be between 1 and 16" in capsys.readouterr().err
+    assert started == []
     assert not out_dir.exists()
 
 
@@ -441,6 +458,14 @@ def test_cli_bench_pencil_kind(tmp_path):
 
 
 # ----------------------------- error handling -----------------------------
+
+@pytest.mark.parametrize("cmd", ["sqrt", "pencil", "bench"])
+def test_cli_help_exits_zero_and_shows_the_order_range(capsys, cmd):
+    with pytest.raises(SystemExit) as exc:
+        main([cmd, "--help"])
+    assert exc.value.code == 0
+    assert "1..16" in capsys.readouterr().out
+
 
 def test_cli_usage_error_exits_one(capsys):
     assert main([]) == 1

@@ -21,6 +21,7 @@ from abflow import (
     write_trace_csv,
     write_trace_json,
 )
+from abflow import lab
 from abflow.errors import BreakdownError
 from abflow.lab import conditioned_similarity
 from abflow.sqrtm import SqrtProblem, sqrtm_ab
@@ -478,6 +479,20 @@ def test_experiment_determinism_modulo_walltime():
     assert t1.errors == t2.errors
     assert t1.residuals == t2.residuals
     assert t1.orders == t2.orders
+
+
+@pytest.mark.parametrize("kind", ["sqrt", "pencil"])
+@pytest.mark.parametrize("setting", [{"tol": None}, {"kmax": 0}, {"order": 17}],
+                         ids=["tol-None", "kmax-0", "order-17"])
+def test_experiment_checks_settings_before_generating(monkeypatch, kind,
+                                                      setting):
+    def generate(*args, **kwargs):
+        raise AssertionError("generator called")
+    monkeypatch.setattr(lab, "make_known_sqrt_problem", generate)
+    monkeypatch.setattr(lab, "make_pencil_problem", generate)
+    name, = setting
+    with pytest.raises(ValueError, match=f"^{name} must be"):
+        run_experiment(kind, ProblemSpec(spectrum=(0.5, 2.0)), **setting)
 
 
 def test_experiment_rejects_unknown_kind():

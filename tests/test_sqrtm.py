@@ -1,5 +1,7 @@
 """Square-root solver: embedding, chains, oracles, convergence behaviour."""
 
+import math
+import sys
 import warnings
 from decimal import Decimal, localcontext
 
@@ -485,6 +487,35 @@ def test_gamma_heuristic_equioscillation():
     g = gamma_heuristic((a, b))
     assert abs((a - g) / (a + g)) == pytest.approx(abs((b - g) / (b + g)), abs=1e-12)
     assert abs((a - g) / (a + g)) == pytest.approx(1 / 3, abs=1e-12)
+
+
+@pytest.mark.parametrize("a, b, expected", [
+    (1e200, 1e200, 1e200),
+    (1e-200, 1e-200, 1e-200),
+    (5e-324, 5e-324, 5e-324),
+    (2.0 ** -1060, 2.0 ** -1050, 2.0 ** -1055),
+    (sys.float_info.max, sys.float_info.max, sys.float_info.max),
+    (0.5 * sys.float_info.max, sys.float_info.max,
+     pytest.approx(math.sqrt(0.5) * sys.float_info.max, rel=1e-15)),
+], ids=["huge", "tiny", "smallest-subnormal", "subnormal", "largest",
+        "near-largest"])
+def test_gamma_heuristic_neither_overflows_nor_underflows(a, b, expected):
+    assert gamma_heuristic((a, b)) == expected
+
+
+def test_gamma_heuristic_is_the_plain_midpoint_in_range():
+    """Where ``a*b`` is a normal double, the scaled form gives the bits of
+    ``math.sqrt(a*b)``."""
+    rng = np.random.default_rng(23)
+    pairs = np.ldexp(rng.uniform(0.5, 1.0, (4000, 2)),
+                     rng.integers(-1021, 1024, (4000, 2)))
+    checked = 0
+    for a, b in np.sort(pairs, axis=1).tolist():
+        p = a * b
+        if sys.float_info.min <= p <= sys.float_info.max:
+            checked += 1
+            assert gamma_heuristic((a, b)) == math.sqrt(p), (a, b)
+    assert checked > 1000
 
 
 def test_gamma_heuristic_rejects_bad_bounds():
