@@ -25,8 +25,10 @@ root of unity, plus two pencils whose sums cancel to rounding error) and
 
 ``scripts/status_baseline.txt`` keeps each line's name tokens with its
 ``status=`` and ``dim=`` fields, which unlike the hashes are meant to
-hold across BLAS builds; ``scripts/check_fingerprint.py`` holds this
-script's output to that file and to the sine rule, in CI and locally.
+hold across BLAS builds.  ``tests/test_fingerprint.py`` runs this script
+twice in the tier-1 tests and holds its output to that file, to the
+sine rule and to itself (two runs, one output).  The trace files go to
+a temporary directory that is removed at the end of the run.
 """
 
 import dataclasses
@@ -96,20 +98,20 @@ for i, (_, case) in enumerate(workloads.sqrt_pool(5, 9, n=24)[:8]):
                    f"res={res.residual!r} steps={t.steps} err={h(t.errors)} "
                    f"resid={h(t.residuals)} ord={h(t.orders)} obs={h(*seen)}")
 
-tmp = tempfile.mkdtemp()
 specs = [("pencil", lab.ProblemSpec(spectrum=(0.3, 0.6, 1.5, 2.5, 0.8 + 0.1j), seed=4)),
          ("sqrt", lab.ProblemSpec(spectrum=(0.3, 0.6, 1.5, 2.5, 0.8 + 0.1j), seed=4)),
          ("sqrt", lab.ProblemSpec(spectrum=(2.0, 3.0, 0.5 + 0.2j, 7.0), seed=9))]
-for s_i, (kind, spec) in enumerate(specs):
-    for r in (1, 2, 3, 4):
-        t = lab.run_experiment(kind, spec, order=r, kmax=40)
-        t0 = dataclasses.replace(t, seconds=[0.0] * len(t.steps))
-        csv_p, json_p = os.path.join(tmp, "t.csv"), os.path.join(tmp, "t.json")
-        trace.write_trace_csv(t0, csv_p)
-        trace.write_trace_json(t0, json_p, header={"r": r})
-        out.append(f"exp{s_i} {kind} r{r} status={t.status} steps={t.steps} "
-                   f"err={h(t.errors)} resid={h(t.residuals)} ord={t.orders} "
-                   f"files={h(file_bytes(csv_p), file_bytes(json_p))}")
+with tempfile.TemporaryDirectory() as tmp:
+    for s_i, (kind, spec) in enumerate(specs):
+        for r in (1, 2, 3, 4):
+            t = lab.run_experiment(kind, spec, order=r, kmax=40)
+            t0 = dataclasses.replace(t, seconds=[0.0] * len(t.steps))
+            csv_p, json_p = os.path.join(tmp, "t.csv"), os.path.join(tmp, "t.json")
+            trace.write_trace_csv(t0, csv_p)
+            trace.write_trace_json(t0, json_p, header={"r": r})
+            out.append(f"exp{s_i} {kind} r{r} status={t.status} steps={t.steps} "
+                       f"err={h(t.errors)} resid={h(t.residuals)} ord={t.orders} "
+                       f"files={h(file_bytes(csv_p), file_bytes(json_p))}")
 
 Qm = lab.random_unitary(4, np.random.default_rng(1))
 breakdowns = []

@@ -13,7 +13,6 @@ import math
 import time
 from dataclasses import dataclass
 from functools import partial
-from numbers import Number
 from typing import NamedTuple
 
 import numpy as np
@@ -25,6 +24,7 @@ from .pencil import (
     Pencil,
     _check_settings,
     _integer,
+    _number,
     _real,
     breakdown_check,
     modified_ab_run,
@@ -45,9 +45,7 @@ class SpectrumEntry:
     semisimple: bool = True
 
     def __post_init__(self):
-        if isinstance(self.value, bool) or not isinstance(self.value, Number):
-            raise ValueError(f"eigenvalue {self.value!r} is not a number")
-        object.__setattr__(self, "value", complex(self.value))
+        object.__setattr__(self, "value", _number(self.value))
         if not np.isfinite(self.value):
             raise ValueError(f"eigenvalue {self.value} is not finite")
         _integer("multiplicity", self.multiplicity, 1)

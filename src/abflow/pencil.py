@@ -169,7 +169,7 @@ def breakdown_check(eigenvalues, kmax: int):
     chain element k+1 is what fails when this returns k.
     """
     kmax = _integer("kmax", kmax, 1)
-    lams = [z for z in map(complex, eigenvalues) if cmath.isfinite(z)]
+    lams = [z for z in map(_number, eigenvalues) if cmath.isfinite(z)]
     for p in range(2, kmax + 2):
         for z in lams:      # of the p-th roots, the nearest by phase decides
             q = round(p * cmath.phase(z) / (2 * math.pi)) % p
@@ -276,6 +276,14 @@ def _real(name: str, value, low: int) -> float:
         bound = f"at least {low} and finite" if low else "finite and positive"
         raise ValueError(f"{name} must be {bound}, got {value!r}")
     return x
+
+
+def _number(value) -> complex:
+    """The one rule for an eigenvalue: a ``numbers.Number`` (no bool, no
+    str) as a complex, else ``ValueError("eigenvalue … is not a number")``."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Number):
+        raise ValueError(f"eigenvalue {value!r} is not a number")
+    return complex(value)
 
 
 def _check_settings(order: int, tol: float, kmax: int) -> float:

@@ -288,7 +288,11 @@ def test_a_real_beyond_double_range_is_not_finite():
 @pytest.mark.parametrize("make", [
     lambda: ProblemSpec("25"),      # read character by character
     lambda: SpectrumEntry(True),
-], ids=["string-spectrum", "bool-eigenvalue"])
+    lambda: breakdown_check([True], 5),     # a bool is not 1
+    lambda: breakdown_check("ab", 5),       # read character by character
+    lambda: breakdown_check(np.eye(2), 5),  # rows, not eigenvalues
+], ids=["string-spectrum", "bool-eigenvalue", "breakdown-check-bool",
+        "breakdown-check-string", "breakdown-check-matrix"])
 def test_an_eigenvalue_must_be_a_number(make):
     with pytest.raises(ValueError, match="^eigenvalue .* is not a number$"):
         make()
