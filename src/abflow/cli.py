@@ -156,7 +156,7 @@ def _matrix_doc(M) -> dict:
 
 def matrix_to_json(M) -> str:
     """Serialize a matrix to the json wire format (round-trips bit-exactly)."""
-    return json.dumps(_matrix_doc(M))
+    return json.dumps(_matrix_doc(M), check_circular=False)
 
 
 def write_matrix_json(M, path) -> None:
@@ -220,7 +220,7 @@ def _cmd_pencil(ns) -> int:
         "U": _matrix_doc(result.U.basis),
         "Lambda": _matrix_doc(result.Lambda),
     }
-    atomic_write_text(out, json.dumps(doc) + "\n")
+    atomic_write_text(out, json.dumps(doc, check_circular=False) + "\n")
     print(f"status={result.status.value} dim={result.U.dim} "
           f"residual={result.residual:.3e} wrote {out}")
     return _EXIT_BY_STATUS[result.status]
@@ -275,10 +275,10 @@ def build_parser() -> argparse.ArgumentParser:
                                        "subspace of A - lambda B.")
     pc.add_argument("--a", required=True, help="Matrix file for A.")
     pc.add_argument("--b", required=True, help="Matrix file for B.")
-    pc.add_argument("--tol", type=float, default=1e-12, help=_DEFAULT)
-    pc.add_argument("--kmax", type=int, default=100, help=_DEFAULT)
+    pc.add_argument("--tol", type=float, default=AccelConfig.tol, help=_DEFAULT)
+    pc.add_argument("--kmax", type=int, default=AccelConfig.kmax, help=_DEFAULT)
     pc.add_argument("--dim", type=int, help="Known subspace dimension.")
-    pc.add_argument("--order", type=int, default=1,
+    pc.add_argument("--order", type=int, default=AccelConfig.order,
                     help=f"Order r in 1..{MAX_ORDER}; 1 is the plain chain "
                          f"{_DEFAULT}.")
     pc.add_argument("--out", help="Output json with U, Lambda, residual "

@@ -280,10 +280,13 @@ def _real(name: str, value, low: int) -> float:
 
 def _number(value) -> complex:
     """The one rule for an eigenvalue: a ``numbers.Number`` (no bool, no
-    str) as a complex, else ``ValueError("eigenvalue … is not a number")``."""
+    str) as a complex, infinite beyond double range, else a ValueError."""
     if isinstance(value, bool) or not isinstance(value, numbers.Number):
         raise ValueError(f"eigenvalue {value!r} is not a number")
-    return complex(value)
+    try:
+        return complex(value)
+    except OverflowError:       # an int or Fraction beyond double range
+        return complex(math.inf)
 
 
 def _check_settings(order: int, tol: float, kmax: int) -> float:
@@ -301,14 +304,14 @@ class AccelConfig:
     """Settings for a subspace run of order r.
 
     ``order`` is the per-step chain multiplier r in 1..MAX_ORDER; one
-    outer step costs r-1 merges.  ``order=1`` is the plain chain
-    (``ab_run``), ``order=2`` a doubling iteration with a single merge
-    per step.
+    outer step costs r-1 merges.  ``order=1`` (the default) is the plain
+    chain (``ab_run``), ``order=2`` a doubling iteration with a single
+    merge per step.  ``abflow pencil`` takes its defaults from here.
     """
 
-    order: int
-    tol: float
-    kmax: int
+    order: int = 1
+    tol: float = 1e-12
+    kmax: int = 100
     expected_dim: int | None = None
 
     def __post_init__(self):
@@ -377,8 +380,8 @@ def modified_ab_run(initial: Pencil, cfg: AccelConfig,
     return _finish(initial, basis, k, status)
 
 
-def ab_run(initial: Pencil, tol: float, kmax: int,
-           expected_dim: int | None = None,
+def ab_run(initial: Pencil, tol: float = AccelConfig.tol,
+           kmax: int = AccelConfig.kmax, expected_dim: int | None = None,
            observer=None) -> SubspaceResult:
     """Run the plain chain until successive near-null spaces stabilize:
     ``modified_ab_run`` at order 1.
@@ -403,10 +406,10 @@ def ab_run(initial: Pencil, tol: float, kmax: int,
     Parameters
     ----------
     initial : Pencil
-    tol : float
-        Subspace-distance stopping tolerance, finite and positive.
-    kmax : int
-        Largest chain index to produce, at least 1 (element 1 alone).
+    tol : float, optional
+        Subspace-distance stopping tolerance, finite, positive (default 1e-12).
+    kmax : int, optional
+        Largest chain index to produce (default 100); 1 is element 1 alone.
     expected_dim : int, optional
         Known dimension of the stable subspace.
     observer : callable, optional

@@ -11,10 +11,12 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from abflow import AccelConfig, ParseError, Pencil, modified_ab_run
+from abflow import (AccelConfig, ParseError, Pencil, SqrtProblem,
+                    modified_ab_run)
 from abflow import cli
 from abflow.cli import main, matrix_to_json, parse_matrix_file, write_matrix_json
-from abflow.lab import ProblemSpec, make_known_sqrt_problem, make_pencil_problem
+from abflow.lab import (ProblemSpec, make_known_sqrt_problem,
+                        make_pencil_problem, run_experiment)
 from abflow.linalg import EPS
 
 
@@ -455,6 +457,37 @@ def test_cli_bench_pencil_kind(tmp_path):
     assert os.path.exists(os.path.join(out_dir, "bench_pencil_r2.csv"))
     doc = read_strict_json(os.path.join(out_dir, "bench_pencil_r2.json"))
     assert doc["header"]["gamma"] == 1.0
+
+
+#: The library home of every numeric default, by subcommand; bench's
+#: --orders is a list, so its entry is the list that its default reads as.
+_LIBRARY_DEFAULTS = {
+    "sqrt": {"order": SqrtProblem.order, "gamma": SqrtProblem.gamma,
+             "tol": SqrtProblem.tol, "kmax": SqrtProblem.kmax},
+    "pencil": {"order": AccelConfig.order, "tol": AccelConfig.tol,
+               "kmax": AccelConfig.kmax},
+    "bench": {"cond": ProblemSpec.cond, "seed": ProblemSpec.seed,
+              "gamma": SqrtProblem.gamma, "tol": SqrtProblem.tol,
+              "orders": [SqrtProblem.order],
+              "kmax": run_experiment.__kwdefaults__["kmax"]},
+}
+
+
+@pytest.mark.parametrize("cmd, required", [
+    ("sqrt", ["--input", "S.txt"]),
+    ("pencil", ["--a", "A.txt", "--b", "B.txt"]),
+    ("bench", ["--kind", "sqrt", "--spectrum", "2"]),
+])
+def test_cli_defaults_are_the_library_defaults(cmd, required):
+    """Each numeric default is read from the library, none written twice."""
+    ns = vars(cli.build_parser().parse_args([cmd, *required]))
+    if cmd == "bench":
+        ns["orders"] = cli._parse_list(ns["orders"], int, "order", "order list")
+    expected = _LIBRARY_DEFAULTS[cmd]
+    assert {name: ns[name] for name in expected} == expected
+    numeric = {name for name, v in ns.items()
+               if isinstance(v, (int, float)) and not isinstance(v, bool)}
+    assert numeric <= expected.keys()
 
 
 # ----------------------------- error handling -----------------------------

@@ -296,3 +296,31 @@ def test_a_real_beyond_double_range_is_not_finite():
 def test_an_eigenvalue_must_be_a_number(make):
     with pytest.raises(ValueError, match="^eigenvalue .* is not a number$"):
         make()
+
+
+@pytest.mark.parametrize("value", [10 ** 400, -10 ** 400, Fraction(10 ** 400, 3)],
+                         ids=["int", "negative-int", "fraction"])
+def test_an_eigenvalue_beyond_double_range_is_not_finite(value):
+    """Read as infinite, as a real setting is, not left to the
+    ``OverflowError`` of ``complex()``: ``SpectrumEntry`` refuses it and
+    ``breakdown_check`` skips it."""
+    with pytest.raises(ValueError, match="^eigenvalue .* is not finite$"):
+        SpectrumEntry(value)
+    assert breakdown_check([value], 5) is None
+    assert breakdown_check([value, -1.0], 5) == 1
+
+
+def test_pencil_run_defaults_are_accel_configs():
+    """``AccelConfig()`` is the plain chain at tol 1e-12 and kmax 100, and
+    ``ab_run`` without settings is the same run, bit for bit."""
+    assert AccelConfig() == AccelConfig(1, 1e-12, 100)
+    pencil = make_pencil_problem(
+        ProblemSpec((0.5, 0.3 + 0.2j, -0.6, 2.0, 3.0 - 1j), cond=5, seed=3)).pencil
+    implicit, explicit = ab_run(pencil), ab_run(pencil, 1e-12, 100)
+    assert implicit.status is CONVERGED
+    assert (implicit.status, implicit.iterations) == (explicit.status,
+                                                      explicit.iterations)
+    for a, b in [(implicit.U.basis, explicit.U.basis),
+                 (implicit.Lambda, explicit.Lambda),
+                 (np.float64(implicit.residual), np.float64(explicit.residual))]:
+        assert a.tobytes() == b.tobytes()
