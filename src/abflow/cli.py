@@ -229,6 +229,7 @@ def _cmd_pencil(ns) -> int:
 def _cmd_bench(ns) -> int:
     values = _parse_list(ns.spectrum, complex, "eigenvalue", "spectrum")
     orders = _parse_list(ns.orders, int, "order", "order list")
+    orders = list(dict.fromkeys(orders))    # each distinct order once, in turn
     spec = ProblemSpec(spectrum=tuple(values), cond=ns.cond, seed=ns.seed)
     for r in orders:        # every order is checked before the first run
         _check_settings(r, ns.tol, ns.kmax)

@@ -57,14 +57,12 @@ class LUFactorization:
     ``lu`` holds the unit-lower and upper triangles combined and ``piv``
     the LAPACK pivot indices (row ``i`` was swapped with row ``piv[i]``);
     ``a_max`` is ``max|A|`` of the factored matrix, from which ``growth``
-    is computed when first read; that matrix is ``diag(row_scale) A`` when
-    ``lu_factor`` had to scale the rows of ``A``.
+    is computed when first read.
     """
 
     lu: np.ndarray
     piv: np.ndarray
     a_max: float
-    row_scale: np.ndarray | None = None
 
     @property
     def n(self) -> int:
@@ -81,12 +79,7 @@ class LUFactorization:
         """Solve ``A @ X = rhs`` (or ``A.T @ X = rhs`` when ``trans``)."""
         if self.n == 0 or rhs.shape[1] == 0:
             return np.zeros_like(rhs)
-        s = self.row_scale
-        if s is None:
-            return zgetrs(self.lu, self.piv, rhs, trans=int(trans))[0]
-        if trans:       # A^T = (diag(s) A)^T diag(s)^-1
-            return s[:, None] * zgetrs(self.lu, self.piv, rhs, trans=1)[0]
-        return zgetrs(self.lu, self.piv, s[:, None] * rhs)[0]
+        return zgetrs(self.lu, self.piv, rhs, trans=int(trans))[0]
 
 
 def lu_factor(A, B=None) -> LUFactorization:
@@ -100,8 +93,10 @@ def lu_factor(A, B=None) -> LUFactorization:
     in ``A``, ``B`` or ``M``; LAPACK's ``xGEEQU`` row equilibration), below
     ``PIVOT_SAFETY * n * eps`` too: a sum that cancels to rounding error
     of its terms is singular, and each row is judged on its own scale.
-    ``ValueError`` when ``max|M|`` overflows, where no pivot test can
-    judge ``M``.
+    A pass returns LU factors of ``M`` itself, after the scaled test in
+    its pivot order, which keeps each row's accuracy (``zgetrf``'s where
+    those overflow, rows ~``2**1022`` apart).  ``ValueError`` when
+    ``max|M|`` overflows, where no pivot test can judge ``M``.
     """
     M, term_max = A, 0.0
     if B is not None:
@@ -120,18 +115,28 @@ def lu_factor(A, B=None) -> LUFactorization:
     lu, piv, _ = zgetrf(M)
     pivot = float(np.abs(lu.diagonal()).min())
     cutoff = PIVOT_SAFETY * n * EPS * max(term_max, a_max)
-    if pivot >= cutoff:
-        return LUFactorization(lu, piv, a_max)
-    rows = [np.abs(T).max(axis=1) for T in (A, B, M) if T is not None]
-    s = np.ldexp(1.0, -np.maximum(np.frexp(np.max(rows, 0))[1], -1023))
-    M = s[:, None] * M      # each row's largest term entry now in [0.5, 1)
-    lu, piv, _ = zgetrf(M)
-    scaled, least = float(np.abs(lu.diagonal()).min()), PIVOT_SAFETY * n * EPS
-    if scaled < least:
-        raise BreakdownError(
-            f"pivot {pivot:.3e} below cutoff {cutoff:.3e}, row-scaled "
-            f"pivot {scaled:.3e} below {least:.3e}")
-    return LUFactorization(lu, piv, float(np.abs(M).max()), s)
+    if pivot < cutoff:
+        rows = [np.abs(T).max(axis=1) for T in (A, B, M) if T is not None]
+        e = np.maximum(np.frexp(np.max(rows, 0))[1], -1023)
+        # each row's largest term entry now in [0.5, 1)
+        slu, spiv, _ = zgetrf(np.ldexp(1.0, -e)[:, None] * M)
+        scaled = float(np.abs(slu.diagonal()).min())
+        least = PIVOT_SAFETY * n * EPS
+        if scaled < least:
+            raise BreakdownError(
+                f"pivot {pivot:.3e} below cutoff {cutoff:.3e}, row-scaled "
+                f"pivot {scaled:.3e} below {least:.3e}")
+        # Undo the scales exactly: with E = P diag(2**e) P^T, E L E^-1 and
+        # E U are the LU factors of P M in the row-scaled pivot order.
+        for i, p in enumerate(spiv):
+            e[[i, p]] = e[[p, i]]
+        shift = e[:, None] - np.tril(np.broadcast_to(e, (n, n)), -1)
+        with np.errstate(over="ignore"):
+            for part in (slu.real, slu.imag):
+                part[...] = np.ldexp(part, shift)
+        if np.isfinite(slu).all():  # else they overflow: keep zgetrf's
+            lu, piv = slu, spiv
+    return LUFactorization(lu, piv, a_max)
 
 
 @dataclass(frozen=True)

@@ -15,6 +15,7 @@ import numpy as np
 import pytest
 from scipy.linalg import ordqz
 
+from abflow import linalg, pencil as pencil_module
 from abflow import (
     AccelConfig,
     Pencil,
@@ -31,6 +32,7 @@ from abflow.lab import (
     conditioned_similarity,
     make_known_sqrt_problem,
     make_pencil_problem,
+    random_unitary,
 )
 
 TOL, KMAX = 1e-12, 200
@@ -150,6 +152,52 @@ def test_widely_scaled_moduli_are_not_a_breakdown(order, dim):
     assert res.status is SolveStatus.CONVERGED
     assert res.U.dim == 1
     assert subspace_distance(res.U, np.eye(2)[:, :1]) <= 1e-8
+
+
+def _row_scaled_pencil(seed):
+    """``(D Q Lam Q^H, D)``: row scales ``10^U(-12, 12)``, n in 3..11, the
+    first half of ``Lam`` inside the unit circle and Q unitary.  Unlike a
+    diagonal pencil, every pivot order here rounds differently."""
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(3, 12))
+    m = n // 2
+    d = 10.0 ** rng.uniform(-12, 12, n)
+    moduli = rng.uniform(0.1, 0.7, n)
+    moduli[m:] = 1 / moduli[m:]
+    lam = moduli * np.exp(2j * np.pi * rng.random(n))
+    Q = random_unitary(n, rng)
+    return Pencil(d[:, None] * (Q * lam) @ Q.conj().T, np.diag(d)), Q[:, :m]
+
+
+@pytest.mark.parametrize("order", [1, 2])
+def test_row_scaled_pencils_converge_through_the_second_opinion(
+        order, monkeypatch):
+    """Sums whose normwise pivot test fails and whose row-scaled one
+    passes are solved with their own factors in the row-scaled pivot
+    order; each ``lu_factor`` that takes the second opinion makes a
+    second ``zgetrf``.  Every row here is dense, so zgetrf's own order
+    would do as well; the kernel tests in ``test_linalg`` cover rows
+    whose largest entry sits off the pivot column."""
+    calls = {"lu_factor": 0, "zgetrf": 0}
+
+    def counted(name, fn):
+        def wrapped(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapped
+
+    for module, name in ((pencil_module, "lu_factor"), (linalg, "zgetrf")):
+        monkeypatch.setattr(module, name, counted(name, getattr(module, name)))
+    reached = 0
+    for seed in range(60):
+        pencil, stable = _row_scaled_pencil(seed)
+        before = calls["zgetrf"] - calls["lu_factor"]
+        res = modified_ab_run(pencil, AccelConfig(order, TOL, KMAX,
+                                                  stable.shape[1]))
+        reached += calls["zgetrf"] - calls["lu_factor"] > before
+        assert res.status is SolveStatus.CONVERGED, seed
+        assert subspace_distance(res.U, stable) <= 1e-8, seed
+    assert reached >= 30, reached
 
 
 _THIRD_ROOT = np.exp(2j * np.pi / 3)

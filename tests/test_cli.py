@@ -391,6 +391,21 @@ def test_cli_bench_multiple_orders(tmp_path):
         assert doc["header"]["order"] == r
 
 
+def test_cli_bench_runs_each_distinct_order_once(tmp_path, capsys,
+                                                 monkeypatch):
+    started, run = [], cli.run_experiment
+
+    def counted_run(*args, **kwargs):
+        started.append(kwargs["order"])
+        return run(*args, **kwargs)
+    monkeypatch.setattr(cli, "run_experiment", counted_run)
+    assert main(["bench", "--kind", "sqrt", "--spectrum", "2,3", "--orders",
+                 "2,1,2,2", "--out-dir", str(tmp_path / "D")]) == 0
+    assert started == [2, 1]
+    lines = capsys.readouterr().out.splitlines()
+    assert [line.split(":")[0] for line in lines] == ["order 2", "order 1"]
+
+
 @pytest.mark.parametrize("orders", ["2,17", "0,2", "1,-3"])
 def test_cli_bench_rejects_orders_before_any_run(tmp_path, capsys, monkeypatch,
                                                  orders):

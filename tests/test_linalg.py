@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from scipy.linalg.lapack import zgetrf
 
 from abflow import (
     AccelConfig,
@@ -13,7 +14,8 @@ from abflow import (
 )
 from abflow.errors import BreakdownError
 from abflow.lab import conditioned_similarity, random_unitary
-from abflow.linalg import lu_factor, null_space_basis, smallest_singular_subspace
+from abflow.linalg import (EPS, PIVOT_SAFETY, lu_factor, null_space_basis,
+                           smallest_singular_subspace)
 
 from oracles import induced_norm2, lu_perm, lu_solve, matrix_power_sum
 
@@ -90,19 +92,98 @@ def test_lu_factor_rejects_singular():
 @pytest.mark.parametrize("trans", [False, True])
 def test_lu_factor_judges_each_row_on_its_own_scale(trans):
     """On a sum whose rows differ in scale by 1e14 the normwise cutoff
-    fails, and the row-scaled factorization decides and solves."""
+    fails and the row-scaled factorization decides; it pivots as zgetrf
+    does, so with its exact scales undone the factors kept are those of
+    the sum itself, bit for bit, and they solve."""
     rng = np.random.default_rng(4)
-    A = np.diag([0.5, 1e14]) + 1e-3 * rng.standard_normal((2, 2))
+    A = np.diag([0.5, 1e14]) + 1e-3 * rng.standard_normal((2, 2)) + 0j
     B = np.eye(2, dtype=complex)
-    f = lu_factor(A.astype(complex), B)
-    assert f.row_scale is not None and np.all(np.log2(f.row_scale) % 1 == 0)
-    assert f.a_max < 1.0        # the matrix factored is the scaled one
-    rhs = rng.standard_normal((2, 3)) + 1j * rng.standard_normal((2, 3))
     M = A + B
+    f = lu_factor(A, B)
+    lu, piv, _ = zgetrf(M)
+    assert f.lu.tobytes() == lu.tobytes() and f.piv.tobytes() == piv.tobytes()
+    assert f.a_max == np.abs(M).max()
+    # the normwise cutoff fails, so the row-scaled pivot decides
+    assert np.abs(lu.diagonal()).min() < PIVOT_SAFETY * 2 * EPS * f.a_max
+    rhs = rng.standard_normal((2, 3)) + 1j * rng.standard_normal((2, 3))
     X = f.solve(rhs, trans=trans)
     expected = np.linalg.solve(M.T if trans else M, rhs)
     assert np.linalg.norm(X - expected) <= 1e-14 * np.linalg.norm(expected)
-    assert lu_factor(np.eye(2, dtype=complex)).row_scale is None
+
+
+@pytest.mark.parametrize("trans", [False, True])
+def test_lu_factor_keeps_the_row_scaled_pivot_order(trans):
+    """zgetrf pivots [[1, 1e20], [0.5, 1]] on its first row, where the 1
+    is rounding error of the 1e20, and then loses the second row; the
+    row-scaled sum pivots on the second row.  The factors kept are those
+    of the sum in that order, and they solve as the row-equilibrated sum
+    does, although the sum's normwise condition number is about 1e20."""
+    A = np.array([[0.0, 1e20], [0.5, 0.0]], dtype=complex)
+    B = np.eye(2, dtype=complex)
+    M = A + B
+    f = lu_factor(A, B)
+    assert zgetrf(M)[1].tolist() == [0, 1] and f.piv.tolist() == [1, 1]
+    L, U = np.tril(f.lu, -1) + np.eye(2), np.triu(f.lu)
+    assert np.allclose(L @ U, M[lu_perm(f.piv)], rtol=EPS, atol=0.0)
+    assert f.a_max == 1e20
+    s = np.array([2.0**-67, 0.5])   # each row's largest entry into [0.5, 1)
+    E = s[:, None] * M
+    rhs = np.array([[1.0, 1e20 + 1.0], [1.5, 0.5j]])
+    X = f.solve(rhs, trans=trans)
+    expected = (s[:, None] * np.linalg.solve(E.T, rhs) if trans
+                else np.linalg.solve(E, s[:, None] * rhs))
+    assert np.abs(X - expected).max() <= 1e-14 * np.abs(expected).max()
+
+
+def test_lu_factor_solves_as_the_row_equilibrated_sum():
+    """Seeded sums D (G + I) whose rows span 10^+-15 and whose entries
+    span 1e-20..1 within a row, so that zgetrf pivots on entries that
+    are rounding error of their rows: where the row-scaled test decides,
+    every solve, either way round, matches the row-equilibrated sum's to
+    its condition number.  (Where the normwise test passes, zgetrf's
+    factors are kept as they are.)"""
+    rng = np.random.default_rng(5)
+    decided = 0
+    for _ in range(40):
+        n = int(rng.integers(3, 13))
+        d = 10.0 ** rng.uniform(-15, 15, n)
+        G = 10.0 ** rng.uniform(-20, 0, (n, n)) * (
+            rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))
+        A, B = d[:, None] * G, np.diag(d).astype(complex)
+        f = lu_factor(A, B)
+        lu = zgetrf(A + B)[0]
+        if (np.abs(lu.diagonal()).min()
+                >= PIVOT_SAFETY * n * EPS * max(np.abs(A).max(), f.a_max)):
+            continue
+        decided += 1
+        rows = np.max([np.abs(T).max(axis=1) for T in (A, B, A + B)], 0)
+        s = np.ldexp(1.0, -np.frexp(rows)[1])
+        E = s[:, None] * (A + B)
+        rhs = rng.standard_normal((n, 2)) + 1j * rng.standard_normal((n, 2))
+        for X, expected in (
+                (f.solve(rhs), np.linalg.solve(E, s[:, None] * rhs)),
+                (f.solve(rhs, trans=True),
+                 s[:, None] * np.linalg.solve(E.T, rhs))):
+            assert (np.linalg.norm(X - expected) <= 1e-14 * np.linalg.cond(E)
+                    * np.linalg.norm(expected))
+    assert decided >= 30, decided
+
+
+def test_lu_factor_keeps_zgetrf_where_the_scaled_order_overflows():
+    """Rows 2**1330 apart: the factors of the sum in the row-scaled pivot
+    order would overflow (a multiplier near 2**1330), so zgetrf's are
+    kept, and they solve with a small normwise residual."""
+    a, b = np.ldexp(0.9, -1000), np.ldexp(0.6, 330)
+    M = np.array([[a, a], [b, -b / 2]], dtype=complex)
+    lu, piv, _ = zgetrf(M)
+    assert piv.tolist() == [1, 1]
+    assert zgetrf(np.diag([2.0**1000, 2.0**-330]) @ M)[1].tolist() == [0, 1]
+    f = lu_factor(M)
+    assert f.lu.tobytes() == lu.tobytes() and f.piv.tobytes() == piv.tobytes()
+    rhs = M @ np.array([[1.0], [1.0j]])
+    X = f.solve(rhs)
+    assert np.all(np.isfinite(X))
+    assert np.linalg.norm(M @ X - rhs) <= 1e-14 * b * np.linalg.norm(X)
 
 
 def test_null_space_full_rank_is_empty():

@@ -190,8 +190,9 @@ def test_sqrtm_breakdown_on_negative_axis():
 # The overflow of 1e160*I is pinned until the solver reports divergence
 # with a status of its own.
 
-@pytest.mark.xfail(strict=True, reason="the Q-chain overflows and raises "
-                                      "instead of returning a status")
+@pytest.mark.xfail(strict=True, raises=(RuntimeWarning, ValueError),
+                   reason="ROADMAP items 4 and 10: S + partner Q overflows in "
+                   "q_step, which raises instead of returning a status")
 def test_sqrtm_huge_scalar_matrix_returns_a_true_status():
     res = sqrtm_ab(SqrtProblem(1e160 * np.eye(3, dtype=complex)))
     assert res.status is not SolveStatus.BREAKDOWN
