@@ -97,7 +97,7 @@ def conditioned_similarity(n: int, cond: float,
     cond = _real("cond", cond, 1)
     U = random_unitary(n, rng)
     V = random_unitary(n, rng)
-    s = np.logspace(0.0, math.log10(cond), n) if n > 1 else np.ones(1)
+    s = np.logspace(0.0, math.log10(cond), n)
     return (U * s) @ V.conj().T
 
 
@@ -110,7 +110,7 @@ def _similar_to_blocks(spec: ProblemSpec, entries):
     for e in entries:
         m = e.multiplicity
         D[pos:pos + m, pos:pos + m] = e.value * np.eye(m)
-        if not e.semisimple and m > 1:
+        if not e.semisimple:
             D[pos:pos + m - 1, pos + 1:pos + m] += np.eye(m - 1)
         pos += m
     rng = np.random.default_rng(spec.seed)

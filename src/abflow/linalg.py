@@ -38,7 +38,7 @@ def as_matrix(a, name: str = "matrix") -> np.ndarray:
     M = np.asarray(a, dtype=np.complex128)
     if M.ndim != 2:
         raise ValueError(f"{name} must be 2-D, got ndim={M.ndim}")
-    if M.size and not np.all(np.isfinite(M)):
+    if not np.all(np.isfinite(M)):
         raise ValueError(f"{name} contains non-finite entries")
     return M
 
@@ -77,7 +77,7 @@ class LUFactorization:
 
     def solve(self, rhs: np.ndarray, trans: bool = False) -> np.ndarray:
         """Solve ``A @ X = rhs`` (or ``A.T @ X = rhs`` when ``trans``)."""
-        if self.n == 0 or rhs.shape[1] == 0:
+        if self.n == 0:    # zgetrs's wrapper rejects an empty factorization
             return np.zeros_like(rhs)
         return zgetrs(self.lu, self.piv, rhs, trans=int(trans))[0]
 
@@ -217,7 +217,7 @@ def _pivoted_qr_null_space(M: np.ndarray, dim: int | None = None,
     """
     n_cols = M.shape[1]
     r = 0 if dim is None else n_cols - dim
-    if M.size == 0 or dim in (0, n_cols):     # I[:, r:] without a QR
+    if M.size == 0:     # zgeqp3 rejects it, with an xerbla message on stdout
         return _lapack_basis(np.eye(n_cols, dtype=np.complex128)[:, r:])
     qr, _, tau, _, _ = zgeqp3(M.conj().T, overwrite_a=True)
     if dim is None:
@@ -235,10 +235,10 @@ def subspace_distance(U, V) -> float:
     """Distance ``||P_U - P_V||_2`` between two spanned subspaces.
 
     Equals the sine of the largest principal angle when the dimensions
-    match, computed as ``||V - U (U^H V)||_2`` from n-by-m products, never
-    the n-by-n projectors; returns 1.0 when the dimensions differ
-    (maximal by convention).  Inputs are ``SubspaceBasis`` objects or
-    arrays, and an array goes through ``SubspaceBasis`` and its checks.
+    match, ``||V - U (U^H V)||_2`` from n-by-m products, never the n-by-n
+    projectors (0 for two empty bases, by the same formula); 1.0 when the
+    dimensions differ (maximal by convention).  Inputs are ``SubspaceBasis``
+    objects or arrays; an array goes through ``SubspaceBasis``'s checks.
 
     Raises
     ------
@@ -253,8 +253,6 @@ def subspace_distance(U, V) -> float:
             f"ambient dimensions differ: {Bu.shape[0]} vs {Bv.shape[0]}")
     if Bu.shape[1] != Bv.shape[1]:
         return 1.0
-    if Bu.shape[1] == 0:
-        return 0.0
     # both orders, so that swapping the arguments is bit-exact
     return min(1.0, max(_residual_norm(Bu, Bv), _residual_norm(Bv, Bu)))
 
@@ -284,4 +282,4 @@ def _residual(Bu: np.ndarray, Bv: np.ndarray) -> np.ndarray:
 def _residual_norm(Bu: np.ndarray, Bv: np.ndarray) -> float:
     """``||Bv - Bu (Bu^H Bv)||_2`` from the m-by-m Gram matrix of the residual."""
     W = _residual(Bu, Bv)
-    return math.sqrt(max(0.0, float(np.linalg.eigvalsh(W.conj().T @ W)[-1])))
+    return math.sqrt(np.linalg.eigvalsh(W.conj().T @ W).max(initial=0.0))

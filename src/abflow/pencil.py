@@ -180,17 +180,13 @@ def breakdown_check(eigenvalues, kmax: int):
 
 def _finish(pencil: Pencil, U: SubspaceBasis, iterations: int,
             status: SolveStatus) -> SubspaceResult:
-    """The result on span(U), with the least-squares coupling block of
-    the original pencil (residual NaN on breakdown)."""
-    m = U.dim
-    if m == 0:     # an empty basis is exact, unless the run broke down
-        residual = math.nan if status is SolveStatus.BREAKDOWN else 0.0
-        return SubspaceResult(U, np.zeros((0, 0), dtype=np.complex128),
-                              residual, iterations, status)
+    """The result on span(U), with the least-squares coupling block of the
+    original pencil: residual 0 for an empty basis, NaN on breakdown."""
     AU = pencil.A @ U.basis
     BU = pencil.B @ U.basis
     Lam = np.linalg.lstsq(BU, AU, rcond=None)[0]
-    residual = _norm(AU - BU @ Lam) / math.sqrt(m)
+    residual = (math.nan if status is SolveStatus.BREAKDOWN
+                else _norm(AU - BU @ Lam) / math.sqrt(max(U.dim, 1)))
     return SubspaceResult(U, Lam, residual, iterations, status)
 
 
@@ -351,10 +347,9 @@ def modified_ab_run(initial: Pencil, cfg: AccelConfig,
         element that could not be produced.
     """
     tol, order, expected_dim = cfg.tol, cfg.order, cfg.expected_dim
-    if expected_dim is not None and expected_dim > initial.n:
-        raise ValueError(
-            f"requested dim {expected_dim} outside 0..{initial.n}")
-    if expected_dim is None:      # only threshold mode reads the scale
+    if expected_dim is not None:
+        _integer("expected_dim", expected_dim, 0, initial.n)
+    else:         # only threshold mode reads the scale
         ref = float(_norm(initial.A - initial.B, axis=1).max(initial=0.0))
 
     def extract(it):

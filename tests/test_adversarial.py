@@ -228,3 +228,59 @@ def test_threshold_mode_keeps_a_widely_scaled_root_out():
     for order in (1, 2):
         res = modified_ab_run(pencil, AccelConfig(order, TOL, KMAX))
         assert res.status is not SolveStatus.CONVERGED or res.U.dim == 0
+
+
+@pytest.mark.xfail(strict=True, raises=AssertionError,
+                   reason="ROADMAP item 18, the expected_dim FOUND in "
+                   "CHANGES.md: the run stops CONVERGED at element 2 with "
+                   "the unstable direction e2 (residual 0.0, sine 1.0)")
+@pytest.mark.parametrize("d1, d2", [(1e3, 1e-3), (1e6, 1e-6)])
+@pytest.mark.parametrize("order", [1, 2])
+def test_expected_dim_finds_the_stable_direction_of_row_scaled_pencils(
+        order, d1, d2):
+    """B^-1 A = diag(0.5, 2) with the rows scaled by (d1, d2): the stable
+    subspace is e1, so a CONVERGED run must return it."""
+    pencil = Pencil(np.diag([0.5 * d1, 2 * d2]), np.diag([d1, d2]))
+    res = modified_ab_run(pencil, AccelConfig(order, TOL, KMAX, 1))
+    assert (res.status is not SolveStatus.CONVERGED
+            or subspace_distance(res.U, np.eye(2)[:, :1]) <= 1e-8)
+
+
+def test_trivial_inputs_stay_exact_and_silent(capfd):
+    """Solves with no right-hand side, ``expected_dim`` of 0 or n, empty
+    bases and generators of size 0 or 1 take the general code: each result
+    is exact, and LAPACK prints nothing (its ``xerbla`` writes to stdout,
+    which only a file-descriptor capture sees)."""
+    rng = np.random.default_rng(0)
+    for n in (0, 4):
+        A = conditioned_similarity(n, 10.0, rng)
+        X = linalg.lu_factor(A).solve(np.zeros((n, 0), dtype=complex))
+        assert X.shape == (n, 0) and X.dtype == np.complex128
+        for dim in (0, n):
+            basis = linalg.smallest_singular_subspace(A, dim).basis
+            assert basis.dtype == np.complex128
+            assert np.array_equal(basis, np.eye(n)[:, n - dim:])
+        empty = np.zeros((n, 0), dtype=complex)
+        assert subspace_distance(empty, empty) == 0.0
+    # expected_dim 0 at orders 1 and 2, then a breakdown at element 2
+    for value, order, dim, status in ((2.0, 1, 0, SolveStatus.CONVERGED),
+                                      (2.0, 2, 0, SolveStatus.CONVERGED),
+                                      (-1.0, 1, 1, SolveStatus.BREAKDOWN)):
+        res = modified_ab_run(Pencil(np.diag([0.5, value]), np.eye(2)),
+                              AccelConfig(order, TOL, KMAX, dim))
+        assert (res.status, res.iterations) == (status, 2)
+        assert res.U.basis.shape == (2, 0) and res.Lambda.shape == (0, 0)
+        assert res.Lambda.dtype == np.complex128
+        assert (np.isnan(res.residual) if status is SolveStatus.BREAKDOWN
+                else res.residual == 0.0)
+    for n in (0, 1):
+        P = conditioned_similarity(n, 10.0, np.random.default_rng(n))
+        rng = np.random.default_rng(n)
+        U, V = random_unitary(n, rng), random_unitary(n, rng)
+        assert np.array_equal(P, U @ V.conj().T)     # every s_i is 1
+    # a non-semisimple entry of multiplicity 1 is a plain eigenvalue
+    jordan, plain = (make_known_sqrt_problem(ProblemSpec(
+        (SpectrumEntry(2.0, 1, semisimple=s), 3.0), seed=1))
+        for s in (False, True))
+    assert all(np.array_equal(a, b) for a, b in zip(jordan, plain))
+    assert capfd.readouterr() == ("", "")

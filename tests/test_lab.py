@@ -302,6 +302,21 @@ def test_pencil_generator_rejects_non_root_of_unity_circle():
         make_pencil_problem(ProblemSpec(spectrum=(z, 0.5)))
 
 
+def test_pencil_generator_self_check_rejects_a_wrong_similarity(monkeypatch):
+    """A similarity ``P D P^-1`` off by 1e-3 fails the generator's own
+    check of ``A U = B U Lam``."""
+    similar = lab._similar_to_blocks
+
+    def perturbed(*args):
+        *head, M = similar(*args)
+        return (*head, M + 1e-3)
+
+    monkeypatch.setattr(lab, "_similar_to_blocks", perturbed)
+    with pytest.raises(RuntimeError,
+                       match="^generator self-check failed: defect "):
+        make_pencil_problem(ProblemSpec(spectrum=(0.5, 2.0), seed=0))
+
+
 def test_generator_determinism():
     spec = ProblemSpec(spectrum=(2.0, 3.0 + 0.5j), cond=50.0, seed=77)
     S1, X1 = make_known_sqrt_problem(spec)

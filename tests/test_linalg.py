@@ -51,6 +51,11 @@ def test_lu_factor_reconstructs_and_permutes():
         assert f.growth == np.abs(U).max() / np.abs(A).max()
 
 
+def test_empty_factorization_has_zero_growth():
+    f = lu_factor(np.zeros((0, 0), dtype=complex))
+    assert f.n == 0 and f.growth == 0.0
+
+
 def test_lu_solve_backward_accuracy():
     rng = np.random.default_rng(2)
     for n in (2, 8, 16):
@@ -385,7 +390,8 @@ def test_smallest_singular_subspace_rejects_bad_dim():
     against the pencil where it starts, before element 1 is observed."""
     seen = []
     pencil = Pencil(np.eye(3, dtype=complex), 2 * np.eye(3, dtype=complex))
-    with pytest.raises(ValueError, match=r"dim 4 outside 0\.\.3"):
+    with pytest.raises(ValueError,
+                       match="^expected_dim must be between 0 and 3, got 4$"):
         modified_ab_run(pencil, AccelConfig(2, 1e-10, 10, expected_dim=4),
                         observer=lambda *x: seen.append(x))
     assert seen == []
