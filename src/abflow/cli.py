@@ -22,7 +22,7 @@ from .errors import ABFlowError, ParseError
 from .lab import ProblemSpec, run_experiment
 from .linalg import as_matrix
 from .pencil import (MAX_ORDER, AccelConfig, Pencil, SolveStatus,
-                     _check_settings, _integer, modified_ab_run)
+                     _check_settings, _integer, _real, modified_ab_run)
 from .sqrtm import SqrtProblem, sqrtm_ab
 from .trace import (_finite_or_none, atomic_write_text, write_trace_csv,
                     write_trace_json)
@@ -197,6 +197,8 @@ class _Parser(argparse.ArgumentParser):
 # ----------------------------- subcommands -----------------------------
 
 def _cmd_sqrt(ns) -> int:
+    _real("gamma", ns.gamma, 0)     # the settings before the file, as pencil
+    _check_settings(ns.order, ns.tol, ns.kmax)
     result = sqrtm_ab(SqrtProblem(parse_matrix_file(ns.input), gamma=ns.gamma,
                                   order=ns.order, tol=ns.tol, kmax=ns.kmax))
     out = _resolve_out(ns.out, "sqrt_result.json")

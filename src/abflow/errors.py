@@ -25,24 +25,14 @@ class BreakdownError(ABFlowError):
         produced; None for square-root steps and bare factorizations.
     """
 
-    def __init__(self, message: str, index: int | None = None):
-        super().__init__(message)
-        self.index = index
+    index: int | None = None
 
 
 class ParseError(ABFlowError):
     """A matrix file is malformed or unreadable; carries its position."""
 
-    def __init__(self, message: str, path: str | None = None,
+    def __init__(self, message: str, path: str,
                  line: int | None = None, offset: int | None = None):
-        loc = ""
-        if path is not None:
-            loc += str(path)
-        if line is not None:
-            loc += f":{line}"
-        if offset is not None:
-            loc += f":{offset}"
-        super().__init__(f"{loc}: {message}" if loc else message)
-        self.path = path
-        self.line = line
-        self.offset = offset
+        loc = "".join(f":{v}" for v in (line, offset) if v is not None)
+        super().__init__(f"{path}{loc}: {message}")
+        self.path, self.line, self.offset = path, line, offset

@@ -83,30 +83,28 @@ class LUFactorization:
 
 
 def lu_factor(A, B=None) -> LUFactorization:
-    """Factor ``M = A`` or ``M = A + B`` (finite square complex128 arrays
-    of one shape) as ``P M = L U`` with partial pivoting.
+    """Factor ``M = A`` (a sum of one term) or ``M = A + B`` (finite square
+    complex128 arrays of one shape) as ``P M = L U`` with partial pivoting.
 
-    Raises ``BreakdownError`` (index None), the one signal of a singular
-    sum in either chain, when a pivot falls below ``PIVOT_SAFETY * n * eps
-    * max(max|M|, max|A|, max|B|)`` and, with row i of ``M`` scaled by
-    the exact ``2**-e_i`` (``e_i`` the exponent of the row's largest entry
-    in ``A``, ``B`` or ``M``; LAPACK's ``xGEEQU`` row equilibration), below
-    ``PIVOT_SAFETY * n * eps`` too: a sum that cancels to rounding error
-    of its terms is singular, and each row is judged on its own scale.
+    Raises ``BreakdownError`` (index None), the one signal of a singular sum
+    in either chain, when a pivot falls below ``PIVOT_SAFETY * n * eps``
+    times the largest entry of each term and of the sum and, with row i of
+    ``M`` scaled by the exact ``2**-e_i`` (``e_i`` the exponent of the row's
+    largest entry in those; LAPACK's ``xGEEQU`` row equilibration), below
+    ``PIVOT_SAFETY * n * eps`` too: a sum that cancels to rounding error of
+    its terms is singular, and each row is judged on its own scale.
     A pass returns LU factors of ``M`` itself, after the scaled test in
     its pivot order, which keeps each row's accuracy (``zgetrf``'s where
     those overflow, rows ~``2**1022`` apart).  ``ValueError`` when
     ``max|M|`` overflows, where no pivot test can judge ``M``.
     """
-    M, term_max = A, 0.0
-    if B is not None:
-        term_max = max(float(np.abs(A).max(initial=0.0)),
-                       float(np.abs(B).max(initial=0.0)))
-        M = A + B
+    terms = (A,) if B is None else (A, B, A + B)    # the sum M last
+    M = terms[-1]
     n = M.shape[0]
     if n == 0:
         return LUFactorization(M.copy(), np.empty(0, dtype=np.int32), 0.0)
-    a_max = float(np.abs(M).max())
+    maxima = [float(np.abs(T).max()) for T in terms]
+    a_max = maxima[-1]
     if a_max == 0.0:
         raise BreakdownError("matrix is identically zero")
     if a_max == math.inf:
@@ -114,9 +112,9 @@ def lu_factor(A, B=None) -> LUFactorization:
     # exact zero pivots (info > 0) are flagged below through the cutoff check
     lu, piv, _ = zgetrf(M)
     pivot = float(np.abs(lu.diagonal()).min())
-    cutoff = PIVOT_SAFETY * n * EPS * max(term_max, a_max)
+    cutoff = PIVOT_SAFETY * n * EPS * max(maxima)
     if pivot < cutoff:
-        rows = [np.abs(T).max(axis=1) for T in (A, B, M) if T is not None]
+        rows = [np.abs(T).max(axis=1) for T in terms]
         e = np.maximum(np.frexp(np.max(rows, 0))[1], -1023)
         # each row's largest term entry now in [0.5, 1)
         slu, spiv, _ = zgetrf(np.ldexp(1.0, -e)[:, None] * M)

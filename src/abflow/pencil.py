@@ -217,8 +217,9 @@ def _drive(x, advance, metric, tol: float, kmax: int, observe,
     element ``best_k``, the one of smallest metric (the later on a tie;
     element 1 while none has one).
     """
-    if observe is not None:
-        observe(1, x)
+    if observe is None:
+        observe = lambda k, new: None
+    observe(1, x)
     best_k, best, best_m = 1, x, math.inf
     metrics, secs, rising = [], [], 0
     t0 = time.perf_counter()
@@ -228,8 +229,7 @@ def _drive(x, advance, metric, tol: float, kmax: int, observe,
         except BreakdownError as exc:
             return SolveStatus.BREAKDOWN, exc.index, best_k, best, metrics, secs
         secs.append(time.perf_counter() - t0)
-        if observe is not None:
-            observe(k, new)
+        observe(k, new)
         t0 = time.perf_counter()
         m = metric(x, new)
         rising = rising + 1 if metrics and m > metrics[-1] else 0

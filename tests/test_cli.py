@@ -298,10 +298,13 @@ def test_cli_pencil_accelerated(tmp_path):
     assert doc["Lambda"]["data"][0][0] == pytest.approx(0.5, abs=1e-10)
 
 
-def test_cli_pencil_checks_its_settings_before_its_files(tmp_path, capsys):
+@pytest.mark.parametrize("files", [["pencil", "--a", "{0}", "--b", "{0}"],
+                                   ["sqrt", "--input", "{0}"]],
+                         ids=["pencil", "sqrt"])
+def test_cli_checks_its_settings_before_its_files(tmp_path, capsys, files):
     missing = str(tmp_path / "missing.txt")
-    assert main(["pencil", "--a", missing, "--b", missing,
-                 "--order", "17"]) == 1
+    argv = [arg.format(missing) for arg in files]
+    assert main([*argv, "--order", "17"]) == 1
     assert capsys.readouterr().err == \
         "error: order must be between 1 and 16, got 17\n"
 
