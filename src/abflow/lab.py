@@ -17,7 +17,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .linalg import SubspaceBasis, _norm, lu_factor, subspace_distance
+from .linalg import EPS, SubspaceBasis, _norm, lu_factor, subspace_distance
 from .pencil import (
     BREAKDOWN_TOL,
     AccelConfig,
@@ -34,6 +34,12 @@ from .trace import ConvergenceTrace
 
 #: Largest chain index scanned when classifying unit-circle eigenvalues.
 _BREAKDOWN_SCAN = 64
+
+#: Largest share of the smallest nonzero real part by which rounding in
+#: ``X = P D P^{-1}`` may move an eigenvalue of a known square root.  The
+#: move is bounded by about ``cond**2 * EPS * max|lambda|`` and measures
+#: 50 to 300 times less, so under the bound it stays near 2e-7 of it.
+_SQRT_DRIFT = 1e-5
 
 
 @dataclass(frozen=True)
@@ -128,7 +134,9 @@ def make_known_sqrt_problem(spec: ProblemSpec):
     ------
     ValueError
         For eigenvalues with nonpositive real part other than semisimple
-        zeros.
+        zeros, and when ``cond`` lets rounding move an eigenvalue of
+        ``X_true`` by more than 1e-5 of the smallest nonzero real part,
+        so that ``X_true`` could lose the requested spectrum.
     BreakdownError
         When ``lu_factor`` finds the similarity ``P`` numerically singular.
     """
@@ -139,6 +147,14 @@ def make_known_sqrt_problem(spec: ProblemSpec):
             raise ValueError(
                 f"eigenvalue {e.value} lies outside the open right half-plane")
     *_, X = _similar_to_blocks(spec, spec.spectrum)
+    values = [e.value for e in spec.spectrum]
+    drift = spec.cond ** 2 * EPS * max(map(abs, values))
+    margin = min((v.real for v in values if v), default=math.inf)
+    if drift > _SQRT_DRIFT * margin:
+        raise ValueError(
+            f"cond {spec.cond:g} is too large for this spectrum: rounding may "
+            f"move an eigenvalue by {drift:.1e}, over {_SQRT_DRIFT:g} of the "
+            f"smallest real part {margin:g}")
     return X @ X, X
 
 

@@ -11,6 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import abflow
 from abflow import (AccelConfig, ParseError, Pencil, SqrtProblem,
                     modified_ab_run)
 from abflow import cli
@@ -25,13 +26,8 @@ def write(path, text):
     return str(path)
 
 
-def read_json(path):
-    with open(path, encoding="utf-8") as fh:
-        return json.load(fh)
-
-
 def read_strict_json(path):
-    """``read_json`` that rejects the non-JSON tokens NaN and Infinity."""
+    """A JSON file's document; NaN and Infinity, which are not JSON, fail."""
     def reject(token):
         raise ValueError(f"{path} holds {token}")
     with open(path, encoding="utf-8") as fh:
@@ -269,7 +265,7 @@ def test_cli_pencil_diagonal(tmp_path):
     out = str(tmp_path / "U.json")
     code = main(["pencil", "--a", a, "--b", b, "--out", out])
     assert code == 0
-    doc = read_json(out)
+    doc = read_strict_json(out)
     assert doc["status"] == "converged"
     assert doc["U"]["cols"] == 1
     assert doc["Lambda"]["data"][0][0] == pytest.approx(0.5, abs=1e-10)
@@ -282,7 +278,7 @@ def test_cli_pencil_breakdown(tmp_path):
     code = main(["pencil", "--a", a, "--b", b,
                  "--out", str(tmp_path / "U.json")])
     assert code == 2
-    doc = read_json(tmp_path / "U.json")
+    doc = read_strict_json(tmp_path / "U.json")
     assert doc["status"] == "breakdown"
     assert doc["residual"] is None
 
@@ -294,7 +290,7 @@ def test_cli_pencil_accelerated(tmp_path):
     code = main(["pencil", "--a", a, "--b", b, "--order", "2",
                  "--dim", "1", "--out", out])
     assert code == 0
-    doc = read_json(out)
+    doc = read_strict_json(out)
     assert doc["Lambda"]["data"][0][0] == pytest.approx(0.5, abs=1e-10)
 
 
@@ -330,7 +326,7 @@ def test_cli_pencil_kmax_one_stops_at_element_one(tmp_path):
     out = str(tmp_path / "U.json")
     assert main(["pencil", "--a", a, "--b", b, "--kmax", "1", "--dim", "1",
                  "--out", out]) == 3
-    doc = read_json(out)
+    doc = read_strict_json(out)
     assert (doc["status"], doc["iterations"]) == ("max_iterations", 1)
     assert doc["U"]["cols"] == 1
 
@@ -340,10 +336,11 @@ def test_cli_pencil_empty_expected_subspace_exits_zero(tmp_path):
     b = write(tmp_path / "b.txt", "1 0\n0 1\n")
     out = str(tmp_path / "U.json")
     assert main(["pencil", "--a", a, "--b", b, "--dim", "0", "--out", out]) == 0
-    doc = read_json(out)
+    doc = read_strict_json(out)
     assert doc["status"] == "converged"
     assert (doc["iterations"], doc["residual"]) == (2, 0.0)
-    assert (doc["U"]["rows"], doc["U"]["cols"]) == (2, 0)
+    assert doc["U"] == {"rows": 2, "cols": 0, "data": []}
+    assert doc["Lambda"] == {"rows": 0, "cols": 0, "data": []}
 
 
 def test_cli_pencil_result_parses_back_bit_exactly(tmp_path):
@@ -378,7 +375,7 @@ def test_cli_bench_emits_traces_with_settled_order(tmp_path):
     settled = [float(r["order_estimate"]) for r in rows
                if r["order_estimate"] and float(r["error"]) > 1e2 * EPS]
     assert settled and 1.8 <= settled[-1] <= 2.2
-    doc = read_json(os.path.join(out_dir, "bench_sqrt_r2.json"))
+    doc = read_strict_json(os.path.join(out_dir, "bench_sqrt_r2.json"))
     assert doc["header"]["order"] == 2
     assert doc["header"]["seed"] == 7
 
@@ -475,6 +472,16 @@ def test_cli_bench_pencil_kind(tmp_path):
     assert os.path.exists(os.path.join(out_dir, "bench_pencil_r2.csv"))
     doc = read_strict_json(os.path.join(out_dir, "bench_pencil_r2.json"))
     assert doc["header"]["gamma"] == 1.0
+
+
+def test_cli_bench_trace_beyond_double_range_is_strict_json(tmp_path, capsys):
+    """Iterates that square beyond double range leave no warning and a
+    trace without NaN or Infinity."""
+    out_dir = tmp_path / "D"
+    assert main(["bench", "--kind", "sqrt", "--spectrum", "1e80,2e80",
+                 "--orders", "1", "--kmax", "6", "--out-dir", str(out_dir)]) == 0
+    assert capsys.readouterr().err == ""
+    read_strict_json(out_dir / "bench_sqrt_r1.json")
 
 
 #: The library home of every numeric default, by subcommand; bench's
@@ -617,6 +624,20 @@ def test_cli_atomic_write_leaves_no_temp(tmp_path):
     assert leftovers == []
 
 
+@pytest.mark.parametrize("args, code", [
+    (["sqrt", "--input", "S.txt", "--out", "X.json"], 0),
+    ([], 1),
+], ids=["converged", "usage"])
+def test_entry_exits_with_the_code_of_main(tmp_path, monkeypatch, args, code):
+    """``entry()``, the console script, reads ``sys.argv``."""
+    write(tmp_path / "S.txt", "4 0\n0 9\n")
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setattr(sys, "argv", ["abflow", *args])
+    with pytest.raises(SystemExit) as exc:
+        cli.entry()
+    assert exc.value.code == code
+
+
 @pytest.mark.parametrize("files, args, code", [
     ({"S.txt": "4 0\n0 9\n"}, ["sqrt", "--input", "S.txt"], 0),
     ({"A.txt": "-1\n", "B.txt": "1\n"},
@@ -626,11 +647,12 @@ def test_cli_atomic_write_leaves_no_temp(tmp_path):
 ], ids=["converged", "breakdown", "max-iterations", "usage"])
 def test_process_exit_codes(tmp_path, files, args, code):
     """``python -m abflow.cli`` runs ``entry()``, which exits with the code
-    that ``main`` returns."""
+    that ``main`` returns.  The child imports the ``abflow`` that this test
+    imported, from ``src/`` or from an installed copy."""
     for name, text in files.items():
         write(tmp_path / name, text)
-    src = Path(__file__).resolve().parent.parent / "src"
-    env = {**os.environ, "PYTHONPATH": str(src)}
+    home = Path(abflow.__file__).resolve().parents[1]
+    env = {**os.environ, "PYTHONPATH": str(home)}
     env.pop("ABFLOW_OUT_DIR", None)
     proc = subprocess.run([sys.executable, "-m", "abflow.cli", *args],
                           cwd=tmp_path, env=env, capture_output=True,

@@ -334,17 +334,24 @@ def test_generators_reject_a_numerically_singular_similarity(make):
         make(ProblemSpec(_FOUR, cond=1e16, seed=0))
 
 
-@pytest.mark.xfail(strict=True, raises=AssertionError,
-                   reason="ROADMAP item 11: below the BreakdownError cutoff, "
-                   "a similarity of cond 1e12 still yields an X far from the "
-                   "requested spectrum")
 def test_sqrt_generator_keeps_the_spectrum_or_raises():
     try:
         _, X = make_known_sqrt_problem(ProblemSpec(_FOUR, cond=1e12, seed=0))
-    except BreakdownError:
+    except (BreakdownError, ValueError):
         return
     got = np.sort_complex(np.linalg.eigvals(X))
     assert np.abs(got - np.array(_FOUR)).max() <= 1e-6
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_sqrt_generator_cond_bound(seed):
+    """Just below the bound on cond the spectrum holds; just above, the
+    generator refuses it (the bound is near 8.7e4 for ``_FOUR``)."""
+    _, X = make_known_sqrt_problem(ProblemSpec(_FOUR, cond=8e4, seed=seed))
+    got = np.sort_complex(np.linalg.eigvals(X))
+    assert np.abs(got - np.array(_FOUR)).max() <= 1e-6
+    with pytest.raises(ValueError, match="^cond 90000 is too large"):
+        make_known_sqrt_problem(ProblemSpec(_FOUR, cond=9e4, seed=seed))
 
 
 # ----------------------------- run_experiment -----------------------------
