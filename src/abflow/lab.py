@@ -35,11 +35,11 @@ from .trace import ConvergenceTrace
 #: Largest chain index scanned when classifying unit-circle eigenvalues.
 _BREAKDOWN_SCAN = 64
 
-#: Largest share of the smallest nonzero real part by which rounding in
-#: ``X = P D P^{-1}`` may move an eigenvalue of a known square root.  The
-#: move is bounded by about ``cond**2 * EPS * max|lambda|`` and measures
-#: 50 to 300 times less, so under the bound it stays near 2e-7 of it.
-_SQRT_DRIFT = 1e-5
+#: Largest share of a generator's margin by which rounding in ``P D P^{-1}``
+#: may move an eigenvalue.  The move is bounded by about
+#: ``cond**2 * EPS * max|lambda|`` and measures 50 to 300 times less, so
+#: under the bound it stays near 2e-7 of the margin.
+_DRIFT = 1e-5
 
 
 @dataclass(frozen=True)
@@ -124,6 +124,20 @@ def _similar_to_blocks(spec: ProblemSpec, entries):
     return rng, D, P, lu_factor(P.T).solve((P @ D).T).T
 
 
+def _check_drift(spec: ProblemSpec, what: str, margins) -> None:
+    """Raise ``ValueError`` naming ``cond`` once ``cond**2 * EPS *
+    max|lambda|`` passes ``_DRIFT`` of the smallest of ``margins``: the
+    nonzero real parts for a square root, the distances of the moduli
+    off the unit circle from it for a pencil."""
+    drift = spec.cond ** 2 * EPS * max(abs(e.value) for e in spec.spectrum)
+    margin = min(margins, default=math.inf)
+    if drift > _DRIFT * margin:
+        raise ValueError(
+            f"cond {spec.cond:g} is too large for this spectrum: rounding may "
+            f"move an eigenvalue by {drift:.1e}, over {_DRIFT:g} of the "
+            f"{what} {margin:g}")
+
+
 def make_known_sqrt_problem(spec: ProblemSpec):
     """Build ``(S, X_true)`` with ``X_true`` the principal root of S.
 
@@ -147,14 +161,8 @@ def make_known_sqrt_problem(spec: ProblemSpec):
             raise ValueError(
                 f"eigenvalue {e.value} lies outside the open right half-plane")
     *_, X = _similar_to_blocks(spec, spec.spectrum)
-    values = [e.value for e in spec.spectrum]
-    drift = spec.cond ** 2 * EPS * max(map(abs, values))
-    margin = min((v.real for v in values if v), default=math.inf)
-    if drift > _SQRT_DRIFT * margin:
-        raise ValueError(
-            f"cond {spec.cond:g} is too large for this spectrum: rounding may "
-            f"move an eigenvalue by {drift:.1e}, over {_SQRT_DRIFT:g} of the "
-            f"smallest real part {margin:g}")
+    _check_drift(spec, "smallest real part",
+                 (e.value.real for e in spec.spectrum if e.value))
     return X @ X, X
 
 
@@ -167,7 +175,8 @@ def make_pencil_problem(spec: ProblemSpec, random_b: bool = False) -> PencilProb
     eigenvalues are accepted only when they sit on a root of unity, in
     which case ``expected_breakdown`` carries the first breaking chain
     step; anything else on the circle is rejected.  A numerically
-    singular similarity raises ``BreakdownError``.
+    singular similarity raises ``BreakdownError``, and a ``cond`` whose
+    rounding could move the stable count ``ValueError`` (``_check_drift``).
 
     With ``random_b`` the second pencil matrix is a conditioned random
     matrix absorbed into the first (otherwise it is the identity).
@@ -183,6 +192,9 @@ def make_pencil_problem(spec: ProblemSpec, random_b: bool = False) -> PencilProb
             circle.append(e.value)
         (stable if r < 1.0 and not on_circle else rest).append(e)
     rng, D, P, M = _similar_to_blocks(spec, stable + rest)
+    _check_drift(spec, "smallest distance of a modulus from the unit circle",
+                 (g for e in spec.spectrum
+                  if (g := abs(abs(e.value) - 1.0)) > BREAKDOWN_TOL))
     m = sum(e.multiplicity for e in stable)
     if random_b:
         B = conditioned_similarity(spec.dim, min(spec.cond, 10.0), rng)

@@ -116,7 +116,8 @@ def atomic_write_text(path, text: str) -> None:
 
 
 def write_trace_csv(trace: ConvergenceTrace, path) -> None:
-    """Emit one CSV row per step: step,error,residual,order,seconds."""
+    """Emit a header and one CSV row per step, with the columns
+    step,error,residual,order_estimate,elapsed_seconds."""
     lines = [",".join(_FIELDS)]
     lines += [",".join("" if x is None else repr(x) for x in row)
               for row in _rows(trace)]

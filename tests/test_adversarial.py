@@ -14,7 +14,7 @@ from functools import partial
 
 import numpy as np
 import pytest
-from scipy.linalg import ordqz
+from scipy.linalg import block_diag, ordqz
 
 from abflow import linalg, pencil as pencil_module
 from abflow import (
@@ -266,6 +266,46 @@ def test_expected_dim_finds_the_stable_direction_of_row_scaled_pencils(
     res = modified_ab_run(pencil, AccelConfig(order, TOL, KMAX, 1))
     assert (res.status is not SolveStatus.CONVERGED
             or subspace_distance(res.U, np.eye(2)[:, :1]) <= 1e-8)
+
+
+@pytest.mark.parametrize("order", [2, 4])
+@pytest.mark.parametrize("seed", range(3))
+@pytest.mark.parametrize("delta", [1e-2, 1e-3, 1e-4])
+def test_expected_dim_converges_on_moduli_near_the_unit_circle(delta, seed,
+                                                               order):
+    """Three stable moduli 1 - delta and three unstable 1 + delta, at
+    random phases: the split is narrow but regular, so ``expected_dim``
+    mode reaches the ``ordqz`` subspace.  Order 1 is left out, since its
+    plain steps for delta = 1e-4 outrun ``KMAX``; threshold mode is
+    item 6."""
+    phases = np.exp(2j * np.pi * np.random.default_rng(seed).random(6))
+    moduli = np.repeat([1 - delta, 1 + delta], 3)
+    pencil = _block_pencil(np.diag(moduli * phases), np.eye(6, dtype=complex),
+                           seed)
+    stable = _ordqz_stable_basis(pencil)
+    assert stable.shape[1] == 3
+    res = modified_ab_run(pencil, AccelConfig(order, TOL, KMAX, 3))
+    assert res.status is SolveStatus.CONVERGED
+    assert subspace_distance(res.U, stable) <= 1e-8
+
+
+@pytest.mark.xfail(strict=True, raises=AssertionError,
+                   reason="ROADMAP item 19: the step metric bottoms out above "
+                   "tol, so the run ends MAX_ITERATIONS after 100 iterates "
+                   "with a sine of 1.7e-8 to ordqz")
+def test_expected_dim_stops_at_its_rounding_floor():
+    """A real 8x8 pencil with a stable rotation pair of modulus 0.95, run
+    at order 2 with the default ``tol`` and ``kmax``.  Order 1 is left
+    out: its MAX_ITERATIONS (sine 2.7e-3) is true, since the pair needs
+    more plain steps than ``kmax`` allows."""
+    c, s = np.cos(0.3), np.sin(0.3)
+    D = block_diag(0.95 * np.array([[c, -s], [s, c]]),
+                   np.diag([0.3, -0.2, 2.0, -2.5, 1.8, 3.0]))
+    T = np.random.default_rng(11).standard_normal((8, 8))
+    pencil = Pencil(T @ D @ np.linalg.inv(T), np.eye(8))
+    res = modified_ab_run(pencil, AccelConfig(2, expected_dim=4))
+    assert res.status is SolveStatus.CONVERGED
+    assert subspace_distance(res.U, _ordqz_stable_basis(pencil)) <= 1e-8
 
 
 def test_trivial_inputs_stay_exact_and_silent(capfd):

@@ -463,6 +463,18 @@ def test_cli_bench_singular_similarity_exits_one(tmp_path, capsys, kind):
     assert not out_dir.exists()
 
 
+@pytest.mark.parametrize("kind", ["sqrt", "pencil"])
+def test_cli_bench_drifting_cond_exits_one(tmp_path, capsys, kind):
+    """Below the pivot cutoff, a cond whose rounding can move an
+    eigenvalue past the generator's margin is refused too."""
+    out_dir = tmp_path / "D"
+    assert main(["bench", "--kind", kind, "--spectrum", "0.5,1.5,2,3",
+                 "--cond", "1e10", "--out-dir", str(out_dir)]) == 1
+    assert capsys.readouterr().err.startswith(
+        "error: cond 1e+10 is too large for this spectrum")
+    assert not out_dir.exists()
+
+
 def test_cli_bench_pencil_kind(tmp_path):
     out_dir = str(tmp_path / "D")
     code = main(["bench", "--kind", "pencil", "--spectrum", "0.5,2",

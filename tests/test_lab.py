@@ -354,6 +354,28 @@ def test_sqrt_generator_cond_bound(seed):
         make_known_sqrt_problem(ProblemSpec(_FOUR, cond=9e4, seed=seed))
 
 
+_STABLE_PAIR = (0.5, 0.3 + 0.2j, 1.5, 2.0)
+
+
+def test_pencil_generator_refuses_a_cond_that_can_move_the_stable_count():
+    """At cond 1e10 rounding in ``P D P^-1`` can carry an eigenvalue of
+    ``_STABLE_PAIR`` across the unit circle (``eigvals(B^-1 A)`` counted
+    one stable eigenvalue on 5 of seeds 0-5), so the generator refuses
+    it (the bound is near cond 1.06e5 for this spectrum)."""
+    with pytest.raises(ValueError, match=r"^cond 1e\+10 is too large for "
+                       r"this spectrum: .* from the unit circle 0\.5$"):
+        make_pencil_problem(ProblemSpec(_STABLE_PAIR, cond=1e10, seed=0))
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_pencil_generator_keeps_the_stable_count_below_the_bound(seed):
+    prob = make_pencil_problem(ProblemSpec(_STABLE_PAIR, cond=1e5, seed=seed))
+    got = np.sort_complex(np.linalg.eigvals(
+        np.linalg.solve(prob.pencil.B, prob.pencil.A)))
+    assert prob.basis.dim == np.sum(np.abs(got) < 1) == 2
+    assert np.abs(got - np.sort_complex(_STABLE_PAIR)).max() <= 1e-6
+
+
 # ----------------------------- run_experiment -----------------------------
 
 def test_sqrt_experiment_order_two_terminal_estimate():
