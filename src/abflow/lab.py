@@ -196,12 +196,9 @@ def make_pencil_problem(spec: ProblemSpec, random_b: bool = False) -> PencilProb
                  (g for e in spec.spectrum
                   if (g := abs(abs(e.value) - 1.0)) > BREAKDOWN_TOL))
     m = sum(e.multiplicity for e in stable)
-    if random_b:
-        B = conditioned_similarity(spec.dim, min(spec.cond, 10.0), rng)
-        A = B @ M
-    else:
-        B = np.eye(spec.dim, dtype=np.complex128)
-        A = M
+    B = (conditioned_similarity(spec.dim, min(spec.cond, 10.0), rng)
+         if random_b else np.eye(spec.dim, dtype=np.complex128))
+    A = B @ M
     U, R = np.linalg.qr(P[:, :m])
     Lam = lu_factor(R.T).solve((R @ D[:m, :m]).T).T
     defect = _norm(A @ U - B @ U @ Lam)

@@ -104,14 +104,9 @@ class SubspaceResult:
     status: SolveStatus
 
 
-def first_iterate(pencil: Pencil) -> ABIterate:
-    """The chain element of index 1, i.e. the pencil itself."""
-    return ABIterate(pencil.A, pencil.B, 1)
-
-
 def ab_step(initial: Pencil, prev: ABIterate) -> ABIterate:
     """Advance the chain one step: element ``prev.k`` to ``prev.k + 1``,
-    as the merge ``combine(first_iterate(initial), prev)``.
+    as the merge of element 1, the pencil itself, with ``prev``.
 
     Raises
     ------
@@ -120,7 +115,7 @@ def ab_step(initial: Pencil, prev: ABIterate) -> ABIterate:
         when the initial spectrum meets a root of unity of order
         ``prev.k + 1``.
     """
-    return combine(first_iterate(initial), prev)
+    return combine(ABIterate(initial.A, initial.B, 1), prev)
 
 
 def combine(it_i: ABIterate, it_j: ABIterate) -> ABIterate:
@@ -368,8 +363,8 @@ def modified_ab_run(initial: Pencil, cfg: AccelConfig,
 
     observe = None if observer is None else lambda _, x: observer(*x)
     status, k, _, (_, basis), _, _ = _drive(
-        extract(first_iterate(initial)), advance, metric, tol, cfg.kmax,
-        observe)
+        extract(ABIterate(initial.A, initial.B, 1)), advance, metric, tol,
+        cfg.kmax, observe)
     if status is SolveStatus.BREAKDOWN:
         basis = SubspaceBasis(np.zeros((initial.n, 0), np.complex128))
     return _finish(initial, basis, k, status)

@@ -34,7 +34,7 @@ from abflow.lab import (
     run_experiment,
 )
 from abflow.linalg import EPS
-from abflow.pencil import ab_step, combine, first_iterate
+from abflow.pencil import ABIterate, ab_step, combine
 from abflow.sqrtm import accelerated_step
 
 from oracles import (
@@ -309,7 +309,7 @@ def test_criterion_13_block_structure():
         S = X @ X
         p = embed_pencil(S, gamma)
         qs = q_chain(S, gamma, 8)
-        it = first_iterate(p)
+        it = ABIterate(p.A, p.B, 1)
         eye = np.eye(n)
         for k in range(2, 9):
             it = ab_step(p, it)

@@ -22,7 +22,7 @@ from abflow import (
 from abflow.accel import inner_chain
 from abflow.errors import BreakdownError
 from abflow.lab import make_pencil_problem, ProblemSpec, random_unitary
-from abflow.pencil import ab_step, combine, first_iterate
+from abflow.pencil import ABIterate, ab_step, combine
 
 from oracles import (
     INFINITY,
@@ -39,7 +39,7 @@ from util import chain, rel_err, scalar_pencil, stable_pencil
 
 def test_ab_step_scalar_values():
     p = scalar_pencil(0.5, 1.0)
-    it2 = ab_step(p, first_iterate(p))
+    it2 = ab_step(p, ABIterate(p.A, p.B, 1))
     assert it2.k == 2
     assert it2.A_k[0, 0] == pytest.approx(1 / 6, abs=1e-12)
     assert it2.B_k[0, 0] == pytest.approx(2 / 3, abs=1e-12)
@@ -50,7 +50,7 @@ def test_ab_step_scalar_values():
 def test_ab_step_zero_initial_is_fixed_point():
     n = 3
     p = Pencil(np.zeros((n, n), dtype=complex), np.eye(n, dtype=complex))
-    it = first_iterate(p)
+    it = ABIterate(p.A, p.B, 1)
     for _ in range(4):
         it = ab_step(p, it)
         assert np.allclose(it.A_k, 0.0, atol=1e-15)
@@ -61,7 +61,7 @@ def test_ab_step_direct_b_matches_shortcut():
     # the rational form B_k (A_1 + B_k)^{-1} B_1 agrees with the B that
     # the step takes from the constant difference
     p = stable_pencil(11)
-    it = first_iterate(p)
+    it = ABIterate(p.A, p.B, 1)
     for _ in range(7):
         direct = it.B_k @ np.linalg.solve(p.A + it.B_k, p.B)
         it = ab_step(p, it)
@@ -70,9 +70,9 @@ def test_ab_step_direct_b_matches_shortcut():
 
 def test_ab_step_is_the_merge_with_the_first_element():
     p = stable_pencil(12)
-    it = first_iterate(p)
+    it = ABIterate(p.A, p.B, 1)
     for _ in range(5):
-        merged = combine(first_iterate(p), it)
+        merged = combine(ABIterate(p.A, p.B, 1), it)
         it = ab_step(p, it)
         assert it.k == merged.k
         assert it.A_k.tobytes() == merged.A_k.tobytes()
@@ -85,7 +85,7 @@ def test_ab_step_breakdown_on_minus_one():
     A = Q @ np.diag([-1.0 + 0j, 0.3, 0.5]) @ Q.conj().T
     p = Pencil(A, np.eye(3, dtype=complex))
     with pytest.raises(BreakdownError) as info:
-        ab_step(p, first_iterate(p))
+        ab_step(p, ABIterate(p.A, p.B, 1))
     assert info.value.index == 2
 
 
@@ -116,7 +116,7 @@ def test_four_equivalent_forms_variant():
 
 def test_combine_of_first_iterates_is_step_two():
     p = scalar_pencil(0.5, 1.0)
-    it1 = first_iterate(p)
+    it1 = ABIterate(p.A, p.B, 1)
     via_combine = combine(it1, it1)
     via_step = ab_step(p, it1)
     assert via_combine.k == 2
@@ -126,7 +126,7 @@ def test_combine_of_first_iterates_is_step_two():
 
 def test_combine_scalar_flow_values():
     p = scalar_pencil(0.5, 1.0)
-    it1 = first_iterate(p)
+    it1 = ABIterate(p.A, p.B, 1)
     it2 = ab_step(p, it1)
     it3 = combine(it1, it2)
     assert it3.k == 3
@@ -236,7 +236,7 @@ def test_subspace_transfer_identity():
         U = prob.basis.basis
         Lam = prob.stable_block
         p = prob.pencil
-        it = first_iterate(p)
+        it = ABIterate(p.A, p.B, 1)
         for _ in range(9):
             it = ab_step(p, it)
             Lk = np.linalg.matrix_power(Lam, it.k)

@@ -23,7 +23,7 @@ from abflow.lab import (
     make_known_sqrt_problem,
     random_unitary,
 )
-from abflow.pencil import ab_step, first_iterate
+from abflow.pencil import ABIterate, ab_step
 from abflow.sqrtm import accelerated_step, q_step
 
 from oracles import (
@@ -80,7 +80,7 @@ def test_block_structure_invariant_under_generic_chain():
     for n, gamma in [(1, 1.0), (2, 1.3), (3, 0.8), (4, 1.0)]:
         S, _ = normal_sqrt_problem(int(rng.integers(0, 1000)), n=n)
         p = embed_pencil(S, gamma)
-        it = first_iterate(p)
+        it = ABIterate(p.A, p.B, 1)
         qs = q_chain(S, gamma, 8)
         eye = np.eye(n)
         scale = max(1.0, np.linalg.norm(S, "fro"))
@@ -214,6 +214,37 @@ def test_sqrtm_wide_diagonal_converges():
     res = sqrtm_ab(SqrtProblem(np.diag([1e150 + 0j, 1.0])))
     assert res.status is SolveStatus.CONVERGED
     assert res.residual <= 1e-10
+
+
+def _spread_sqrt_problem(order):
+    """S = X^2 for an X of size 16 and cond 10 with moduli in [1, 20) and
+    arguments in [-0.5, 0.5): every eigenvalue of S lies within 1 rad of
+    the positive real axis, and orders 2 and 3 converge on it."""
+    rng = np.random.default_rng(0)
+    moduli = 20.0 ** rng.random(16)
+    args = rng.uniform(-0.5, 0.5, 16)
+    S, _ = make_known_sqrt_problem(
+        ProblemSpec(moduli * np.exp(1j * args), cond=10.0, seed=0))
+    return SqrtProblem(S, gamma=gamma_heuristic((1.0, 20.0)), order=order)
+
+
+@pytest.mark.xfail(strict=True, raises=AssertionError,
+                   reason="ROADMAP item 4: the plain chain amplifies rounding "
+                   "and ends in BREAKDOWN after 68 steps, relative error "
+                   "7.0e-7")
+def test_sqrtm_order_one_on_a_spread_spectrum_is_not_a_breakdown():
+    res = sqrtm_ab(_spread_sqrt_problem(1))
+    assert res.status is not SolveStatus.BREAKDOWN
+
+
+@pytest.mark.xfail(strict=True, raises=AssertionError,
+                   reason="ROADMAP item 23: the floor rule stops the run "
+                   "CONVERGED after 9 steps with residual 4.7e-11; no step "
+                   "difference fell below tol")
+def test_sqrtm_converged_on_a_spread_spectrum_meets_tol():
+    prob = _spread_sqrt_problem(2)
+    res = sqrtm_ab(prob)
+    assert res.status is not SolveStatus.CONVERGED or res.residual <= prob.tol
 
 
 def test_sqrtm_overflow_is_reported_where_the_iterate_is_made():

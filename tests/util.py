@@ -4,7 +4,7 @@ import numpy as np
 
 from abflow import Pencil
 from abflow.lab import conditioned_similarity
-from abflow.pencil import ab_step, first_iterate
+from abflow.pencil import ABIterate, ab_step
 from abflow.sqrtm import q_step
 
 
@@ -28,7 +28,7 @@ def stable_pencil(seed, n=None, random_b=True, rho=0.85, cond=10.0):
 
 def chain(pencil, kmax):
     """Plain chain elements 1..kmax."""
-    its = [first_iterate(pencil)]
+    its = [ABIterate(pencil.A, pencil.B, 1)]
     for _ in range(kmax - 1):
         its.append(ab_step(pencil, its[-1]))
     return its
