@@ -21,7 +21,10 @@ without ``expected_dim`` (threshold mode), at r = 2;
 8 F_sqrt problems (n = 24) at r = 2, 3, 5; ``run_experiment`` at orders
 1-4; then breakdown runs (an eigenvalue at a primitive 2nd, 3rd or 6th
 root of unity, plus two pencils whose sums cancel to rounding error) and
-``expected_dim=0`` runs, which report status and iteration count only.
+``expected_dim=0`` runs, which report status and iteration count only;
+last, ``run_experiment`` at r = 2 on a Jordan block of each kind, and a
+square root of a spread spectrum (n = 8, r = 3) that the floor rule's
+tenfold jump stops.
 
 ``scripts/status_baseline.txt`` keeps each line's name tokens with its
 ``status=`` and ``dim=`` fields, which unlike the hashes are meant to
@@ -138,4 +141,25 @@ out.append(f"dim0 plain status={res.status.value} it={res.iterations}")
 cfg = pencil.AccelConfig(order=2, tol=1e-12, kmax=100, expected_dim=0)
 res = pencil.modified_ab_run(P, cfg)
 out.append(f"dim0 r2 status={res.status.value} it={res.iterations}")
+
+# Jordan blocks through the generators, and a square root that only the
+# floor rule's tenfold jump stops (at step 7, after one rise)
+jordan = [("sqrt", lab.ProblemSpec(
+              (lab.SpectrumEntry(2.0, 2, semisimple=False), 3.0), seed=2)),
+          ("pencil", lab.ProblemSpec(
+              (lab.SpectrumEntry(0.5, 2, semisimple=False), 2.0), seed=3))]
+for kind, spec in jordan:
+    t = lab.run_experiment(kind, spec, order=2, kmax=40)
+    out.append(f"jordan {kind} r2 status={t.status} steps={t.steps} "
+               f"err={h(t.errors)} resid={h(t.residuals)} ord={t.orders}")
+rng = np.random.default_rng(0)
+moduli, args = 50.0 ** rng.random(8), rng.uniform(-0.5, 0.5, 8)
+S, _ = lab.make_known_sqrt_problem(
+    lab.ProblemSpec(moduli * np.exp(1j * args), cond=10.0, seed=0))
+res = sqrtm.sqrtm_ab(sqrtm.SqrtProblem(
+    S, gamma=sqrtm.gamma_heuristic((1.0, 50.0)), order=3))
+t = res.trace
+out.append(f"tenfold sqrt r3 status={res.status.value} X={h(res.X)} "
+           f"res={res.residual!r} steps={t.steps} err={h(t.errors)} "
+           f"resid={h(t.residuals)}")
 print("\n".join(out))

@@ -167,7 +167,7 @@ def write_matrix_json(M, path) -> None:
 
 def _resolve_out(explicit, default_name: str) -> str:
     default = os.path.join(os.environ.get(OUT_DIR_ENV, ""), default_name)
-    return default if explicit is None else os.fspath(explicit)
+    return default if explicit is None else explicit
 
 
 def _parse_list(text: str, convert, item: str, name: str) -> list:
@@ -230,9 +230,9 @@ def _cmd_pencil(ns) -> int:
 
 def _cmd_bench(ns) -> int:
     values = _parse_list(ns.spectrum, complex, "eigenvalue", "spectrum")
-    orders = _parse_list(ns.orders, int, "order", "order list")
-    orders = list(dict.fromkeys(orders))    # each distinct order once, in turn
-    spec = ProblemSpec(spectrum=tuple(values), cond=ns.cond, seed=ns.seed)
+    # each distinct order once, in turn
+    orders = dict.fromkeys(_parse_list(ns.orders, int, "order", "order list"))
+    spec = ProblemSpec(spectrum=values, cond=ns.cond, seed=ns.seed)
     for r in orders:        # every order is checked before the first run
         _check_settings(r, ns.tol, ns.kmax)
     traces = [run_experiment(ns.kind, spec, order=r, gamma=ns.gamma,

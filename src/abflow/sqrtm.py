@@ -86,15 +86,16 @@ def q_step(Q, S, partner) -> np.ndarray:
 
 
 def _residual_of(S):
-    """Q's certificate ``||Q^2 - S||_F / (||S||_F or 1)``, overflow-free."""
+    """Q's certificate ``||Q^2 - S||_F / (||S||_F or 1)``, formed on ``cQ``
+    and ``c(cS)`` with ``c = 2**-max(_exponent(Q), 0)``, so ``(cQ)^2``
+    never overflows.  The scalings are exact and dividing by ``c`` before
+    ``||S||_F`` keeps the quotient out of the subnormal range: every
+    residual keeps numpy's bits, and ``(2**k Q, 4**k S)`` gets Q's."""
     s_norm = _norm(S) or 1.0
 
     def residual(Q):
-        e = _exponent(Q)
-        if 2 * e + Q.shape[0].bit_length() <= 1020:    # Q @ Q < 2**1021
-            return _norm(Q @ Q - S) / s_norm
-        c = math.ldexp(1.0, -e)     # exact scalings of Q and S
-        return _norm((c * Q) @ (c * Q) - c * (c * S)) / s_norm / c / c
+        c = math.ldexp(1.0, -max(_exponent(Q), 0))
+        return _norm((c * Q) @ (c * Q) - c * (c * S)) / c / s_norm / c
     return residual
 
 
@@ -158,8 +159,8 @@ def sqrtm_ab(prob: SqrtProblem, observer=None) -> SqrtResult:
         Q1, lambda Q: (q_step(Q, S, Q1) if order == 1
                        else accelerated_step(Q, S, order)),
         rel_diff, prob.tol, prob.kmax, observer, STAGNATION_DIFF)
-    trace = ConvergenceTrace(tuple(range(2, len(diffs) + 2)), tuple(diffs),
-                             tuple(resids), tuple(secs), status.value)
+    trace = ConvergenceTrace(range(2, len(diffs) + 2), diffs, resids, secs,
+                             status.value)
     return SqrtResult(X, resids[best_k - 2] if best_k > 1 else residual(X),
                       trace, status)
 

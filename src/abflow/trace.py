@@ -101,9 +101,7 @@ def _rows(trace: ConvergenceTrace):
 
 def atomic_write_text(path, text: str) -> None:
     """Write a file via a same-directory temp file and rename."""
-    path = os.fspath(path)
-    directory = os.path.dirname(path) or "."
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-",
+    fd, tmp = tempfile.mkstemp(dir=os.path.dirname(path), prefix=".tmp-",
                                suffix=os.path.basename(path))
     try:
         with os.fdopen(fd, "w") as fh:
@@ -127,9 +125,5 @@ def write_trace_csv(trace: ConvergenceTrace, path) -> None:
 def write_trace_json(trace: ConvergenceTrace, path, header: dict | None = None) -> None:
     """Emit the trace as JSON: a header object plus one record per step."""
     records = [dict(zip(_FIELDS, row)) for row in _rows(trace)]
-    doc = {
-        "header": dict(header or {}),
-        "status": trace.status,
-        "steps": records,
-    }
+    doc = {"header": header or {}, "status": trace.status, "steps": records}
     atomic_write_text(path, json.dumps(doc, indent=2, allow_nan=False) + "\n")

@@ -4,6 +4,7 @@ import csv
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -19,6 +20,7 @@ from abflow.cli import main, matrix_to_json, parse_matrix_file, write_matrix_jso
 from abflow.lab import (ProblemSpec, make_known_sqrt_problem,
                         make_pencil_problem, run_experiment)
 from abflow.linalg import EPS
+from abflow.trace import atomic_write_text
 
 
 def write(path, text):
@@ -42,9 +44,10 @@ def test_parse_txt_diagonal(tmp_path):
 
 
 def test_parse_json_scalar(tmp_path):
-    M = parse_matrix_file(write(
-        tmp_path / "m.json", '{"rows":1,"cols":1,"data":[[4,0]]}'))
+    path = tmp_path / "m.json"
+    M = parse_matrix_file(write(path, '{"rows":1,"cols":1,"data":[[4,0]]}'))
     assert np.array_equal(M, np.array([[4.0]], dtype=complex))
+    assert np.array_equal(parse_matrix_file(path), M)   # a Path works too
 
 
 def test_parse_txt_ragged_rows(tmp_path):
@@ -157,6 +160,11 @@ def test_parse_json_matches_per_entry_reference(tmp_path, text):
     M = parse_matrix_file(write(tmp_path / "m.json", text))
     assert M.dtype == np.complex128 and M.shape == expected.shape
     assert M.tobytes() == expected.tobytes()
+
+
+def test_parse_error_names_its_position():
+    assert str(ParseError("bad entry", path="m.txt", line=2, offset=1)) == \
+        "m.txt:2:1: bad entry"
 
 
 def test_parse_missing_file(tmp_path):
@@ -294,15 +302,20 @@ def test_cli_pencil_accelerated(tmp_path):
     assert doc["Lambda"]["data"][0][0] == pytest.approx(0.5, abs=1e-10)
 
 
-@pytest.mark.parametrize("files", [["pencil", "--a", "{0}", "--b", "{0}"],
-                                   ["sqrt", "--input", "{0}"]],
-                         ids=["pencil", "sqrt"])
-def test_cli_checks_its_settings_before_its_files(tmp_path, capsys, files):
+@pytest.mark.parametrize("files, setting, message", [
+    (["pencil", "--a", "{0}", "--b", "{0}"], ["--order", "17"],
+     "order must be between 1 and 16, got 17"),
+    (["sqrt", "--input", "{0}"], ["--order", "17"],
+     "order must be between 1 and 16, got 17"),
+    (["sqrt", "--input", "{0}"], ["--gamma", "-1"],
+     "gamma must be finite and positive, got -1.0"),
+], ids=["pencil", "sqrt", "sqrt-gamma"])
+def test_cli_checks_its_settings_before_its_files(tmp_path, capsys, files,
+                                                  setting, message):
     missing = str(tmp_path / "missing.txt")
     argv = [arg.format(missing) for arg in files]
-    assert main([*argv, "--order", "17"]) == 1
-    assert capsys.readouterr().err == \
-        "error: order must be between 1 and 16, got 17\n"
+    assert main([*argv, *setting]) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
 
 
 @pytest.mark.parametrize("dim", [[], ["--dim", "1"]], ids=["threshold", "dim"])
@@ -539,6 +552,7 @@ def test_cli_help_exits_zero_and_shows_the_order_range(capsys, cmd):
 
 def test_cli_usage_error_exits_one(capsys):
     assert main([]) == 1
+    assert capsys.readouterr().err.startswith("usage error: ")
     assert main(["sqrt"]) == 1
     assert main(["bench", "--kind", "sqrt", "--spectrum", "abc",
                  "--orders", "2"]) == 1
@@ -563,8 +577,12 @@ def test_cli_parse_error_exits_one(tmp_path, capsys):
      "entry 0 is not a [re, im] pair of numbers"),
     ('{"rows": 1, "cols": 2, "data": [[true, 0.5], [1, 0]]}',
      "entry 0 is not a [re, im] pair of numbers"),
+    # a false with no true: the scan gate's "f" half alone sees it
+    ('{"rows": 1, "cols": 1, "data": [[false, 0.5]]}',
+     "entry 0 is not a [re, im] pair of numbers"),
+    ('{"rows": 1, "cols": 1, "data": 5}', "data has ? entries, expected 1"),
 ], ids=["bool-shape", "float-shape", "huge-integer", "not-an-object", "bool-entries",
-        "bool-and-float-entry"])
+        "bool-and-float-entry", "false-entry", "data-not-a-list"])
 def test_cli_bad_json_document_exits_one(tmp_path, capsys, text, message):
     bad = write(tmp_path / "bad.json", text)
     assert main(["sqrt", "--input", bad, "--out", str(tmp_path / "X.json")]) == 1
@@ -626,6 +644,38 @@ def test_cli_out_dir_env_rebases_default_names(tmp_path, monkeypatch):
     code = main(["sqrt", "--input", s])
     assert code == 0
     assert (tmp_path / "sqrt_result.json").exists()
+
+
+def test_cli_prints_status_residual_and_path(tmp_path, capsys):
+    s = write(tmp_path / "s.txt", "4 0\n0 9\n")
+    out = str(tmp_path / "X.json")
+    assert main(["sqrt", "--input", s, "--out", out]) == 0
+    assert re.fullmatch(rf"status=converged residual=\S+ wrote {re.escape(out)}\n",
+                        capsys.readouterr().out)
+    a = write(tmp_path / "a.txt", "0.5 0\n0 2\n")
+    b = write(tmp_path / "b.txt", "1 0\n0 1\n")
+    out = str(tmp_path / "U.json")
+    assert main(["pencil", "--a", a, "--b", b, "--out", out]) == 0
+    assert re.fullmatch(
+        rf"status=converged dim=1 residual=\S+ wrote {re.escape(out)}\n",
+        capsys.readouterr().out)
+
+
+def test_atomic_write_renames_from_the_target_directory(tmp_path, monkeypatch):
+    """The temp file sits beside the target, so the rename never crosses
+    a file system."""
+    sources = []
+    replace = os.replace
+
+    def spy(src, dst):
+        sources.append(src)
+        replace(src, dst)
+
+    monkeypatch.setattr(os, "replace", spy)
+    (tmp_path / "sub").mkdir()
+    atomic_write_text(tmp_path / "sub" / "t.txt", "x")
+    assert [os.path.dirname(src) for src in sources] == [str(tmp_path / "sub")]
+    assert (tmp_path / "sub" / "t.txt").read_text() == "x"
 
 
 def test_cli_atomic_write_leaves_no_temp(tmp_path):

@@ -79,6 +79,17 @@ def test_trace_validates_lengths():
         ConvergenceTrace((1, 2), (0.1,), (0.1, 0.2), (0.0, 0.0))
     with pytest.raises(ValueError):
         ConvergenceTrace((1,), (-0.5,), (0.1,), (0.0,))
+    with pytest.raises(ValueError, match="^errors must be nonnegative$"):
+        ConvergenceTrace((1,), (math.nan,), (0.1,), (0.0,))
+
+
+def test_trace_columns_are_tuples_of_floats():
+    tr = ConvergenceTrace([1, np.int64(2)], [1, np.float32(0.5)],
+                          [np.float64(0.25), 2], [0, 1])
+    assert tr.steps == (1, 2)
+    for column in (tr.errors, tr.residuals, tr.seconds):
+        assert type(column) is tuple
+        assert all(type(v) is float for v in column)
 
 
 @settings(derandomize=True, deadline=None, max_examples=200)
@@ -207,10 +218,27 @@ def test_sqrt_generator_semisimple_zero():
 
 
 def test_sqrt_generator_jordan_block():
+    """X is a Jordan block of 2, not 2I: N = X - 2I is nilpotent and
+    nonzero (||N|| about 8.6, ||N^2|| about 6e-15)."""
     spec = ProblemSpec(spectrum=(SpectrumEntry(2.0, 2, semisimple=False),), seed=2)
     S, X = make_known_sqrt_problem(spec)
     assert np.linalg.norm(X @ X - S, "fro") <= 1e-11 * np.linalg.norm(S, "fro")
     assert np.allclose(np.linalg.eigvals(X), 2.0, atol=1e-6)
+    N = X - 2.0 * np.eye(2)
+    assert np.linalg.norm(N) > 1.0
+    assert np.linalg.norm(N @ N) <= 1e-13
+
+
+def test_pencil_generator_jordan_block():
+    """On the stable basis U, B^-1 A acts as a Jordan block of 0.5:
+    K = B^-1 A - 0.5 I has ||K U|| about 4.7 and ||K^2 U|| about 5e-15."""
+    prob = make_pencil_problem(ProblemSpec(
+        (SpectrumEntry(0.5, 2, semisimple=False), 2.0), seed=3), random_b=True)
+    U = prob.basis.basis
+    K = np.linalg.solve(prob.pencil.B, prob.pencil.A) - 0.5 * np.eye(3)
+    assert prob.basis.dim == 2
+    assert np.linalg.norm(K @ U) > 1.0
+    assert np.linalg.norm(K @ K @ U) <= 1e-13
 
 
 def test_sqrt_generator_rejects_bad_spectra():
@@ -296,6 +324,15 @@ def test_pencil_generator_tags_breakdown():
     assert prob.expected_breakdown == 1
 
 
+def test_pencil_generator_keeps_a_root_of_unity_inside_the_circle_unstable():
+    """-1 + 1e-12 has modulus below 1 but lies on the circle within
+    ``BREAKDOWN_TOL``: it tags the breakdown and stays out of the stable
+    block."""
+    prob = make_pencil_problem(ProblemSpec((0.5, -1 + 1e-12, 2.0)))
+    assert prob.basis.dim == 1
+    assert prob.expected_breakdown == 1
+
+
 def test_pencil_generator_rejects_non_root_of_unity_circle():
     z = np.exp(1j * 0.5)  # modulus one, irrational angle
     with pytest.raises(ValueError, match="is not a root of unity"):
@@ -365,6 +402,16 @@ def test_pencil_generator_refuses_a_cond_that_can_move_the_stable_count():
     with pytest.raises(ValueError, match=r"^cond 1e\+10 is too large for "
                        r"this spectrum: .* from the unit circle 0\.5$"):
         make_pencil_problem(ProblemSpec(_STABLE_PAIR, cond=1e10, seed=0))
+
+
+def test_pencil_generator_drift_margin_is_the_distance_of_a_modulus():
+    """For (-0.9, 2) the margin is ||-0.9| - 1| = 0.1, not |-0.9 - 1| =
+    1.9 (the two agree on ``_STABLE_PAIR``): the bound on cond lies
+    between 4.74e4 and 4.75e4."""
+    make_pencil_problem(ProblemSpec((-0.9, 2.0), cond=4.74e4, seed=0))
+    with pytest.raises(ValueError, match=r"^cond 47500 is too large for "
+                       r"this spectrum: .* from the unit circle 0\.1$"):
+        make_pencil_problem(ProblemSpec((-0.9, 2.0), cond=4.75e4, seed=0))
 
 
 @pytest.mark.parametrize("seed", range(6))
@@ -537,6 +584,15 @@ def test_experiment_checks_settings_before_generating(monkeypatch, kind,
     name, = setting
     with pytest.raises(ValueError, match=f"^{name} must be"):
         run_experiment(kind, ProblemSpec(spectrum=(0.5, 2.0)), **setting)
+
+
+@pytest.mark.parametrize("kind", ["sqrt", "pencil"])
+def test_experiment_on_a_zero_spectrum_has_finite_errors(kind):
+    """X = 0 and A_k = 0 divide nothing: the errors and residuals are
+    relative to 1 there."""
+    t = run_experiment(kind, ProblemSpec((0.0, 0.0)))
+    assert all(map(math.isfinite, t.errors))
+    assert all(map(math.isfinite, t.residuals))
 
 
 def test_experiment_rejects_unknown_kind():

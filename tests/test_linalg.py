@@ -14,8 +14,8 @@ from abflow import (
 )
 from abflow.errors import BreakdownError
 from abflow.lab import conditioned_similarity, random_unitary
-from abflow.linalg import (EPS, PIVOT_SAFETY, lu_factor, null_space_basis,
-                           smallest_singular_subspace)
+from abflow.linalg import (EPS, PIVOT_SAFETY, _norm, lu_factor,
+                           null_space_basis, smallest_singular_subspace)
 
 from oracles import induced_norm2, lu_perm, lu_solve, matrix_power_sum
 
@@ -92,6 +92,11 @@ def test_lu_factor_rejects_singular():
                        r"row-scaled pivot \S+ below \S+$"):
         lu_factor(np.diag([-1.0, 1e14]).astype(complex),
                   np.eye(2, dtype=complex))
+    # a row whose largest entry is subnormal: its scale 2**1029 would
+    # overflow, so the exponent is floored at -1023 and the scaled test
+    # still sees the row cancel
+    with pytest.raises(BreakdownError, match="row-scaled pivot"):
+        lu_factor(np.array([[1.0, 1.0], [1e-310, 1e-310]], dtype=complex))
 
 
 @pytest.mark.parametrize("trans", [False, True])
@@ -237,6 +242,29 @@ def test_subspace_distance_examples():
     assert subspace_distance(e1, e1) == 0.0
     assert subspace_distance(e1, e2) == pytest.approx(1.0, abs=1e-12)
     assert subspace_distance(e1, diag) == pytest.approx(0.70710678, abs=1e-8)
+
+
+def test_subspace_distance_of_different_dimensions_is_one():
+    """Exactly 1.0: on orthonormal bases of dims 1 and 2 the general
+    formula alone reads below 1.0 in 60 of these 150 draws (lowest
+    0.9999999999999996)."""
+    rng = np.random.default_rng(0)
+    for n in (3, 6, 12):
+        for _ in range(50):
+            U = random_unitary(n, rng)[:, :1]
+            V = random_unitary(n, rng)[:, :2]
+            assert subspace_distance(U, V) == subspace_distance(V, U) == 1.0
+
+
+def test_subspace_distance_of_orthogonal_spans_is_at_most_one():
+    """On orthogonal 2-dimensional spans the formula alone reads above 1.0
+    in 70 of these 150 draws (highest 1 + 7e-16); the distance never does."""
+    rng = np.random.default_rng(0)
+    for n in (4, 8, 16):
+        for _ in range(50):
+            Q = random_unitary(n, rng)
+            d = subspace_distance(Q[:, :2], Q[:, 2:4])
+            assert 1.0 - 1e-15 <= d <= 1.0
 
 
 def test_subspace_distance_checks_arrays_like_a_basis():
@@ -422,6 +450,17 @@ def test_smallest_singular_subspace_follows_a_wide_gap(n, rows_extra, r_frac,
         assert basis.dim == n - r
         assert subspace_distance(basis, V[:, r:]) <= 1e-6
         assert _orthonormality_defect(basis.basis) <= 1e-13
+
+
+def test_subspace_basis_holds_a_complex_array():
+    B = SubspaceBasis(np.eye(2)).basis
+    assert type(B) is np.ndarray and B.dtype == np.complex128
+
+
+def test_norm_of_the_largest_exponent():
+    """frexp puts 1e308 at exponent 1024, whose scale 2**1024 overflows;
+    the exponent is clamped at 1023."""
+    assert _norm(np.array([[1e308 + 0j]])) == 1e308
 
 
 def test_subspace_basis_rejects_non_orthonormal():

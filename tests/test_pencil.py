@@ -35,6 +35,12 @@ from oracles import (
 from util import chain, rel_err, scalar_pencil, stable_pencil
 
 
+def test_pencil_holds_complex_arrays():
+    P = Pencil([[2]], [[1]])
+    for M in (P.A, P.B):
+        assert type(M) is np.ndarray and M.dtype == np.complex128
+
+
 # ----------------------------- ab_step -----------------------------
 
 def test_ab_step_scalar_values():

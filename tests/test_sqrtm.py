@@ -247,6 +247,35 @@ def test_sqrtm_converged_on_a_spread_spectrum_meets_tol():
     assert res.status is not SolveStatus.CONVERGED or res.residual <= prob.tol
 
 
+def test_sqrtm_floor_rule_stops_on_a_tenfold_jump():
+    """On a spread spectrum of size 8 at order 3 the differences fall to
+    3.07e-10 at step 6 and jump 16-fold to 4.97e-09 at step 7: one rise,
+    so only the floor rule's tenfold trigger stops the run there (without
+    it the run takes step 8).  The result is step 6's iterate."""
+    rng = np.random.default_rng(0)
+    moduli = 50.0 ** rng.random(8)
+    args = rng.uniform(-0.5, 0.5, 8)
+    S, _ = make_known_sqrt_problem(
+        ProblemSpec(moduli * np.exp(1j * args), cond=10.0, seed=0))
+    res = sqrtm_ab(SqrtProblem(S, gamma=gamma_heuristic((1.0, 50.0)),
+                               order=3))
+    assert res.status is SolveStatus.CONVERGED
+    assert res.trace.steps == (2, 3, 4, 5, 6, 7)
+    assert res.trace.errors[-1] > 10.0 * res.trace.errors[-2]
+    assert res.residual == res.trace.residuals[-2]
+
+
+def test_sqrtm_on_zero_norms():
+    """``||S|| = 0`` divides nothing: the 0x0 S converges with residual
+    0.0, and the 2x2 zero S (a singular S, ROADMAP item 9) returns a
+    finite residual."""
+    res = sqrtm_ab(SqrtProblem(np.zeros((0, 0))))
+    assert res.status is SolveStatus.CONVERGED
+    assert res.residual == 0.0
+    res = sqrtm_ab(SqrtProblem(np.zeros((2, 2))))
+    assert np.isfinite(res.residual)
+
+
 def test_sqrtm_overflow_is_reported_where_the_iterate_is_made():
     """On 1e160*I the Newton step's S + Q^2 overflows; ``q_step`` names the
     iterate instead of passing Inf on (the status question is the xfail
@@ -296,6 +325,21 @@ def test_sqrtm_certificate_of_an_overflowing_square_is_finite():
     assert not any(Q.imag.any() for Q in qs)
     assert res.trace.residuals == pytest.approx(
         [_decimal_residual(Q, S) for Q in qs[1:]], rel=1e-14)
+
+
+@pytest.mark.parametrize("k", [300, 500, 508])
+def test_sqrtm_residual_is_invariant_under_power_of_two_scaling(k):
+    """A run on 4**k S from 2**k gamma has iterates 2**k times the run on
+    S, and the same residuals bit for bit: near ||S|| = 2**1016 a
+    residual divided by ||S|| before the scale is undone would pass
+    through the subnormal range and lose digits."""
+    S, _ = make_known_sqrt_problem(ProblemSpec((1.0, 2.0, 3.0 + 0.5j, 4.0),
+                                               seed=1))
+    ref = sqrtm_ab(SqrtProblem(S))
+    res = sqrtm_ab(SqrtProblem(S * 4.0 ** k, gamma=2.0 ** k))
+    assert np.array_equal(res.X, ref.X * 2.0 ** k)
+    assert res.trace.residuals == ref.trace.residuals
+    assert res.residual == ref.residual
 
 
 def test_sqrtm_trace_is_consistent():
