@@ -65,7 +65,6 @@ def parse_matrix_file(path) -> np.ndarray:
 
 def _parse_txt(text: str, path: str) -> np.ndarray:
     rows = []
-    width = None
     for lineno, line in enumerate(text.splitlines(), start=1):
         tokens = line.split()
         if not tokens:
@@ -77,11 +76,10 @@ def _parse_txt(text: str, path: str) -> np.ndarray:
                 raise ParseError(f"bad entry {tok!r}", path=path,
                                  line=lineno, offset=offset)
             row.append(value)
-        if width is None:
-            width = len(row)
-        elif len(row) != width:
-            raise ParseError(f"row has {len(row)} entries, expected {width}",
-                             path=path, line=lineno)
+        if rows and len(row) != len(rows[0]):
+            raise ParseError(
+                f"row has {len(row)} entries, expected {len(rows[0])}",
+                path=path, line=lineno)
         rows.append(row)
     if not rows:
         raise ParseError("file contains no matrix rows", path=path)

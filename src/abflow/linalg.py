@@ -71,9 +71,8 @@ class LUFactorization:
     @cached_property
     def growth(self) -> float:
         """Elimination growth indicator ``max|U| / max|A|`` (0 when n = 0)."""
-        if self.n == 0:
-            return 0.0
-        return float(np.abs(np.triu(self.lu)).max() / self.a_max)
+        return float(np.abs(np.triu(self.lu)).max(initial=0.0)
+                     / (self.a_max or 1.0))
 
     def solve(self, rhs: np.ndarray, trans: bool = False) -> np.ndarray:
         """Solve ``A @ X = rhs`` (or ``A.T @ X = rhs`` when ``trans``)."""
@@ -88,11 +87,12 @@ def lu_factor(A, B=None) -> LUFactorization:
 
     Raises ``BreakdownError`` (index None), the one signal of a singular sum
     in either chain, when a pivot falls below ``PIVOT_SAFETY * n * eps``
-    times the largest entry of each term and of the sum and, with row i of
-    ``M`` scaled by the exact ``2**-e_i`` (``e_i`` the exponent of the row's
-    largest entry in those; LAPACK's ``xGEEQU`` row equilibration), below
-    ``PIVOT_SAFETY * n * eps`` too: a sum that cancels to rounding error of
-    its terms is singular, and each row is judged on its own scale.
+    times the largest entry of each term and of the sum (times 1 when all
+    vanish) and, with row i of ``M`` scaled by the exact ``2**-e_i``
+    (``e_i`` the exponent of the row's largest entry in those; LAPACK's
+    ``xGEEQU`` row equilibration), below ``PIVOT_SAFETY * n * eps`` too: a
+    sum that cancels to rounding error of its terms is singular, and each
+    row is judged on its own scale.
     A pass returns LU factors of ``M`` itself, after the scaled test in
     its pivot order, which keeps each row's accuracy (``zgetrf``'s where
     those overflow, rows ~``2**1022`` apart).  ``ValueError`` when
@@ -105,14 +105,12 @@ def lu_factor(A, B=None) -> LUFactorization:
         return LUFactorization(M.copy(), np.empty(0, dtype=np.int32), 0.0)
     maxima = [float(np.abs(T).max()) for T in terms]
     a_max = maxima[-1]
-    if a_max == 0.0:
-        raise BreakdownError("matrix is identically zero")
     if a_max == math.inf:
         raise ValueError("matrix entries overflow")
     # exact zero pivots (info > 0) are flagged below through the cutoff check
     lu, piv, _ = zgetrf(M)
     pivot = float(np.abs(lu.diagonal()).min())
-    cutoff = PIVOT_SAFETY * n * EPS * max(maxima)
+    cutoff = PIVOT_SAFETY * n * EPS * (max(maxima) or 1.0)
     if pivot < cutoff:
         rows = [np.abs(T).max(axis=1) for T in terms]
         e = np.maximum(np.frexp(np.max(rows, 0))[1], -1023)

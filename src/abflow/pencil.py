@@ -344,15 +344,13 @@ def modified_ab_run(initial: Pencil, cfg: AccelConfig,
     tol, order, expected_dim = cfg.tol, cfg.order, cfg.expected_dim
     if expected_dim is not None:
         _integer("expected_dim", expected_dim, 0, initial.n)
+        extract = lambda it: (
+            it, smallest_singular_subspace(it.A_k, expected_dim))
     else:         # only threshold mode reads the scale
         ref = float(_norm(initial.A - initial.B, axis=1).max(initial=0.0))
+        extract = lambda it: (it, null_space_basis(it.A_k, ref))
 
-    def extract(it):
-        if expected_dim is not None:
-            return it, smallest_singular_subspace(it.A_k, expected_dim)
-        return it, null_space_basis(it.A_k, ref)
-
-    def advance(x):     # both steps are module globals, read at each call
+    def advance(x):     # steps and kernels are module globals, read per call
         return extract(ab_step(initial, x[0]) if order == 1
                        else accel_step(x[0], order))
 

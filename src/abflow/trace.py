@@ -6,7 +6,6 @@ import itertools
 import json
 import math
 import os
-import tempfile
 from dataclasses import dataclass
 
 from .linalg import EPS
@@ -100,11 +99,13 @@ def _rows(trace: ConvergenceTrace):
 
 
 def atomic_write_text(path, text: str) -> None:
-    """Write a file via a same-directory temp file and rename."""
-    fd, tmp = tempfile.mkstemp(dir=os.path.dirname(path), prefix=".tmp-",
-                               suffix=os.path.basename(path))
+    """Write a file via a same-directory temp file and rename; the file
+    gets the mode that the umask gives any new file."""
+    head, tail = os.path.split(path)
+    tmp = os.path.join(head, f".tmp-{os.urandom(6).hex()}{tail}")
+    fh = open(tmp, "x")     # never another writer's file, so ours to unlink
     try:
-        with os.fdopen(fd, "w") as fh:
+        with fh:
             fh.write(text)
         os.replace(tmp, path)
     except BaseException:

@@ -239,6 +239,39 @@ def test_widely_scaled_root_of_unity_is_a_breakdown(value, order, element,
     assert (res.status, res.iterations) == (SolveStatus.BREAKDOWN, element)
 
 
+@pytest.mark.parametrize("order", [1, 2, 4])
+@pytest.mark.parametrize("dim", [3, None], ids=["expected_dim", "threshold"])
+@pytest.mark.parametrize("s", [0, 6, 12])
+@pytest.mark.parametrize("p", [2, 3, 4, 6])
+def test_row_scaled_roots_of_unity_converge_or_break_down(p, s, dim, order,
+                                                          request):
+    """Three stable, one primitive p-th root of unity and three unstable
+    eigenvalues, Q-rotated, with rows scaled by ``10^U(-s, s)``.  Each of
+    three draws ends CONVERGED on the known stable basis ``Q[:, :3]``, or
+    BREAKDOWN where ``breakdown_check`` predicts one.  The known basis
+    stands in for ``ordqz``, whose inside-the-circle count is not defined
+    for |lambda| = 1."""
+    if (p, s, dim, order) in ((3, 12, None, 2), (6, 12, None, 2)):
+        request.applymarker(pytest.mark.xfail(
+            strict=True, raises=AssertionError,
+            reason="ROADMAP item 6, the rounding drift of item 21: draws 1 "
+            "and 2 stop CONVERGED at dimension 4 after 59-60 iterations"))
+    lam = np.array([0.3, -0.5j, 0.6 + 0.2j, np.exp(2j * np.pi / p),
+                    2.0, -1.5, 1.2 + 1.0j])
+    breaks = breakdown_check(lam, KMAX) is not None
+    for seed in range(3):
+        rng = np.random.default_rng(seed)
+        d = 10.0 ** rng.uniform(-s, s, 7)
+        Q = random_unitary(7, rng)
+        pencil = Pencil(d[:, None] * (Q * lam) @ Q.conj().T, np.diag(d))
+        res = modified_ab_run(pencil, AccelConfig(order, TOL, KMAX, dim))
+        if res.status is SolveStatus.BREAKDOWN and breaks:
+            continue
+        assert res.status is SolveStatus.CONVERGED, seed
+        assert res.U.dim == 3, seed
+        assert subspace_distance(res.U, Q[:, :3]) <= 1e-8, seed
+
+
 @pytest.mark.xfail(strict=True, raises=AssertionError,
                    reason="ROADMAP item 6: threshold mode stops CONVERGED at "
                    "element 2 with the unit-circle direction as its basis")

@@ -5,6 +5,7 @@ import json
 import math
 import os
 import re
+import stat
 import subprocess
 import sys
 from pathlib import Path
@@ -684,6 +685,31 @@ def test_cli_atomic_write_leaves_no_temp(tmp_path):
     assert main(["sqrt", "--input", s, "--out", out]) == 0
     leftovers = [p for p in os.listdir(tmp_path) if p.startswith(".tmp-")]
     assert leftovers == []
+
+
+def test_cli_result_files_get_the_mode_of_a_plain_open(tmp_path):
+    """Every file abflow writes has the mode that the umask gives a new
+    file, as a plain ``open`` in the same directory makes it, not a temp
+    file's owner-only 0600."""
+    s = write(tmp_path / "S.txt", "4 0\n0 9\n")
+    a = write(tmp_path / "A.txt", "0.5 0\n0 2\n")
+    b = write(tmp_path / "B.txt", "1 0\n0 1\n")
+    assert main(["sqrt", "--input", s, "--out", str(tmp_path / "X.json"),
+                 "--trace", str(tmp_path / "t.csv")]) == 0
+    assert main(["pencil", "--a", a, "--b", b,
+                 "--out", str(tmp_path / "U.json")]) == 0
+    assert main(["bench", "--kind", "sqrt", "--spectrum", "2,3", "--orders",
+                 "1", "--out-dir", str(tmp_path / "D")]) == 0
+    written = [tmp_path / name for name in ("X.json", "t.csv", "U.json")]
+    written += [tmp_path / "D" / f"bench_sqrt_r1.{ext}" for ext in ("csv", "json")]
+    for d in {p.parent for p in written}:
+        with open(d / "plain", "w"):
+            pass
+
+    def mode(p):
+        return stat.S_IMODE(os.stat(p).st_mode)
+    assert [mode(p) for p in written] == [mode(p.parent / "plain")
+                                          for p in written]
 
 
 @pytest.mark.parametrize("args, code", [

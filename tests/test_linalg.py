@@ -79,8 +79,14 @@ def test_lu_factor_rejects_singular():
     with pytest.raises(BreakdownError) as info:
         lu_factor(np.array([[1.0, 1.0], [1.0, 1.0]], dtype=complex))
     assert info.value.index is None
-    with pytest.raises(BreakdownError):
+    # a zero sum, alone or cancelling exactly, fails the one pivot test too
+    two_pivots = (r"^pivot \S+ below cutoff \S+, "
+                  r"row-scaled pivot \S+ below \S+$")
+    with pytest.raises(BreakdownError, match=two_pivots):
         lu_factor(np.zeros((3, 3), dtype=complex))
+    eye = np.eye(2, dtype=complex)
+    with pytest.raises(BreakdownError, match=two_pivots):
+        lu_factor(eye, -eye)
     # a sum that cancels to rounding error of its unit-sized terms
     tiny = np.array([[1e-15]], dtype=complex)
     ones = np.ones((1, 1), dtype=complex)
@@ -88,15 +94,32 @@ def test_lu_factor_rejects_singular():
     with pytest.raises(BreakdownError):
         lu_factor(ones, tiny - ones)
     # a row that cancels on its own scale fails both tests, named in turn
-    with pytest.raises(BreakdownError, match=r"^pivot \S+ below cutoff \S+, "
-                       r"row-scaled pivot \S+ below \S+$"):
-        lu_factor(np.diag([-1.0, 1e14]).astype(complex),
-                  np.eye(2, dtype=complex))
+    with pytest.raises(BreakdownError, match=two_pivots):
+        lu_factor(np.diag([-1.0, 1e14]).astype(complex), eye)
     # a row whose largest entry is subnormal: its scale 2**1029 would
     # overflow, so the exponent is floored at -1023 and the scaled test
     # still sees the row cancel
     with pytest.raises(BreakdownError, match="row-scaled pivot"):
         lu_factor(np.array([[1.0, 1.0], [1e-310, 1e-310]], dtype=complex))
+
+
+@pytest.mark.xfail(strict=True, raises=pytest.fail.Exception,
+                   reason="ROADMAP item 24: zgetrf factors an all-subnormal "
+                   "singular matrix with L[1,0] = U[1,1] = 1e-310, and the "
+                   "pivot test passes")
+def test_lu_factor_rejects_a_singular_subnormal_matrix():
+    with pytest.raises(BreakdownError):
+        lu_factor(np.full((2, 2), 1e-310, dtype=complex))
+
+
+@pytest.mark.xfail(strict=True, raises=AssertionError,
+                   reason="ROADMAP item 24: a subnormal pivot solves to NaN")
+def test_lu_factor_solves_with_a_subnormal_pivot():
+    """Pivots from 1e-100 down to 1e-300 solve exactly; 1e-310 is
+    subnormal."""
+    f = lu_factor(np.diag([1.0, 1e-310]).astype(complex))
+    X = f.solve(np.array([[1.0], [1e-310]], dtype=complex))
+    assert np.array_equal(X, np.ones((2, 1)))
 
 
 @pytest.mark.parametrize("trans", [False, True])
