@@ -2,9 +2,7 @@
 
 Exit codes: 0 converged, 1 usage or input errors, 2 breakdown,
 3 iteration limit reached.  Result files are written atomically
-(temp-then-rename).  Relative default output paths resolve against
-``$ABFLOW_OUT_DIR`` when that variable is set; explicit paths are used
-verbatim.
+(temp-then-rename).
 """
 
 from __future__ import annotations
@@ -33,8 +31,6 @@ _EXIT_BY_STATUS = {
     SolveStatus.MAX_ITERATIONS: 3,
 }
 
-OUT_DIR_ENV = "ABFLOW_OUT_DIR"
-
 _DEFAULT = "(default %(default)s)"     # argparse fills in the option's default
 _BENCH_KMAX = run_experiment.__kwdefaults__["kmax"]  # the function's own default
 
@@ -56,7 +52,7 @@ def parse_matrix_file(path) -> np.ndarray:
     try:
         with open(path, encoding="utf-8") as fh:
             text = fh.read()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ParseError(str(exc), path=path) from exc
     if path.endswith(".json"):
         return _parse_json(text, path)
@@ -163,11 +159,6 @@ def write_matrix_json(M, path) -> None:
 
 # ----------------------------- helpers -----------------------------
 
-def _resolve_out(explicit, default_name: str) -> str:
-    default = os.path.join(os.environ.get(OUT_DIR_ENV, ""), default_name)
-    return default if explicit is None else explicit
-
-
 def _parse_list(text: str, convert, item: str, name: str) -> list:
     """The nonblank comma-separated entries of ``text`` through
     ``convert``; a ``ValueError`` names the first bad ``item``, or says
@@ -199,12 +190,11 @@ def _cmd_sqrt(ns) -> int:
     _check_settings(ns.order, ns.tol, ns.kmax)
     result = sqrtm_ab(SqrtProblem(parse_matrix_file(ns.input), gamma=ns.gamma,
                                   order=ns.order, tol=ns.tol, kmax=ns.kmax))
-    out = _resolve_out(ns.out, "sqrt_result.json")
-    write_matrix_json(result.X, out)
-    if ns.trace is not None:
+    if ns.trace is not None:    # first, so a failed trace leaves no result
         write_trace_csv(result.trace, ns.trace)
+    write_matrix_json(result.X, ns.out)
     print(f"status={result.status.value} residual={result.residual:.3e} "
-          f"wrote {out}")
+          f"wrote {ns.out}")
     return _EXIT_BY_STATUS[result.status]
 
 
@@ -212,7 +202,6 @@ def _cmd_pencil(ns) -> int:
     config = AccelConfig(ns.order, ns.tol, ns.kmax, ns.dim)
     pencil = Pencil(parse_matrix_file(ns.a), parse_matrix_file(ns.b))
     result = modified_ab_run(pencil, config)
-    out = _resolve_out(ns.out, "pencil_result.json")
     doc = {
         "status": result.status.value,
         "iterations": result.iterations,
@@ -220,9 +209,9 @@ def _cmd_pencil(ns) -> int:
         "U": _matrix_doc(result.U.basis),
         "Lambda": _matrix_doc(result.Lambda),
     }
-    atomic_write_text(out, json.dumps(doc, check_circular=False) + "\n")
+    atomic_write_text(ns.out, json.dumps(doc, check_circular=False) + "\n")
     print(f"status={result.status.value} dim={result.U.dim} "
-          f"residual={result.residual:.3e} wrote {out}")
+          f"residual={result.residual:.3e} wrote {ns.out}")
     return _EXIT_BY_STATUS[result.status]
 
 
@@ -235,14 +224,13 @@ def _cmd_bench(ns) -> int:
         _check_settings(r, ns.tol, ns.kmax)
     traces = [run_experiment(ns.kind, spec, order=r, gamma=ns.gamma,
                              tol=ns.tol, kmax=ns.kmax) for r in orders]
-    out_dir = _resolve_out(ns.out_dir, "traces")
-    os.makedirs(out_dir, exist_ok=True)
+    os.makedirs(ns.out_dir, exist_ok=True)
     header_base = {"kind": ns.kind,
                    "spectrum": [[v.real, v.imag] for v in values],
                    **{k: getattr(ns, k)
                       for k in ("cond", "seed", "gamma", "tol", "kmax")}}
     for r, trace in zip(orders, traces):     # every order ran: write
-        stem = os.path.join(out_dir, f"bench_{ns.kind}_r{r}")
+        stem = os.path.join(ns.out_dir, f"bench_{ns.kind}_r{r}")
         write_trace_csv(trace, stem + ".csv")
         write_trace_json(trace, stem + ".json",
                          header={**header_base, "order": r})
@@ -267,8 +255,8 @@ def build_parser() -> argparse.ArgumentParser:
                     help=f"Positive shift for the initial iterate {_DEFAULT}.")
     sq.add_argument("--tol", type=float, default=SqrtProblem.tol, help=_DEFAULT)
     sq.add_argument("--kmax", type=int, default=SqrtProblem.kmax, help=_DEFAULT)
-    sq.add_argument("--out", help="Output json for the root "
-                                  "(default sqrt_result.json).")
+    sq.add_argument("--out", default="sqrt_result.json",
+                    help=f"Output json for the root {_DEFAULT}.")
     sq.add_argument("--trace", help="Optional CSV convergence trace.")
     sq.set_defaults(run=_cmd_sqrt)
 
@@ -282,8 +270,8 @@ def build_parser() -> argparse.ArgumentParser:
     pc.add_argument("--order", type=int, default=AccelConfig.order,
                     help=f"Order r in 1..{MAX_ORDER}; 1 is the plain chain "
                          f"{_DEFAULT}.")
-    pc.add_argument("--out", help="Output json with U, Lambda, residual "
-                                  "(default pencil_result.json).")
+    pc.add_argument("--out", default="pencil_result.json",
+                    help=f"Output json with U, Lambda, residual {_DEFAULT}.")
     pc.set_defaults(run=_cmd_pencil)
 
     be = sub.add_parser("bench", help="Run convergence experiments and "
@@ -301,7 +289,8 @@ def build_parser() -> argparse.ArgumentParser:
     be.add_argument("--gamma", type=float, default=SqrtProblem.gamma, help=_DEFAULT)
     be.add_argument("--tol", type=float, default=SqrtProblem.tol, help=_DEFAULT)
     be.add_argument("--kmax", type=int, default=_BENCH_KMAX, help=_DEFAULT)
-    be.add_argument("--out-dir", help="Trace directory (default traces/).")
+    be.add_argument("--out-dir", default="traces",
+                    help=f"Trace directory {_DEFAULT}.")
     be.set_defaults(run=_cmd_bench)
     return p
 

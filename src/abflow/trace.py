@@ -103,7 +103,10 @@ def atomic_write_text(path, text: str) -> None:
     gets the mode that the umask gives any new file."""
     head, tail = os.path.split(path)
     tmp = os.path.join(head, f".tmp-{os.urandom(6).hex()}{tail}")
-    fh = open(tmp, "x")     # never another writer's file, so ours to unlink
+    try:        # "x": never another writer's file, so ours to unlink
+        fh = open(tmp, "x")
+    except OSError as exc:  # name the path asked for, not the temp file
+        raise OSError(exc.errno, exc.strerror, os.fspath(path)) from exc
     try:
         with fh:
             fh.write(text)

@@ -23,6 +23,7 @@ from abflow import (
     SolveStatus,
     SqrtProblem,
     breakdown_check,
+    gamma_heuristic,
     modified_ab_run,
     sqrtm_ab,
     subspace_distance,
@@ -157,6 +158,62 @@ def test_singular_square_root_converges(order):
                        cond=10, seed=0)
     S, X = make_known_sqrt_problem(spec)
     res = sqrtm_ab(SqrtProblem(S, gamma=2.0, order=order, tol=TOL, kmax=KMAX))
+    assert res.status is SolveStatus.CONVERGED
+    assert np.linalg.norm(res.X - X) <= 1e-8 * np.linalg.norm(X)
+
+
+#: Spectra of the known root X_true, each drawn at cond 10 with seeds 0-2.
+_ROOT_SPECTRA = {
+    "narrow": tuple(np.linspace(1, 4, 8)),
+    "spread": tuple(np.linspace(1, 30, 8)),
+    "wide": tuple(np.logspace(-1.5, 1.5, 8)),
+    "jordan": (SpectrumEntry(2.0, 2, semisimple=False), *np.linspace(1, 4, 6)),
+    "singular": (SpectrumEntry(0.0, 2), *np.linspace(1, 4, 6)),
+}
+
+
+def _known_root(family, seed):
+    """``(S, X_true, gamma)``, with ``gamma_heuristic`` of the smallest
+    nonzero and the largest modulus of the spectrum of X_true."""
+    spec = ProblemSpec(_ROOT_SPECTRA[family], cond=10.0, seed=seed)
+    moduli = [abs(e.value) for e in spec.spectrum if e.value]
+    S, X = make_known_sqrt_problem(spec)
+    return S, X, gamma_heuristic((min(moduli), max(moduli)))
+
+
+_ROOTS = {
+    **{f"{family}-{seed}": partial(_known_root, family, seed)
+       for family in _ROOT_SPECTRA for seed in range(3)},
+    "n0": lambda: (np.zeros((0, 0)), np.zeros((0, 0)), 1.0),
+    "n1": lambda: (np.array([[4.0]]), np.array([[2.0]]), 1.0),
+}
+
+#: The orders at which each family's runs end in a false status.
+_FALSE_ROOT_STATUSES = {
+    "spread": ((1,), "ROADMAP item 4: order 1 ends BREAKDOWN after 40 "
+               "steps, error 4e-4"),
+    "wide": ((1, 2, 4), "ROADMAP item 4: BREAKDOWN, error 2e-3 to 7"),
+    "singular": ((1, 2, 4), "ROADMAP item 9: MAX_ITERATIONS at order 1, "
+                 "BREAKDOWN at orders 2 and 4"),
+}
+
+
+@pytest.mark.parametrize("order", [1, 2, 4])
+@pytest.mark.parametrize("case", list(_ROOTS))
+def test_square_root_matches_the_known_root(case, order, request):
+    """Each run ends CONVERGED within 1e-8 of the generator's X_true, the
+    sine limit of the subspace runs; no BREAKDOWN is true here, since no
+    eigenvalue of S lies on the negative real axis.  scipy's ``sqrtm`` is
+    no oracle here: its own error on the singular family is 1.3e-8 to
+    2.5e-8."""
+    orders, reason = _FALSE_ROOT_STATUSES.get(case.rsplit("-", 1)[0],
+                                              ((), None))
+    if order in orders:
+        request.applymarker(pytest.mark.xfail(
+            strict=True, raises=AssertionError, reason=reason))
+    S, X, gamma = _ROOTS[case]()
+    res = sqrtm_ab(SqrtProblem(S, gamma=gamma, order=order, tol=TOL,
+                               kmax=KMAX))
     assert res.status is SolveStatus.CONVERGED
     assert np.linalg.norm(res.X - X) <= 1e-8 * np.linalg.norm(X)
 

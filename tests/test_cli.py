@@ -173,6 +173,24 @@ def test_parse_missing_file(tmp_path):
         parse_matrix_file(str(tmp_path / "absent.txt"))
 
 
+@pytest.mark.parametrize("name", ["bad.txt", "bad.json"])
+def test_non_utf8_matrix_file_is_a_parse_error_naming_it(tmp_path, capsys,
+                                                         name):
+    """A file that is not UTF-8 is unreadable: a ``ParseError`` naming
+    it, so the message says which of pencil's two files is bad."""
+    bad = tmp_path / name
+    bad.write_bytes(b"4 0\n0 \xe9\n")
+    with pytest.raises(ParseError, match="can't decode byte 0xe9") as info:
+        parse_matrix_file(bad)
+    assert info.value.path == str(bad)
+    good = write(tmp_path / "S.txt", "4 0\n0 9\n")
+    out = tmp_path / "U.json"
+    assert main(["pencil", "--a", good, "--b", str(bad),
+                 "--out", str(out)]) == 1
+    assert capsys.readouterr().err.startswith(f"error: {bad}: ")
+    assert not out.exists()
+
+
 def test_json_roundtrip_bit_exact(tmp_path):
     rng = np.random.default_rng(0)
     M = rng.standard_normal((3, 4)) + 1j * rng.standard_normal((3, 4))
@@ -543,12 +561,20 @@ def test_cli_defaults_are_the_library_defaults(cmd, required):
 
 # ----------------------------- error handling -----------------------------
 
-@pytest.mark.parametrize("cmd", ["sqrt", "pencil", "bench"])
-def test_cli_help_exits_zero_and_shows_the_order_range(capsys, cmd):
+@pytest.mark.parametrize("cmd, output", [
+    ("sqrt", "sqrt_result.json"),
+    ("pencil", "pencil_result.json"),
+    ("bench", "traces"),
+], ids=["sqrt", "pencil", "bench"])
+def test_cli_help_exits_zero_and_shows_the_order_range(capsys, cmd, output):
+    """Each ``--help`` shows the order range and the default output."""
     with pytest.raises(SystemExit) as exc:
         main([cmd, "--help"])
     assert exc.value.code == 0
-    assert "1..16" in capsys.readouterr().out
+    # argparse wraps help lines at the terminal width
+    text = " ".join(capsys.readouterr().out.split())
+    assert "1..16" in text
+    assert f"(default {output})" in text
 
 
 def test_cli_usage_error_exits_one(capsys):
@@ -639,12 +665,44 @@ def test_cli_bench_pencil_checks_float_parameters(tmp_path, capsys, args, name):
     assert not out_dir.exists()
 
 
-def test_cli_out_dir_env_rebases_default_names(tmp_path, monkeypatch):
-    s = write(tmp_path / "s.txt", "4\n")
-    monkeypatch.setenv("ABFLOW_OUT_DIR", str(tmp_path))
-    code = main(["sqrt", "--input", s])
-    assert code == 0
-    assert (tmp_path / "sqrt_result.json").exists()
+@pytest.mark.parametrize("args, output", [
+    (["sqrt", "--input", "s.txt"], "sqrt_result.json"),
+    (["pencil", "--a", "a.txt", "--b", "b.txt"], "pencil_result.json"),
+    (["bench", "--kind", "sqrt", "--spectrum", "2,3", "--orders", "1"],
+     "traces"),
+], ids=["sqrt", "pencil", "bench"])
+def test_cli_default_output_is_in_the_working_directory(tmp_path, monkeypatch,
+                                                        args, output):
+    """A default output name resolves against the working directory, and
+    no environment variable moves it: ``ABFLOW_OUT_DIR``, set here, is
+    not read."""
+    work, elsewhere = tmp_path / "work", tmp_path / "elsewhere"
+    work.mkdir()
+    elsewhere.mkdir()
+    for name, text in (("s.txt", "4\n"), ("a.txt", "0.5\n"), ("b.txt", "1\n")):
+        write(work / name, text)
+    monkeypatch.chdir(work)
+    monkeypatch.setenv("ABFLOW_OUT_DIR", str(elsewhere))
+    assert main(args) == 0
+    assert (work / output).exists()
+    assert list(elsewhere.iterdir()) == []
+
+
+@pytest.mark.parametrize("args", [
+    ["sqrt", "--input", "S.txt", "--out", "X.json", "--trace", "nodir/t.csv"],
+    ["pencil", "--a", "S.txt", "--b", "S.txt", "--out", "nodir/U.json"],
+], ids=["sqrt-trace", "pencil-out"])
+def test_cli_failed_write_leaves_no_result_and_names_its_path(
+        tmp_path, monkeypatch, capsys, args):
+    """A write into a missing directory exits 1 naming the path asked
+    for, not its temp file, and ``sqrt`` writes its trace before its
+    result, so a failed trace leaves no result behind."""
+    write(tmp_path / "S.txt", "4 0\n0 9\n")
+    monkeypatch.chdir(tmp_path)
+    assert main(args) == 1
+    err = capsys.readouterr().err
+    assert f"'{args[-1]}'" in err and ".tmp-" not in err
+    assert os.listdir(tmp_path) == ["S.txt"]
 
 
 def test_cli_prints_status_residual_and_path(tmp_path, capsys):
@@ -741,7 +799,6 @@ def test_process_exit_codes(tmp_path, files, args, code):
         write(tmp_path / name, text)
     home = Path(abflow.__file__).resolve().parents[1]
     env = {**os.environ, "PYTHONPATH": str(home)}
-    env.pop("ABFLOW_OUT_DIR", None)
     proc = subprocess.run([sys.executable, "-m", "abflow.cli", *args],
                           cwd=tmp_path, env=env, capture_output=True,
                           text=True, timeout=120)
