@@ -15,6 +15,7 @@ import re
 import sys
 
 import numpy as np
+import orjson
 
 from .errors import ABFlowError, ParseError
 from .lab import ProblemSpec, run_experiment
@@ -86,11 +87,23 @@ def _parse_json(text: str, path: str) -> np.ndarray:
     def reject(name):       # Python's json reads NaN and +-Infinity
         raise ParseError(f"{name} is not a finite number", path=path)
 
+    # orjson reads a document several times faster than json, to the same
+    # values.  json re-reads what orjson rejects (NaN, Infinity, numbers
+    # beyond double range, malformed text), so its values and error
+    # positions are the ones reported, and a document whose shape orjson
+    # did not read as two ints: orjson reads an integer beyond 64 bits as
+    # a float, which would change the "bad shape" message.
     try:
-        doc = json.loads(text, parse_constant=reject)
-    except json.JSONDecodeError as exc:
-        raise ParseError(exc.msg, path=path, line=exc.lineno,
-                         offset=exc.colno) from exc
+        doc = orjson.loads(text)
+    except orjson.JSONDecodeError:
+        doc = None
+    if not (type(doc) is dict
+            and all(type(doc.get(k)) is int for k in ("rows", "cols"))):
+        try:
+            doc = json.loads(text, parse_constant=reject)
+        except json.JSONDecodeError as exc:
+            raise ParseError(exc.msg, path=path, line=exc.lineno,
+                             offset=exc.colno) from exc
     if not isinstance(doc, dict):
         raise ParseError("top level must be an object", path=path)
     try:
@@ -144,13 +157,20 @@ def _scan_pairs(data: list, path: str) -> np.ndarray:
 
 def _matrix_doc(M) -> dict:
     A = as_matrix(M)
-    data = np.stack((A.real.ravel(), A.imag.ravel()), 1).tolist()
+    # C-contiguous float64: orjson serializes this layout directly
+    data = np.stack((A.real.ravel(), A.imag.ravel()), 1)
     return {"rows": A.shape[0], "cols": A.shape[1], "data": data}
+
+
+def _dumps(doc: dict) -> str:
+    """Compact json; numpy float64 arrays are written as nested lists of
+    shortest round-tripping numbers."""
+    return orjson.dumps(doc, option=orjson.OPT_SERIALIZE_NUMPY).decode()
 
 
 def matrix_to_json(M) -> str:
     """Serialize a matrix to the json wire format (round-trips bit-exactly)."""
-    return json.dumps(_matrix_doc(M), check_circular=False)
+    return _dumps(_matrix_doc(M))
 
 
 def write_matrix_json(M, path) -> None:
@@ -209,7 +229,7 @@ def _cmd_pencil(ns) -> int:
         "U": _matrix_doc(result.U.basis),
         "Lambda": _matrix_doc(result.Lambda),
     }
-    atomic_write_text(ns.out, json.dumps(doc, check_circular=False) + "\n")
+    atomic_write_text(ns.out, _dumps(doc) + "\n")
     print(f"status={result.status.value} dim={result.U.dim} "
           f"residual={result.residual:.3e} wrote {ns.out}")
     return _EXIT_BY_STATUS[result.status]

@@ -130,4 +130,6 @@ def write_trace_json(trace: ConvergenceTrace, path, header: dict | None = None) 
     """Emit the trace as JSON: a header object plus one record per step."""
     records = [dict(zip(_FIELDS, row)) for row in _rows(trace)]
     doc = {"header": header or {}, "status": trace.status, "steps": records}
+    # json, not the CLI's orjson: allow_nan=False raises where orjson would
+    # write NaN as null, and scripts/fingerprint.py hashes these bytes
     atomic_write_text(path, json.dumps(doc, indent=2, allow_nan=False) + "\n")

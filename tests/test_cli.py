@@ -11,6 +11,7 @@ import sys
 from pathlib import Path
 
 import numpy as np
+import orjson
 import pytest
 
 import abflow
@@ -154,6 +155,15 @@ def _per_entry_reference(data, rows, cols):
     _doc(1, 3, [[-0.0, 0.0], [0.0, -0.0], [-0.0, -0.0]]),
     _doc(1, 2, [[1.5, 0], [1e308, -1e-308]]),
     _doc(1, 2, [[10 ** 30, 1], [2 ** 64, -1]]),     # beyond int64, within double
+    # spellings where orjson, which reads the common case, and json could
+    # differ: orjson reads an integer beyond 64 bits as a float itself,
+    # here one just above a tie (2**64 + 2048)
+    _doc(1, 2, [[2 ** 64 + 2049, 0], [-(2 ** 64 + 2049), 10 ** 30]]),
+    '{"rows":1,"cols":2,"data":[[-0,5e-324],'
+    '[2.4703282292062328e-324,1.7976931348623158e308]]}',
+    # a 40-digit mantissa just above the tie between 2**53 and 2**53 + 2
+    '{"rows":1,"cols":1,"data":'
+    '[[9007199254740993.000000000000000000000001,0]]}',
 ])
 def test_parse_json_matches_per_entry_reference(tmp_path, text):
     doc = json.loads(text)
@@ -202,6 +212,9 @@ def test_json_roundtrip_bit_exact(tmp_path):
     # a second hop stays identical
     write_matrix_json(back, path)
     assert np.array_equal(parse_matrix_file(str(path)), back)
+    # other readers, perfbench among them, use the stdlib: the same bits
+    doc = read_strict_json(path)
+    assert _per_entry_reference(doc["data"], 3, 4).tobytes() == back.tobytes()
     for shape in ((2, 0), (0, 0)):       # empty matrices read back too
         write_matrix_json(np.zeros(shape), path)
         back = parse_matrix_file(str(path))
@@ -209,9 +222,10 @@ def test_json_roundtrip_bit_exact(tmp_path):
 
 
 def test_parse_json_rejects_negative_counts(tmp_path):
-    for rows, cols in ((-1, 0), (0, -2), (-1, -1)):
-        with pytest.raises(ParseError, match="bad shape"):
+    for rows, cols in ((-1, 0), (0, -2), (-1, -1), (-(2 ** 64) - 1, 0)):
+        with pytest.raises(ParseError) as info:
             parse_matrix_file(write(tmp_path / "m.json", _doc(rows, cols, [])))
+        assert str(info.value).endswith(f"bad shape {rows} x {cols}")
 
 
 def test_matrix_to_json_shape_fields():
@@ -227,8 +241,13 @@ def test_matrix_to_json_matches_per_element_formatting():
     M[1, 2] = complex(1e-310, 1e300)
     for A in (M, M.T):       # the transpose is not C-contiguous
         data = [[float(v.real), float(v.imag)] for v in A.ravel()]
-        golden = json.dumps({"rows": A.shape[0], "cols": A.shape[1], "data": data})
-        assert matrix_to_json(A) == golden
+        golden = orjson.dumps({"rows": A.shape[0], "cols": A.shape[1],
+                               "data": data}).decode()
+        text = matrix_to_json(A)
+        assert text == golden
+        # json, which spells 1e300 as 1e+300, reads the same floats back
+        back = np.array(json.loads(text)["data"])
+        assert back.tobytes() == np.array(data).tobytes()
 
 
 # ----------------------------- sqrt command -----------------------------
@@ -392,6 +411,8 @@ def test_cli_pencil_result_parses_back_bit_exactly(tmp_path):
     for key, M in (("U", ref.U.basis), ("Lambda", ref.Lambda)):
         back = parse_matrix_file(write(tmp_path / f"{key}.json", json.dumps(doc[key])))
         assert back.tobytes() == M.astype(np.complex128).tobytes()
+        read = _per_entry_reference(doc[key]["data"], *M.shape)  # json alone
+        assert read.astype(np.complex128).tobytes() == back.tobytes()
     assert doc["iterations"] == ref.iterations
 
 
