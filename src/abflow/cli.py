@@ -84,6 +84,10 @@ def _parse_txt(text: str, path: str) -> np.ndarray:
 
 
 def _parse_json(text: str, path: str) -> np.ndarray:
+    M = _plain_matrix(text)
+    if M is not None:
+        return M
+
     def reject(name):       # Python's json reads NaN and +-Infinity
         raise ParseError(f"{name} is not a finite number", path=path)
 
@@ -110,10 +114,11 @@ def _parse_json(text: str, path: str) -> np.ndarray:
         rows, cols, data = doc["rows"], doc["cols"], doc["data"]
     except KeyError as exc:
         raise ParseError(f"missing key {exc.args[0]!r}", path=path) from exc
+    bad_shape = f"bad shape {rows!r} x {cols!r}"
     try:
         size = _integer("rows", rows, 0) * _integer("cols", cols, 0)
     except ValueError:
-        raise ParseError(f"bad shape {rows!r} x {cols!r}", path=path) from None
+        raise ParseError(bad_shape, path=path) from None
     if not isinstance(data, list) or len(data) != size:
         raise ParseError(
             f"data has {len(data) if isinstance(data, list) else '?'} "
@@ -133,7 +138,63 @@ def _parse_json(text: str, path: str) -> np.ndarray:
         raise ParseError(f"entry {int(finite.argmin())} is outside double "
                          "range", path=path)
     # row-major [re, im] float64 pairs are exactly the complex128 layout
-    return pairs.view(np.complex128).reshape(rows, cols)
+    try:        # numpy refuses an empty shape beyond its index range
+        return pairs.view(np.complex128).reshape(rows, cols)
+    except ValueError:
+        raise ParseError(bad_shape, path=path) from None
+
+
+def _plain_matrix(text: str):
+    """The matrix of a document in the plain layout, read as one flat
+    array of numbers, or None for any other document.
+
+    The plain layout is an object of the three keys alone, in any order,
+    with positive ``rows`` and ``cols``, no true, false or null, and
+    ``data`` spelled as abflow writes it, ``[[re,im],[re,im]]``, or as
+    Python's json does, ``[[re, im], [re, im]]``.  orjson reads the
+    object with ``data`` cut out, then the numbers, each pair boundary
+    ``],[`` made a comma, as one array: no list is built per entry.  With
+    the brackets and commas in place, an entry that is not two JSON
+    numbers leaves a bracket or a stray number that orjson refuses; and
+    orjson reads a number the same way in either array, so the values
+    are the nested reader's bit for bit.
+    """
+    if "u" in text or "f" in text:
+        return None
+    try:
+        start = text.index("[", text.index('"data"'))
+        stop = text.find('"', start)        # the next key, if any
+        end = text.rindex("]", start, None if stop < 0 else stop) + 1
+    except ValueError:
+        return None
+    head = text[:start] + "[]" + text[end:]
+    if head.count('"') != 6:        # strings other than the three keys
+        return None
+    try:
+        head = orjson.loads(head)
+    except orjson.JSONDecodeError:
+        return None
+    if type(head) is not dict:
+        return None
+    rows, cols = head.get("rows"), head.get("cols")
+    if not (type(rows) is int and type(cols) is int and rows > 0 and cols > 0
+            and 5 * rows * cols <= len(text)):  # an entry takes >= 5 chars
+        return None
+    data = text[start:end].encode()
+    structure = data.translate(None, b"0123456789.eE+-")   # no numbers
+    for sep in (b",", b", "):
+        pair = b"[" + sep + b"]"
+        if structure == b"[" + (pair + sep) * (rows * cols - 1) + pair + b"]":
+            break
+    else:
+        return None
+    data = data.replace(b"]" + sep + b"[", b" " + sep + b" ")    # [[...]]
+    try:
+        numbers = orjson.loads(data)[0]
+        return np.array(numbers, dtype=np.float64).view(
+            np.complex128).reshape(rows, cols)
+    except ValueError:      # orjson's JSONDecodeError is one
+        return None
 
 
 def _scan_pairs(data: list, path: str) -> np.ndarray:

@@ -247,7 +247,7 @@ def run_experiment(kind: str, spec: ProblemSpec, *,
         residual = _residual_of(S)
 
         def measure(k, Q):    # later residuals come from the solver's trace
-            return k, _norm(Q - X) / xnorm, residual(Q) if k == 1 else None
+            return k, _norm(Q - X) / xnorm, residual(Q)[0] if k == 1 else None
 
         solve = partial(sqrtm_ab, SqrtProblem(S, gamma=gamma, order=order,
                                               tol=tol, kmax=kmax))

@@ -62,13 +62,16 @@ class SqrtResult:
     status: SolveStatus
 
 
-def q_step(Q, S, partner) -> np.ndarray:
+def q_step(Q, S, partner, product=None) -> np.ndarray:
     """Merge two elements of one Q-chain:
     ``(S + partner Q)(partner + Q)^{-1}``.
 
     With element 1, ``partner = gamma*I``, this is the plain chain step;
     inside the accelerated iteration the partner is the current outer
-    iterate.  Q, S and partner are trusted square complex arrays.
+    iterate.  Q, S and partner are trusted square complex arrays;
+    ``product``, when given, is ``partner @ Q`` bit for bit, already
+    formed by the caller (the residual's ``Q @ Q`` at a step's first
+    merge), and the product is not formed again.
 
     Raises
     ------
@@ -79,7 +82,8 @@ def q_step(Q, S, partner) -> np.ndarray:
     ValueError
         If the new iterate, checked here where it is made, is not finite.
     """
-    X = lu_factor(partner, Q).solve((S + partner @ Q).T, trans=True).T
+    X = lu_factor(partner, Q).solve(
+        (S + (partner @ Q if product is None else product)).T, trans=True).T
     if not np.isfinite(X).all():
         raise ValueError("square-root iterate is not finite")
     return X
@@ -90,24 +94,57 @@ def _residual_of(S):
     and ``c(cS)`` with ``c = 2**-max(_exponent(Q), 0)``, so ``(cQ)^2``
     never overflows.  The scalings are exact and dividing by ``c`` before
     ``||S||_F`` keeps the quotient out of the subnormal range: every
-    residual keeps numpy's bits, and ``(2**k Q, 4**k S)`` gets Q's."""
+    residual keeps numpy's bits, and ``(2**k Q, 4**k S)`` gets Q's.
+
+    ``residual(Q)`` returns the certificate and a function, to be called
+    at most once, that gives ``Q @ Q`` for the next step's first merge
+    from the same ``(cQ)^2``, or None (see :func:`_unscaled_square`)."""
     s_norm = _norm(S) or 1.0
 
     def residual(Q):
-        c = math.ldexp(1.0, -max(_exponent(Q), 0))
-        return _norm((c * Q) @ (c * Q) - c * (c * S)) / c / s_norm / c
+        e = max(_exponent(Q), 0)
+        c = math.ldexp(1.0, -e)
+        square = (c * Q) @ (c * Q)
+        return (_norm(square - c * (c * S)) / c / s_norm / c,
+                lambda: _unscaled_square(square, Q, e))
     return residual
 
 
-def accelerated_step(Q, S, order: int) -> np.ndarray:
+def _unscaled_square(square, Q, e: int):
+    """``Q @ Q`` bit for bit from ``square = (cQ) @ (cQ)``, ``c = 2**-e``,
+    scaled back in place, or None where the two products could round
+    apart.
+
+    A matrix product is multiplies and adds, and rounding commutes with
+    a power-of-two scaling unless a result overflows or falls below the
+    normal range.  Q's product stays in range when ``2n * 4**e`` does,
+    since every part of Q lies below ``2**e``.  When every nonzero part
+    of Q is at least ``2**(e - 485)``, every exact product and sum of
+    ``cQ``'s parts is a multiple of ``2**-1074``, so one that falls below
+    the normal range is exact in both.  At ``e = 0``, ``cQ`` is Q."""
+    if e == 0:
+        return square
+    parts = np.abs(np.ravel(Q, order="K").view(np.float64))
+    if (2 * e + (2 * len(Q)).bit_length() > 1023
+            or parts.min(where=parts > 0.0, initial=math.inf)
+            < math.ldexp(1.0, e - 485)):
+        return None
+    square *= math.ldexp(1.0, 2 * e)
+    return square
+
+
+def accelerated_step(Q, S, order: int, square=None) -> np.ndarray:
     """Advance the Q-chain from element m to element order*m.
 
     ``pencil._outer_step`` with ``q_step`` as the merge: ``order - 1``
     merges with the fixed partner Q, run by :func:`sqrtm_ab` at order
     >= 2.  The result equals a single rational binomial update
-    ``N(Q) D(Q)^{-1}`` in powers of Q and S.
+    ``N(Q) D(Q)^{-1}`` in powers of Q and S.  ``square``, when given, is
+    ``Q @ Q`` bit for bit, and the first merge, ``q_step(Q, S, Q)``,
+    takes it.
     """
-    return _outer_step(Q, order, lambda cur, P: q_step(cur, S, P))
+    return _outer_step(Q, order, lambda cur, P: q_step(
+        cur, S, P, square if cur is Q else None))
 
 
 def sqrtm_ab(prob: SqrtProblem, observer=None) -> SqrtResult:
@@ -148,21 +185,28 @@ def sqrtm_ab(prob: SqrtProblem, observer=None) -> SqrtResult:
     """
     S, gamma, order = prob.S, prob.gamma, prob.order
     residual = _residual_of(S)
-    resids = []
+    resids, last = [], [None, None]     # the last Q with a residual, its Q @ Q
 
     def rel_diff(P, Q):     # the metric, which also records Q's residual
-        resids.append(residual(Q))
+        value, last[1] = residual(Q)
+        last[0] = Q
+        resids.append(value)
         return _norm(Q - P) / (_norm(Q) or 1.0)
+
+    def advance(Q):         # the first merge takes the residual's Q @ Q
+        if order == 1:
+            return q_step(Q, S, Q1)
+        square = last[1]() if Q is last[0] else None
+        last[:] = None, None
+        return accelerated_step(Q, S, order, square)
 
     Q1 = gamma * np.eye(S.shape[0], dtype=np.complex128)
     status, _, best_k, X, diffs, secs = _drive(
-        Q1, lambda Q: (q_step(Q, S, Q1) if order == 1
-                       else accelerated_step(Q, S, order)),
-        rel_diff, prob.tol, prob.kmax, observer, STAGNATION_DIFF)
+        Q1, advance, rel_diff, prob.tol, prob.kmax, observer, STAGNATION_DIFF)
     trace = ConvergenceTrace(range(2, len(diffs) + 2), diffs, resids, secs,
                              status.value)
-    return SqrtResult(X, resids[best_k - 2] if best_k > 1 else residual(X),
-                      trace, status)
+    return SqrtResult(
+        X, resids[best_k - 2] if best_k > 1 else residual(X)[0], trace, status)
 
 
 def gamma_heuristic(sqrt_spectrum_bounds) -> float:

@@ -119,7 +119,18 @@ def test_parse_json_bad_documents(tmp_path):
 
 
 def _doc(rows, cols, data):
+    """The plain layout as Python's json spells it, with ", " and ": "."""
     return json.dumps({"rows": rows, "cols": cols, "data": data})
+
+
+def _compact(rows, cols, data):
+    """The plain layout as abflow spells it, with no spaces."""
+    return json.dumps({"rows": rows, "cols": cols, "data": data},
+                      separators=(",", ":"))
+
+
+_ENTRIES = [[2 ** 64 + 2049, 10 ** 30], [-0, -0.0], [5e-324, 1e300],
+            [2 ** 63 + 1025, 2 ** 64 - 1], [-(2 ** 63) - 1025, 0]]
 
 
 @pytest.mark.parametrize("data, needle", [
@@ -164,6 +175,20 @@ def _per_entry_reference(data, rows, cols):
     # a 40-digit mantissa just above the tie between 2**53 and 2**53 + 2
     '{"rows":1,"cols":1,"data":'
     '[[9007199254740993.000000000000000000000001,0]]}',
+    # both spellings of the plain layout, which is read as one flat array,
+    # and the spellings around it, which the nested reader decides
+    matrix_to_json(np.array([[1 / 3 + 2j, -0.0], [1e-310, -1e300 - 0.5j]])),
+    _compact(5, 1, _ENTRIES),
+    _doc(1, 5, _ENTRIES),
+    json.dumps({"rows": 1, "cols": 5, "data": _ENTRIES}, indent=2),
+    _compact(1, 5, _ENTRIES).replace("],[", "],\n [").replace("[[", "[\n [", 1),
+    json.dumps({"data": [[1, 2], [3.5, -4]], "cols": 1, "rows": 2}),
+    json.dumps({"cols": 2, "data": [[1, 2], [3.5, -4]], "rows": 1},
+               separators=(",", ":")),
+    json.dumps({"rows": 1, "cols": 2, "data": [[1, 2], [3, 4]], "id": 0}),
+    _compact(0, 3, []),
+    _doc(2, 0, []),
+    '{"rows":1,"cols":1,"data":[[1,2]],"data":[[3,4]]}',    # json keeps the last
 ])
 def test_parse_json_matches_per_entry_reference(tmp_path, text):
     doc = json.loads(text)
@@ -171,6 +196,28 @@ def test_parse_json_matches_per_entry_reference(tmp_path, text):
     M = parse_matrix_file(write(tmp_path / "m.json", text))
     assert M.dtype == np.complex128 and M.shape == expected.shape
     assert M.tobytes() == expected.tobytes()
+
+
+@pytest.mark.parametrize("spelling", ["abflow", "json"])
+def test_parse_json_reads_the_plain_layout_as_one_flat_array(
+        tmp_path, monkeypatch, spelling):
+    """A 200 x 200 file in either spelling of the plain layout is read
+    without a list per entry: no decoder is handed the whole text, whose
+    nested read the per-entry path needs."""
+    rng = np.random.default_rng(3)
+    M = rng.standard_normal((200, 200)) + 1j * rng.standard_normal((200, 200))
+    pairs = np.stack((M.real.ravel(), M.imag.ravel()), 1).tolist()
+    text = (matrix_to_json(M) if spelling == "abflow"
+            else _doc(200, 200, pairs)) + "\n"
+    whole = []
+    for module in (orjson, json):
+        def spy(s, *args, _loads=module.loads, **kwargs):
+            whole.append(s == text)
+            return _loads(s, *args, **kwargs)
+        monkeypatch.setattr(module, "loads", spy)
+    back = parse_matrix_file(write(tmp_path / "m.json", text))
+    assert back.tobytes() == M.tobytes()
+    assert whole == [False, False]      # the rest of the object, the numbers
 
 
 def test_parse_error_names_its_position():
@@ -629,8 +676,39 @@ def test_cli_parse_error_exits_one(tmp_path, capsys):
     ('{"rows": 1, "cols": 1, "data": [[false, 0.5]]}',
      "entry 0 is not a [re, im] pair of numbers"),
     ('{"rows": 1, "cols": 1, "data": 5}', "data has ? entries, expected 1"),
+    # numpy refuses the empty shape, and the message names the file
+    ('{"rows":9223372036854775808,"cols":0,"data":[]}',
+     ": bad shape 9223372036854775808 x 0"),
+    # close to the plain layout, in both of its spellings
+    (_compact(1, 2, [[1, 2, 3], [4]]), ": entry 0 is not a [re, im] pair"),
+    (_doc(1, 2, [[1, 2, 3], [4]]), ": entry 0 is not a [re, im] pair"),
+    (_compact(1, 2, [[1, [2]], [3, 4]]), ": entry 0 is not a [re, im] pair"),
+    (_doc(1, 2, [[1, [2]], [3, 4]]), ": entry 0 is not a [re, im] pair"),
+    (_compact(1, 2, [["12", 0], [3, 4]]), ": entry 0 is not a [re, im] pair"),
+    (_doc(1, 2, [["12", 0], [3, 4]]), ": entry 0 is not a [re, im] pair"),
+    (_compact(1, 2, [[1, 2], 5]), ": entry 1 is not a [re, im] pair"),
+    (_doc(1, 2, [[1, 2], 5]), ": entry 1 is not a [re, im] pair"),
+    ('{"rows":1,"cols":2,"data":[[1,2],[3,4],]}', ":1:40: Expecting value"),
+    ('{"rows": 1, "cols": 2, "data": [[1, 2], [3, 4], ]}',
+     ":1:49: Expecting value"),
+    ('{"rows":1,"cols":1,"data":[[1 2]]}', ":1:31: Expecting ',' delimiter"),
+    ('{"rows": 1, "cols": 1, "data": [[1 2]]}',
+     ":1:36: Expecting ',' delimiter"),
+    # a number between two pairs, alone and beside an empty place
+    ('{"rows":1,"cols":2,"data":[[1,2]5,[3,4]]}',
+     ":1:33: Expecting ',' delimiter"),
+    ('{"rows": 1, "cols": 2, "data": [[1, ]5, [3, 4]]}',
+     ":1:37: Expecting value"),
+    ('{"rows":1,"cols":1,"data":[[1,2]],"data":[]}',
+     ": data has 0 entries, expected 1"),
 ], ids=["bool-shape", "float-shape", "huge-integer", "not-an-object", "bool-entries",
-        "bool-and-float-entry", "false-entry", "data-not-a-list"])
+        "bool-and-float-entry", "false-entry", "data-not-a-list", "huge-rows",
+        "long-short-pairs", "long-short-pairs-spaced", "list-in-pair",
+        "list-in-pair-spaced", "string-entry", "string-entry-spaced",
+        "bare-number", "bare-number-spaced", "trailing-comma",
+        "trailing-comma-spaced", "no-comma", "no-comma-spaced",
+        "number-between-pairs", "number-beside-empty-place",
+        "duplicated-data"])
 def test_cli_bad_json_document_exits_one(tmp_path, capsys, text, message):
     bad = write(tmp_path / "bad.json", text)
     assert main(["sqrt", "--input", bad, "--out", str(tmp_path / "X.json")]) == 1

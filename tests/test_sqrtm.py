@@ -13,6 +13,7 @@ from abflow import (
     SolveStatus,
     SqrtProblem,
     gamma_heuristic,
+    sqrtm,
     sqrtm_ab,
 )
 from abflow.errors import BreakdownError
@@ -23,8 +24,9 @@ from abflow.lab import (
     make_known_sqrt_problem,
     random_unitary,
 )
+from abflow.linalg import _exponent
 from abflow.pencil import ABIterate, ab_step
-from abflow.sqrtm import accelerated_step, q_step
+from abflow.sqrtm import _residual_of, accelerated_step, q_step
 
 from oracles import (
     binomial_step,
@@ -362,6 +364,79 @@ def test_accelerated_outer_equals_plain_chain_element():
             Qhat = accelerated_step(Qhat, S, order)
             index *= order
             assert rel_err(Qhat, qs[index - 1]) <= 1e-8
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+@pytest.mark.parametrize("order", [2, 3, 5])
+def test_sqrtm_shares_the_residual_square_bit_for_bit(monkeypatch, order, seed):
+    """From the second step on, the first merge takes the residual's
+    ``Q @ Q`` and forms no product of its own, and the run is the same
+    outer steps made by hand with ``accelerated_step`` forming every
+    product: the same iterates, residuals and answer, bit for bit."""
+    S, _ = normal_sqrt_problem(seed, n=8, re_range=(0.5, 30.0))
+    given, plain_q_step = [], sqrtm.q_step
+
+    def spy(Q, S, partner, product=None):
+        given.append(product is not None)
+        return plain_q_step(Q, S, partner, product)
+
+    monkeypatch.setattr(sqrtm, "q_step", spy)
+    seen = []
+    res = sqrtm_ab(SqrtProblem(S, order=order),
+                   observer=lambda k, Q: seen.append(Q))
+    monkeypatch.undo()
+    steps = len(res.trace.steps)
+    assert given == [k > 0 and i == 0
+                     for k in range(steps) for i in range(order - 1)]
+    residual = _residual_of(S)
+    hand = [np.eye(8, dtype=complex)]
+    for _ in range(steps):
+        hand.append(accelerated_step(hand[-1], S, order))
+    assert [Q.tobytes() for Q in seen] == [Q.tobytes() for Q in hand]
+    assert res.trace.residuals == tuple(residual(Q)[0] for Q in hand[1:])
+    assert any(res.X is Q for Q in seen)
+    assert res.residual == residual(res.X)[0]
+
+
+def test_sqrtm_residual_square_is_q_squared_or_none():
+    """The residual's square, scaled back, is ``Q @ Q`` bit for bit.  It
+    is None where scaling back would miss ``Q @ Q``'s last bits: where a
+    scaled product falls below the normal range and rounds, or a part of
+    Q vanishes when scaled; and where ``Q @ Q`` itself overflows."""
+    residual = _residual_of(np.eye(2, dtype=complex))
+    Q = np.array([[3.0, 1e-100], [0.5, 2.0 - 1j]])
+    assert residual(Q)[1]().tobytes() == (Q @ Q).tobytes()
+    # scaled by 2**-21 and 2**-11: x * x falls below the normal range, y to 0
+    x, y = 1.1 * 2.0 ** -500, 2.0 ** -1070
+    for Q in (np.array([[2.0 ** 20, x], [x, 0.0]], dtype=complex),
+              np.array([[2.0 ** 10, y], [y, 1.0]], dtype=complex)):
+        c = 2.0 ** -_exponent(Q)
+        scaled_back = ((c * Q) @ (c * Q)) / c / c
+        assert scaled_back.tobytes() != (Q @ Q).tobytes()
+        assert residual(Q)[1]() is None
+    assert residual(2.0 ** 510 * np.eye(2, dtype=complex))[1]() is None
+
+
+def test_sqrtm_huge_scalar_matrix_at_orders_three_and_four():
+    """On 1e160*I order 3's outer iterates are odd chain elements, about
+    k*I, whose squares stay in range: the run ends MAX_ITERATIONS with
+    residual 1.0 and no RuntimeWarning.  Order 4's first iterate is about
+    S/4; its residual comes back, but its square overflows, so the next
+    merge forms ``Q @ Q`` itself and the overflow surfaces in ``q_step``,
+    as at order 2."""
+    S = 1e160 * np.eye(3, dtype=complex)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        res = sqrtm_ab(SqrtProblem(S, order=3))
+        assert res.status is SolveStatus.MAX_ITERATIONS
+        assert res.residual == 1.0
+        with pytest.raises(RuntimeWarning,
+                           match="overflow encountered in matmul") as info:
+            sqrtm_ab(SqrtProblem(S, order=4))
+    assert info.traceback[-1].name == "q_step"
+    with np.errstate(over="ignore", invalid="ignore"), pytest.raises(
+            ValueError, match="^square-root iterate is not finite$"):
+        sqrtm_ab(SqrtProblem(S, order=4))
 
 
 # ----------------------------- binomial / newton oracles -----------------------------
